@@ -346,8 +346,8 @@ def cmd_sinc(args) -> int:
     from .kernels import test_problem
     from .regularizer import reconstruct_spectrum
     from .sinc import (IndexSetKind, band_halfwidth, build_expansion,
-                       eval_expansion, write_expansion)
-    from .transform import idft2_windowed_at
+                       eval_expansion, lattice_expansion, spectral_expansion,
+                       write_expansion)
 
     _merge_config(args)
     params = _params_from(args)
@@ -378,9 +378,8 @@ def cmd_sinc(args) -> int:
                                          np.asarray(t, float))
             return itp(np.stack([xb, tb], axis=-1))
 
-        exp = build_expansion(ev, a_eps, args.n, kind)
+        square = build_expansion(ev, a_eps, args.n)
         eval_grid = field.grid
-        dev = None
     else:
         if args.problem is None:
             raise UsageError("need a source: --problem or --v-eps FILE")
@@ -395,12 +394,11 @@ def cmd_sinc(args) -> int:
         g = harness.perturb(harness.sample(prob.g0, data_grid),
                             params.epsilon, seed + harness._G_SEED_OFFSET)
         v_hat, region = reconstruct_spectrum(f, g, params)
-
-        def ev(x, t):
-            return idft2_windowed_at(v_hat, region.window, x, t)
-
-        exp = build_expansion(ev, a_eps, args.n, kind)
-        dev = harness.sinc_deviation(exp, v_hat, region, eval_grid)
+        square = spectral_expansion(v_hat, region.window, a_eps, args.n)
+    # the square samples also give the triangular set and its dropped energy
+    exp = lattice_expansion(square.coeffs, a_eps, kind)
+    dev = None if args.v_eps is not None \
+        else harness.sinc_deviation(exp, v_hat, region, eval_grid)
 
     os.makedirs(out_dir, exist_ok=True)
     write_expansion(os.path.join(out_dir, "sinc.txt"), exp)
@@ -417,9 +415,8 @@ def cmd_sinc(args) -> int:
               "points: %s" % _fmt(dev))
     if kind is IndexSetKind.TRIANGULAR:
         # how much series mass the triangular truncation discards
-        sq = build_expansion(ev, a_eps, args.n, IndexSetKind.SQUARE)
-        dropped = np.abs(sq.ms) > np.abs(sq.ns)
-        energy = exp.d * exp.d * float(np.sum(sq.values[dropped] ** 2))
+        dropped = np.abs(square.ms) > np.abs(square.ns)
+        energy = exp.d * exp.d * float(np.sum(square.values[dropped] ** 2))
         print("dropped-index energy (square minus triangular): %s"
               % _fmt(energy))
     print("wrote sinc.txt, sinc_eval.csv to %s" % out_dir)

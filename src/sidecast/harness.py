@@ -23,8 +23,8 @@ from .regularizer import (CONVOLUTION_FACTOR, RegMode, RegParams,
                           assemble_rhs, build_report, default_coverage_grid,
                           default_spectral_grid, region_for,
                           reconstruct_spectrum, tail_energy)
-from .sinc import (IndexSetKind, band_halfwidth, build_expansion,
-                   eval_expansion, write_expansion)
+from .sinc import (IndexSetKind, band_halfwidth, eval_expansion,
+                   spectral_expansion, write_expansion)
 from .transform import (_lattice_offsets, _windowed_nodes, convolve2_causal,
                         dft2_forward, idft2_windowed, idft2_windowed_at)
 
@@ -379,9 +379,8 @@ def run_experiment(config: ExperimentConfig,
     exp = None
     if config.sinc_n is not None:
         a_eps = band_halfwidth(params)
-        exp = build_expansion(
-            lambda x, t: idft2_windowed_at(v_hat, region.window, x, t),
-            a_eps, config.sinc_n, config.sinc_kind)
+        exp = spectral_expansion(v_hat, region.window, a_eps,
+                                 config.sinc_n, config.sinc_kind)
         dev = sinc_deviation(exp, v_hat, region, config.out_grid)
         sinc_bits = (config.sinc_n, config.sinc_kind, exp.d, dev,
                      exp.values.size)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import GridSpec
 from .regularizer import RegMode, RegParams, cutoff_hm, cutoff_l2
+from .transform import idft2_windowed
 
 __all__ = [
     "IndexSetKind",
@@ -24,7 +26,10 @@ __all__ = [
     "band_halfwidth",
     "sinc_mesh",
     "index_lattice",
+    "sinc_lattice",
+    "lattice_expansion",
     "build_expansion",
+    "spectral_expansion",
     "eval_expansion",
     "write_expansion",
     "read_expansion",
@@ -86,7 +91,12 @@ def index_lattice(kind: IndexSetKind, n: int):
 
 @dataclass(frozen=True)
 class SincExpansion:
-    """Truncated cardinal series: sum of values[i] * S(ms[i]) * S(ns[i])."""
+    """Truncated cardinal series: sum of values[i] * S(ms[i]) * S(ns[i]).
+
+    (ms, ns) must be exactly index_lattice(kind, n), in that order. The
+    coefficients are also held as the (2N+1) x (2N+1) matrix `coeffs`,
+    coeffs[m + N, n + N] = c_mn, with zeros at indices outside the set.
+    """
 
     d: float
     kind: IndexSetKind
@@ -94,6 +104,7 @@ class SincExpansion:
     ms: np.ndarray
     ns: np.ndarray
     values: np.ndarray
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.d > 0:
@@ -103,9 +114,16 @@ class SincExpansion:
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if not (ms.shape == ns.shape == vals.shape) or ms.ndim != 1:
             raise ValueError("index and value arrays must be equal-length 1-d")
+        want_m, want_n = index_lattice(self.kind, self.n)
+        if not (np.array_equal(ms, want_m) and np.array_equal(ns, want_n)):
+            raise ValueError("indices (ms, ns) must be index_lattice(%s, %d) "
+                             "in order" % (self.kind.value, self.n))
         if not np.all(np.isfinite(vals)):
             raise ValueError("expansion coefficients must be finite")
-        for name, arr in (("ms", ms), ("ns", ns), ("values", vals)):
+        coeffs = np.zeros((2 * self.n + 1, 2 * self.n + 1))
+        coeffs[ms + self.n, ns + self.n] = vals
+        for name, arr in (("ms", ms), ("ns", ns), ("values", vals),
+                          ("coeffs", coeffs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -116,41 +134,84 @@ class SincExpansion:
         return float(self.values[hit[0]])
 
 
-def build_expansion(v_eval, a_eps: float, n: int,
-                    kind: IndexSetKind = IndexSetKind.SQUARE) -> SincExpansion:
-    """Sample the evaluator at the lattice (m d, n d), d = pi/a_eps, and
-    store coefficients. a_eps is the band half-width the evaluator was
-    truncated to, so the mesh is exactly the Nyquist spacing for it.
-
-    v_eval maps equal-length point arrays (x, t) to values; the band-limited
-    reconstruction's windowed-transform evaluator is the intended argument.
-    Time nodes with n < 0 are legitimate: the band-limited extension exists
-    on the whole plane even though the data live on t > 0.
-    """
+def sinc_lattice(a_eps: float, n: int) -> GridSpec:
+    """The square node lattice (m d, n d), |m|, |n| <= N, d = pi/a_eps, as
+    a grid: node (i, j) is the lattice index (i - N, j - N)."""
     if not a_eps > 0:
         raise ValueError("band half-width a_eps must be positive, got %r"
                          % (a_eps,))
     if n < 1:
         raise ValueError("index radius N must be >= 1, got %r" % (n,))
     d = math.pi / a_eps
+    return GridSpec(x0=-n * d, dx=d, nx=2 * n + 1, t0=-n * d, dt=d,
+                    nt=2 * n + 1)
+
+
+def lattice_expansion(samples, a_eps: float,
+                      kind: IndexSetKind = IndexSetKind.SQUARE
+                      ) -> SincExpansion:
+    """Series whose coefficients are samples on sinc_lattice(a_eps, N),
+    restricted to kind's index set; samples has shape (2N+1, 2N+1)."""
+    samples = np.asarray(samples, dtype=float)
+    side = samples.shape[0] if samples.ndim == 2 else 0
+    if samples.shape != (side, side) or side % 2 == 0:
+        raise ValueError("lattice samples must be (2N+1) x (2N+1), got shape "
+                         "%r" % (samples.shape,))
+    n = side // 2
     ms, ns = index_lattice(kind, n)
-    vals = np.asarray(v_eval(ms * d, ns * d), dtype=float)
-    if vals.shape != ms.shape:
-        raise ValueError("evaluator returned shape %r for %d nodes"
-                         % (vals.shape, ms.size))
+    vals = samples[ms + n, ns + n]
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         i = bad[0]
-        raise ValueError("evaluator returned a non-finite value at lattice "
-                         "index (m=%d, n=%d)" % (ms[i], ns[i]))
-    return SincExpansion(d=d, kind=kind, n=n, ms=ms, ns=ns, values=vals)
+        raise ValueError("non-finite lattice sample at index (m=%d, n=%d)"
+                         % (ms[i], ns[i]))
+    return SincExpansion(d=math.pi / a_eps, kind=kind, n=n, ms=ms, ns=ns,
+                         values=vals)
+
+
+def build_expansion(v_eval, a_eps: float, n: int,
+                    kind: IndexSetKind = IndexSetKind.SQUARE) -> SincExpansion:
+    """Sample the evaluator on the square lattice (m d, n d), d = pi/a_eps,
+    and keep the samples in kind's index set as coefficients. a_eps is the
+    band half-width the evaluator was truncated to, so the mesh is exactly
+    the Nyquist spacing for it.
+
+    v_eval maps equal-shape point arrays (x, t) to values; it is called
+    once, on the (2N+1) x (2N+1) node arrays. A windowed spectrum is
+    sampled faster as a grid by spectral_expansion. Time nodes with n < 0
+    are legitimate: the band-limited extension exists on the whole plane
+    even though the data live on t > 0.
+    """
+    grid = sinc_lattice(a_eps, n)
+    nodes = np.arange(-n, n + 1) * grid.dx
+    xs, ts = np.meshgrid(nodes, nodes, indexing="ij")
+    samples = np.asarray(v_eval(xs, ts), dtype=float)
+    if samples.shape != xs.shape:
+        raise ValueError("evaluator returned shape %r for %d nodes"
+                         % (samples.shape, xs.size))
+    return lattice_expansion(samples, a_eps, kind)
+
+
+def spectral_expansion(spec, window, a_eps: float, n: int,
+                       kind: IndexSetKind = IndexSetKind.SQUARE
+                       ) -> SincExpansion:
+    """Series of the windowed inverse of spec, truncated to the band
+    a_eps. The lattice is a grid, so one grid inverse (two matrix
+    products) samples all of it; kind's index set is kept."""
+    lattice = sinc_lattice(a_eps, n)
+    return lattice_expansion(idft2_windowed(spec, window, lattice).values,
+                             a_eps, kind)
 
 
 def eval_expansion(exp: SincExpansion, x, t):
     """Evaluate the truncated series at points (x, t), broadcasting scalars.
 
-    Points are processed in blocks so the cardinal matrices stay a few tens
-    of MB even for N=50 lattices against full evaluation grids.
+    The series is a tensor product: with Cx[p, i] = sinc(x_p/d - (i - N)),
+    Ct[p, j] = sinc(t_p/d - (j - N)) and C the coefficient matrix, the value
+    at point p is rowsum((Cx @ C) * Ct)[p]. Each point needs 2(2N+1)
+    cardinal values instead of 2(2N+1)^2, and the (2N+1)^2 multiply-adds
+    left are one matrix product. Points are taken in blocks of a size set
+    by 2N+1, so memory stays bounded for any number of points.
     """
     scalar = np.isscalar(x) and np.isscalar(t)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -158,13 +219,14 @@ def eval_expansion(exp: SincExpansion, x, t):
     xs, ts = np.broadcast_arrays(xs, ts)
     shape = xs.shape
     xf, tf = xs.ravel(), ts.ravel()
+    idx = np.arange(-exp.n, exp.n + 1)
     out = np.empty(xf.shape)
-    step = max(1, (1 << 22) // max(exp.values.size, 1))
+    step = max(1, (1 << 22) // idx.size)
     for i0 in range(0, xf.size, step):
         sl = slice(i0, i0 + step)
-        card_x = np.sinc(xf[sl, None] / exp.d - exp.ms[None, :])
-        card_t = np.sinc(tf[sl, None] / exp.d - exp.ns[None, :])
-        out[sl] = (card_x * card_t) @ exp.values
+        card_x = np.sinc(xf[sl, None] / exp.d - idx)
+        card_t = np.sinc(tf[sl, None] / exp.d - idx)
+        out[sl] = np.einsum("pj,pj->p", card_x @ exp.coeffs, card_t)
     out = out.reshape(shape)
     return float(out.reshape(-1)[0]) if scalar else out
 
@@ -218,6 +280,9 @@ def read_expansion(path) -> SincExpansion:
         raise ValueError("%s: expected %d coefficient rows for %s N=%d, "
                          "found %d" % (path, expect_m.size, kind.value, n,
                                        len(vals)))
-    return SincExpansion(d=d, kind=kind, n=n, ms=np.array(ms, dtype=int),
-                         ns=np.array(ns, dtype=int),
-                         values=np.array(vals, dtype=float))
+    try:
+        return SincExpansion(d=d, kind=kind, n=n, ms=np.array(ms, dtype=int),
+                             ns=np.array(ns, dtype=int),
+                             values=np.array(vals, dtype=float))
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc

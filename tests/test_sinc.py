@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidecast.fields import GridSpec, sample
 from sidecast.regularizer import RegMode, RegParams, cutoff_hm, cutoff_l2
 from sidecast.sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                            build_expansion, cardinal, eval_expansion,
-                           index_lattice, read_expansion, sinc_mesh,
+                           index_lattice, lattice_expansion, read_expansion,
+                           sinc_lattice, sinc_mesh, spectral_expansion,
                            write_expansion)
+from sidecast.transform import (SpectralWindow, dft2_forward, idft2_windowed,
+                                idft2_windowed_at)
 
 
 def test_cardinal_values():
@@ -218,3 +222,108 @@ def test_read_expansion_error_paths(tmp_path):
     p.write_text("0.5 1 square\n0 zero 1.0\n")
     with pytest.raises(ValueError, match="bad row"):
         read_expansion(p)
+
+
+def test_eval_expansion_block_seams_at_n50():
+    # blocks hold 2^22 / (2N+1) points, 41 527 at N=50, so 100 003 points
+    # span three blocks; every point must match its own evaluation
+    rng = np.random.Generator(np.random.Philox(17))
+    ms, ns = index_lattice(IndexSetKind.TRIANGULAR, 50)
+    exp = SincExpansion(d=0.54, kind=IndexSetKind.TRIANGULAR, n=50,
+                        ms=ms, ns=ns, values=rng.standard_normal(ms.size))
+    xs = rng.uniform(-30, 30, 100003)
+    ts = rng.uniform(-30, 30, 100003)
+    whole = eval_expansion(exp, xs, ts)
+    for i in (0, 41526, 41527, 83054, 100002):
+        one = eval_expansion(exp, float(xs[i]), float(ts[i]))
+        assert abs(whole[i] - one) <= 1e-12 * float(np.sum(np.abs(exp.values)))
+
+def test_expansion_rejects_indices_off_the_lattice():
+    with pytest.raises(ValueError, match="index_lattice"):
+        SincExpansion(d=0.5, kind=IndexSetKind.TRIANGULAR, n=1,
+                      ms=[5], ns=[-9], values=[1.0])
+    # the right set in the wrong order is rejected too
+    ms, ns = index_lattice(IndexSetKind.SQUARE, 1)
+    with pytest.raises(ValueError, match="index_lattice"):
+        SincExpansion(d=0.5, kind=IndexSetKind.SQUARE, n=1, ms=ms[::-1],
+                      ns=ns[::-1], values=np.ones(ms.size))
+
+
+def test_read_expansion_rejects_duplicate_indices(tmp_path):
+    # nine rows are the right count for square N=1, but all name (0, 0):
+    # coeff(0, 0) and the series value at the origin would disagree
+    p = tmp_path / "dup.txt"
+    p.write_text("0.5 1 square\n"
+                 + "".join("0 0 %d\n" % v for v in range(1, 10)))
+    with pytest.raises(ValueError, match="index_lattice"):
+        read_expansion(p)
+
+
+def test_coefficient_matrix_holds_the_index_set():
+    ms, ns = index_lattice(IndexSetKind.TRIANGULAR, 2)
+    vals = np.arange(1.0, ms.size + 1.0)
+    exp = SincExpansion(d=0.5, kind=IndexSetKind.TRIANGULAR, n=2,
+                        ms=ms, ns=ns, values=vals)
+    assert exp.coeffs.shape == (5, 5)
+    assert np.array_equal(exp.coeffs[ms + 2, ns + 2], vals)
+    # entries outside |m| <= |n| stay zero
+    assert np.count_nonzero(exp.coeffs) == ms.size
+    assert exp.coeffs[4, 2] == 0.0  # (m, n) = (2, 0)
+
+
+def _series_reference(exp, x, t):
+    """Literal double sum over the index set, one term at a time."""
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    acc = np.zeros(np.broadcast(x, t).shape)
+    for m, p, v in zip(exp.ms, exp.ns, exp.values):
+        acc = acc + v * np.sinc(x / exp.d - m) * np.sinc(t / exp.d - p)
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(IndexSetKind)), st.integers(0, 6),
+       st.floats(0.1, 2.0), st.integers(0, 10 ** 6))
+def test_eval_expansion_matches_the_literal_double_sum(kind, n, d, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    ms, ns = index_lattice(kind, n)
+    exp = SincExpansion(d=d, kind=kind, n=n, ms=ms, ns=ns,
+                        values=rng.standard_normal(ms.size))
+    # |sinc| <= 1, so the l1 norm of the coefficients bounds the series
+    tol = 1e-12 * float(np.sum(np.abs(exp.values)))
+    span = (n + 2) * d
+    xs = rng.uniform(-span, span, 25)
+    ts = rng.uniform(-span, span, 25)
+    got = eval_expansion(exp, xs, ts)
+    assert np.max(np.abs(got - _series_reference(exp, xs, ts))) <= tol
+    at_nodes = eval_expansion(exp, ms * d, ns * d)
+    assert np.max(np.abs(at_nodes - _series_reference(exp, ms * d, ns * d))) \
+        <= tol
+    one = eval_expansion(exp, float(xs[0]), float(ts[0]))
+    assert isinstance(one, float)
+    assert abs(one - float(_series_reference(exp, xs[0], ts[0]))) <= tol
+
+
+def test_grid_inverse_lattice_matches_the_point_inverse():
+    g = GridSpec.centered(5.0, 61, 5.0, 61)
+    field = sample(lambda x, t: np.exp(-(x - 0.3) ** 2 - 2.0 * (t + 0.1) ** 2),
+                   g)
+    spec = dft2_forward(field, GridSpec.centered(6.0, 49, 6.0, 49))
+    window = SpectralWindow.rect(4.0, 5.0)
+    a_eps, n = 5.0, 4
+    lattice = sinc_lattice(a_eps, n)
+    assert lattice.shape == (2 * n + 1, 2 * n + 1)
+    assert lattice.dx == lattice.dt == pytest.approx(math.pi / a_eps,
+                                                     rel=1e-15)
+    grid_vals = idft2_windowed(spec, window, lattice).values
+    ms, ns = index_lattice(IndexSetKind.SQUARE, n)
+    d = math.pi / a_eps
+    direct = idft2_windowed_at(spec, window, ms * d, ns * d)
+    scale = float(np.max(np.abs(direct)))
+    assert np.max(np.abs(grid_vals.ravel() - direct)) <= 1e-12 * scale
+    # the spectral build keeps exactly the index-set entries of the grid
+    tri = spectral_expansion(spec, window, a_eps, n, IndexSetKind.TRIANGULAR)
+    mt, nt = index_lattice(IndexSetKind.TRIANGULAR, n)
+    assert tri.d == math.pi / a_eps
+    assert np.array_equal(tri.values, grid_vals[mt + n, nt + n])
+    with pytest.raises(ValueError, match="2N\\+1"):
+        lattice_expansion(grid_vals[:, :-1], a_eps)
