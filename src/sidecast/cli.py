@@ -257,35 +257,10 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------- reconstruct
 
-def _write_file_mode_manifest(path, args, params, region, report, f_grid,
-                              out_grid):
-    from .harness import _grid_str
-    from .regularizer import CONVOLUTION_FACTOR
-    lines = ["f_file=%s" % args.f, "g_file=%s" % args.g,
-             "mode=%s" % params.mode.value,
-             "epsilon=%s" % _fmt(params.epsilon)]
-    if params.gamma is not None:
-        lines.append("gamma=%s" % _fmt(params.gamma))
-    if params.m is not None:
-        lines.append("m=%s" % _fmt(params.m))
-    lines.append("data_grid=%s" % _grid_str(f_grid))
-    lines.append("out_grid=%s" % _grid_str(out_grid))
-    if region.b_eps is not None:
-        lines.append("b_eps=%s" % _fmt(region.b_eps))
-    if region.a_eps is not None:
-        lines.append("a_eps=%s" % _fmt(region.a_eps))
-    lines.append("kappa=%s" % _fmt(CONVOLUTION_FACTOR))
-    lines.append("C=%s" % _fmt(report.C))
-    if report.bound_l2 is not None:
-        lines.append("bound_l2=%s" % _fmt(report.bound_l2))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_reconstruct(args) -> int:
     from . import harness
-    from .fields import read_field, write_csv, write_field
-    from .regularizer import reconstruct, region_for
+    from .fields import read_field
+    from .regularizer import reconstruct
 
     _merge_config(args)
     params = _params_from(args)
@@ -305,15 +280,13 @@ def cmd_reconstruct(args) -> int:
             raise UsageError("--grid (output grid) is required with file "
                              "input")
         out_grid = _parse_grid(args.grid)
-        v_eps, report = reconstruct(f, g, params, out_grid)
-        os.makedirs(out_dir, exist_ok=True)
-        write_field(v_eps, os.path.join(out_dir, "v_eps.grd"))
-        write_csv(v_eps, os.path.join(out_dir, "v_eps.csv"))
-        _write_file_mode_manifest(os.path.join(out_dir, "manifest.txt"),
-                                  args, params, region_for(params), report,
-                                  f.grid, out_grid)
-        if report.bound_l2 is not None:
-            print("bound_l2 (tail-free part): %s" % _fmt(report.bound_l2))
+        rec = reconstruct(f, g, params, out_grid)
+        harness._write_run(out_dir, rec.v_eps, harness._manifest_lines(
+            ["f_file=%s" % args.f, "g_file=%s" % args.g], params, None,
+            f.grid, out_grid, rec))
+        if rec.report.bound_l2 is not None:
+            print("bound_l2 (tail-free part): %s"
+                  % _fmt(rec.report.bound_l2))
         print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % out_dir)
         return 0
 
@@ -331,7 +304,7 @@ def cmd_reconstruct(args) -> int:
     print("measured_error=%s" % _fmt(res.measured_error))
     if res.report.bound_l2 is not None:
         print("bound_l2=%s" % _fmt(res.report.bound_l2))
-    print("eta_hat=%s" % _fmt(res.eta_hat))
+    print("eta_hat=%s" % _fmt(res.report.eta_hat))
     print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % out_dir)
     return 0
 
@@ -388,11 +361,8 @@ def cmd_sinc(args) -> int:
             else harness.default_data_grid()
         eval_grid = _parse_grid(args.grid) if args.grid \
             else harness.default_out_grid(args.problem)
-        seed = args.seed or 0
-        f = harness.perturb(harness.sample(prob.f0, data_grid),
-                            params.epsilon, seed)
-        g = harness.perturb(harness.sample(prob.g0, data_grid),
-                            params.epsilon, seed + harness._G_SEED_OFFSET)
+        f, g = harness.noisy_histories(prob, data_grid, params.epsilon,
+                                       args.seed or 0)
         v_hat, region = reconstruct_spectrum(f, g, params)
         square = spectral_expansion(v_hat, region.window, a_eps, args.n)
     # the square samples also give the triangular set and its dropped energy

@@ -20,13 +20,12 @@ from .fields import (GridSpec, RealField, l2_distance, sample, write_csv,
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, _substituted_mass,
                       kernel_eval, s_hat, test_problem)
 from .regularizer import (CONVOLUTION_FACTOR, RegMode, RegParams,
-                          assemble_rhs, build_report, default_coverage_grid,
-                          default_spectral_grid, region_for,
-                          reconstruct_spectrum, tail_energy)
+                          assemble_rhs, default_spectral_grid, reconstruct,
+                          region_for)
 from .sinc import (IndexSetKind, band_halfwidth, eval_expansion,
                    spectral_expansion, write_expansion)
 from .transform import (_lattice_offsets, _windowed_nodes, convolve2_causal,
-                        dft2_forward, idft2_windowed, idft2_windowed_at)
+                        dft2_forward, idft2_windowed_at)
 
 __all__ = [
     "ExperimentConfig",
@@ -35,6 +34,7 @@ __all__ = [
     "default_data_grid",
     "default_out_grid",
     "perturb",
+    "noisy_histories",
     "identity_residual",
     "refined_window_grid",
     "validate_s_hat",
@@ -114,6 +114,14 @@ def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
             return RealField(field.grid,
                              field.values + draw * (epsilon / nrm))
     raise RuntimeError("could not draw a nonzero noise field in 8 attempts")
+
+
+def noisy_histories(prob, data_grid: GridSpec, epsilon: float, seed: int):
+    """(f, g): the problem's two histories sampled on data_grid, each with
+    noise of L2 size epsilon; g's stream is seeded apart from f's."""
+    f = perturb(sample(prob.f0, data_grid), epsilon, seed)
+    g = perturb(sample(prob.g0, data_grid), epsilon, seed + _G_SEED_OFFSET)
+    return f, g
 
 
 def identity_residual(v: RealField, f: RealField, g: RealField,
@@ -303,7 +311,6 @@ class ExperimentResult:
     v_eps: RealField
     report: object
     measured_error: float
-    eta_hat: Optional[float]
     sinc_max_dev: Optional[float] = None
     sinc_n_coeff: Optional[int] = None
 
@@ -313,21 +320,23 @@ def _grid_str(g: GridSpec) -> str:
                                   _FMT % g.t0, _FMT % g.dt)
 
 
-def _manifest_lines(cfg: ExperimentConfig, region, report, measured,
-                    sinc_bits) -> list:
-    p = cfg.params
-    lines = [
-        "problem=%s" % cfg.problem.upper(),
-        "mode=%s" % p.mode.value,
-        "epsilon=%s" % (_FMT % p.epsilon),
+def _manifest_lines(source, params: RegParams, noise_seed, data_grid,
+                    out_grid, rec, measured=None, sinc_bits=None) -> list:
+    """Manifest of one run. source holds the lines naming the data (the
+    problem, or the two GRD files); noise_seed is None for file data."""
+    lines = list(source) + [
+        "mode=%s" % params.mode.value,
+        "epsilon=%s" % (_FMT % params.epsilon),
     ]
-    if p.gamma is not None:
-        lines.append("gamma=%s" % (_FMT % p.gamma))
-    if p.m is not None:
-        lines.append("m=%s" % (_FMT % p.m))
-    lines.append("noise_seed=%d" % cfg.noise_seed)
-    lines.append("data_grid=%s" % _grid_str(cfg.data_grid))
-    lines.append("out_grid=%s" % _grid_str(cfg.out_grid))
+    if params.gamma is not None:
+        lines.append("gamma=%s" % (_FMT % params.gamma))
+    if params.m is not None:
+        lines.append("m=%s" % (_FMT % params.m))
+    if noise_seed is not None:
+        lines.append("noise_seed=%d" % noise_seed)
+    lines.append("data_grid=%s" % _grid_str(data_grid))
+    lines.append("out_grid=%s" % _grid_str(out_grid))
+    region, report = rec.region, rec.report
     if region.b_eps is not None:
         lines.append("b_eps=%s" % (_FMT % region.b_eps))
     if region.a_eps is not None:
@@ -352,6 +361,15 @@ def _manifest_lines(cfg: ExperimentConfig, region, report, measured,
     return lines
 
 
+def _write_run(out_dir, v_eps: RealField, manifest_lines) -> None:
+    """v_eps.grd, v_eps.csv and manifest.txt into out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_field(v_eps, os.path.join(out_dir, "v_eps.grd"))
+    write_csv(v_eps, os.path.join(out_dir, "v_eps.csv"))
+    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+        fh.write("\n".join(manifest_lines) + "\n")
+
+
 def run_experiment(config: ExperimentConfig,
                    out_dir=None) -> ExperimentResult:
     """One full run: sample exact data, add noise, reconstruct, measure
@@ -362,42 +380,31 @@ def run_experiment(config: ExperimentConfig,
     """
     prob = test_problem(config.problem)
     params = config.params
-    f = perturb(sample(prob.f0, config.data_grid), params.epsilon,
-                config.noise_seed)
-    g = perturb(sample(prob.g0, config.data_grid), params.epsilon,
-                config.noise_seed + _G_SEED_OFFSET)
-
-    v_hat, region = reconstruct_spectrum(f, g, params)
-    v_eps = idft2_windowed(v_hat, region.window, config.out_grid)
-    v0_hat = dft2_forward(sample(prob.v_exact, config.data_grid),
-                          default_coverage_grid(region))
-    eta = tail_energy(v0_hat, region)
-    report = build_report(params, eta_hat=eta)
-    measured = l2_distance(v_eps, sample(prob.v_exact, config.out_grid))
+    f, g = noisy_histories(prob, config.data_grid, params.epsilon,
+                           config.noise_seed)
+    rec = reconstruct(f, g, params, config.out_grid, v_exact=prob.v_exact)
+    measured = l2_distance(rec.v_eps, sample(prob.v_exact, config.out_grid))
 
     sinc_bits = None
-    exp = None
     if config.sinc_n is not None:
-        a_eps = band_halfwidth(params)
-        exp = spectral_expansion(v_hat, region.window, a_eps,
-                                 config.sinc_n, config.sinc_kind)
-        dev = sinc_deviation(exp, v_hat, region, config.out_grid)
+        exp = spectral_expansion(rec.v_hat, rec.region.window,
+                                 band_halfwidth(params), config.sinc_n,
+                                 config.sinc_kind)
+        dev = sinc_deviation(exp, rec.v_hat, rec.region, config.out_grid)
         sinc_bits = (config.sinc_n, config.sinc_kind, exp.d, dev,
                      exp.values.size)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_field(v_eps, os.path.join(out_dir, "v_eps.grd"))
-        write_csv(v_eps, os.path.join(out_dir, "v_eps.csv"))
-        if exp is not None:
+        _write_run(out_dir, rec.v_eps, _manifest_lines(
+            ["problem=%s" % config.problem.upper()], params,
+            config.noise_seed, config.data_grid, config.out_grid, rec,
+            measured, sinc_bits))
+        if sinc_bits is not None:
             write_expansion(os.path.join(out_dir, "sinc.txt"), exp)
-        lines = _manifest_lines(config, region, report, measured, sinc_bits)
-        with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
     return ExperimentResult(
-        config=config, v_eps=v_eps, report=report, measured_error=measured,
-        eta_hat=eta,
+        config=config, v_eps=rec.v_eps, report=rec.report,
+        measured_error=measured,
         sinc_max_dev=sinc_bits[3] if sinc_bits else None,
         sinc_n_coeff=sinc_bits[4] if sinc_bits else None)
 
@@ -435,7 +442,7 @@ def convergence_table(problem: str, gamma: float,
         rows.append(ConvergenceRow(epsilon=eps,
                                    measured_error=res.measured_error,
                                    bound=res.report.bound_l2,
-                                   eta_hat=res.eta_hat,
+                                   eta_hat=res.report.eta_hat,
                                    runtime_seconds=dt_run))
     return rows
 

@@ -12,7 +12,7 @@ c=4 (call it R); their L1 norms are 4*pi/sqrt(c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,9 +22,6 @@ __all__ = [
     "R_SPEC",
     "SINGULAR_OFFSET",
     "kernel_eval",
-    "gamma_fundamental",
-    "green_g",
-    "image_n",
     "s_hat",
     "s_hat_abs",
     "kernel_l1_norm",
@@ -75,41 +72,6 @@ def kernel_eval(spec: KernelSpec, x, t):
     logv = -(x * x + spec.c) / (4.0 * ts) - 2.0 * np.log(ts)
     out = np.where(pos, np.exp(logv), 0.0)
     return _maybe_scalar(out, x, t)
-
-
-def _require_forward(t, tau):
-    if np.any(np.asarray(t) <= np.asarray(tau)):
-        raise ValueError("kernel is defined forward in time only (need t > tau)")
-
-
-def gamma_fundamental(x, y, t, xi, eta, tau):
-    """Free-space heat kernel on the plane, unit diffusivity.
-
-    (1/(4 pi (t-tau))) exp(-((x-xi)^2+(y-eta)^2)/(4(t-tau))), t > tau.
-    """
-    _require_forward(t, tau)
-    s = np.asarray(t, dtype=float) - np.asarray(tau, dtype=float)
-    q = (np.asarray(x, float) - np.asarray(xi, float)) ** 2 \
-        + (np.asarray(y, float) - np.asarray(eta, float)) ** 2
-    out = np.exp(-q / (4.0 * s)) / (4.0 * np.pi * s)
-    return _maybe_scalar(out, x, y, t, xi, eta, tau)
-
-
-def green_g(x, y, t, xi, eta, tau):
-    """Heat Green function of the strip with a reflecting image about y=2:
-    gamma(x, y, ...) - gamma(x, 4-y, ...). Vanishes on y = 2."""
-    a = gamma_fundamental(x, y, t, xi, eta, tau)
-    b = gamma_fundamental(x, 4.0 - np.asarray(y, float), t, xi, eta, tau)
-    out = np.asarray(a) - np.asarray(b)
-    return _maybe_scalar(out, x, y, t, xi, eta, tau)
-
-
-def image_n(x, y, t, xi, eta, tau):
-    """Odd image kernel about y=0: gamma(x, y, ...) - gamma(x, -y, ...)."""
-    a = gamma_fundamental(x, y, t, xi, eta, tau)
-    b = gamma_fundamental(x, -np.asarray(y, float), t, xi, eta, tau)
-    out = np.asarray(a) - np.asarray(b)
-    return _maybe_scalar(out, x, y, t, xi, eta, tau)
 
 
 def _split_exponents(z, r):
@@ -216,27 +178,15 @@ class TestProblem:
     """Exact data/solution triple for the strip problem.
 
     f0 is the history at depth 1, g0 at depth 2, v_exact the surface
-    history being reconstructed. f_hat_closed, when present, is the
-    published closed-form transform of the right-hand side; it is kept for
-    reference output and is not an inversion oracle (see the verify table).
+    history being reconstructed.
     """
 
     id: str
     f0: Callable
     g0: Callable
     v_exact: Callable
-    f_hat_closed: Optional[Callable] = None
 
     __test__ = False  # not a pytest collection target
-
-
-def _p1_f_hat_printed(z, r):
-    # Published shorthand 4 e^{-sqrt(r^2+z^4)}/sqrt(r^2+z^4); singular at
-    # the origin and only coincident with the true transform on z^2 = |w|^2
-    # points. Reported alongside the real oracle, never divided by.
-    s = np.hypot(np.asarray(z, float) ** 2, np.asarray(r, float))
-    out = 4.0 * np.exp(-s) / s
-    return _maybe_scalar(out, z, r)
 
 
 _P2_G0 = layer_trace(4.0)
@@ -253,7 +203,6 @@ _PROBLEMS = {
         f0=layer_trace(1.0),
         g0=layer_trace(4.0),
         v_exact=layer_trace(0.0),
-        f_hat_closed=_p1_f_hat_printed,
     ),
     "P2": TestProblem(
         id="P2",

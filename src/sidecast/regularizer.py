@@ -41,6 +41,7 @@ __all__ = [
     "error_bound_l2",
     "error_bound_hm",
     "build_report",
+    "Reconstruction",
     "default_spectral_grid",
     "default_coverage_grid",
     "reconstruct_spectrum",
@@ -208,8 +209,11 @@ def error_bound_hm(epsilon: float, m: float, c1: float) -> float:
     _check_hm(epsilon, m)
     if not c1 > 0:
         raise ValueError("C1 must be positive, got %r" % (c1,))
-    d = math.sqrt(c1 * (1.0 + 2.0 ** m))
-    return d * (-math.log(epsilon)) ** (-m)
+    return _d_constant(m, c1) * (-math.log(epsilon)) ** (-m)
+
+
+def _d_constant(m: float, c1: float) -> float:
+    return math.sqrt(c1 * (1.0 + 2.0 ** m))
 
 
 @dataclass(frozen=True)
@@ -260,26 +264,36 @@ def reconstruct_spectrum(f: RealField, g: RealField, params: RegParams,
 def build_report(params: RegParams, eta_hat: Optional[float] = None,
                  c1: Optional[float] = None) -> BoundReport:
     """Evaluate whichever bounds the supplied ingredients allow."""
-    c_const = _c_constant()
     bound_l2 = None
     if params.mode is RegMode.L2:
-        bound_l2 = math.sqrt(
-            c_const * params.epsilon ** (2.0 - params.gamma)
-            + (eta_hat or 0.0))
+        bound_l2 = error_bound_l2(params.epsilon, params.gamma,
+                                  eta_hat or 0.0)
     d = bound_hm = None
     if params.mode is RegMode.HM and c1 is not None:
-        d = math.sqrt(c1 * (1.0 + 2.0 ** params.m))
-        bound_hm = d * (-math.log(params.epsilon)) ** (-params.m)
-    return BoundReport(C=c_const, eta_hat=eta_hat, bound_l2=bound_l2,
+        d = _d_constant(params.m, c1)
+        bound_hm = error_bound_hm(params.epsilon, params.m, c1)
+    return BoundReport(C=_c_constant(), eta_hat=eta_hat, bound_l2=bound_l2,
                        C1=c1, D=d, bound_hm=bound_hm)
+
+
+@dataclass(frozen=True)
+class Reconstruction:
+    """One run of the pipeline: v_eps on the output grid, its bound
+    report, and the windowed spectrum v_hat with the cutoff region it was
+    divided on (the Sinc series samples the same spectrum)."""
+
+    v_eps: RealField
+    report: BoundReport
+    v_hat: ComplexField
+    region: CutoffRegion
 
 
 def reconstruct(f: RealField, g: RealField, params: RegParams,
                 out_grid: GridSpec,
                 spectral_grid: Optional[GridSpec] = None,
                 coverage_grid: Optional[GridSpec] = None,
-                v_exact=None, c1: Optional[float] = None):
-    """Full pipeline onto out_grid; returns (v_eps, BoundReport).
+                v_exact=None, c1: Optional[float] = None) -> Reconstruction:
+    """Full pipeline onto out_grid.
 
     v_exact, when given, is an evaluator used for validation only: it is
     sampled on the data grid, transformed on the coverage grid, and its
@@ -295,4 +309,6 @@ def reconstruct(f: RealField, g: RealField, params: RegParams,
             else default_coverage_grid(region)
         v0_hat = dft2_forward(sample(v_exact, f.grid), cov)
         eta = tail_energy(v0_hat, region)
-    return v_eps, build_report(params, eta_hat=eta, c1=c1)
+    return Reconstruction(v_eps=v_eps,
+                          report=build_report(params, eta_hat=eta, c1=c1),
+                          v_hat=v_hat, region=region)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import GridSpec
-from .regularizer import RegMode, RegParams, cutoff_hm, cutoff_l2
+from .regularizer import RegParams, region_for
 from .transform import idft2_windowed
 
 __all__ = [
@@ -54,14 +54,12 @@ class IndexSetKind(enum.Enum):
 def band_halfwidth(params: RegParams) -> float:
     """Square band half-width a covering the cutoff region.
 
-    HM mode uses the square half-width directly; L2 mode must cover the
+    HM mode's window is already a square; L2 mode must cover the
     rectangle (half-widths b and b^2), so the larger of the two sets the
     band.
     """
-    if params.mode is RegMode.HM:
-        return cutoff_hm(params.epsilon, params.m)
-    b = cutoff_l2(params.epsilon, params.gamma)
-    return max(b, b * b)
+    w = region_for(params).window
+    return max(w.zmax, w.rmax)
 
 
 def sinc_mesh(params: RegParams) -> float:
@@ -89,7 +87,7 @@ def index_lattice(kind: IndexSetKind, n: int):
     raise ValueError("unknown index set kind %r" % (kind,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SincExpansion:
     """Truncated cardinal series: sum of values[i] * S(ms[i]) * S(ns[i]).
 
@@ -104,7 +102,7 @@ class SincExpansion:
     ms: np.ndarray
     ns: np.ndarray
     values: np.ndarray
-    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.d > 0:

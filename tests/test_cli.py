@@ -270,6 +270,33 @@ class TestFileModeReconstruct:
         assert "kappa=%s" % ("%.17g" % (2 * math.pi)) in manifest
 
 
+_FILE_MODE_KEYS = ["f_file", "g_file", "mode", "epsilon", "gamma",
+                   "data_grid", "out_grid", "b_eps", "kappa", "C", "bound_l2"]
+
+
+class TestFileModeManifest:
+    def test_key_order_and_config_round_trip(self, tmp_path, capsys):
+        grid = GridSpec(x0=-5.0, dx=10.0 / 32, nx=33, t0=0.05, dt=0.1, nt=40)
+        prob = test_problem("P2")
+        fp, gp = str(tmp_path / "f.grd"), str(tmp_path / "g.grd")
+        write_field(sample(prob.f0, grid), fp)
+        write_field(sample(prob.g0, grid), gp)
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        assert main(["reconstruct", "--f", fp, "--g", gp,
+                     "--grid", "9,9,0.2,0.1,0.5,0.3", "--epsilon", "0.02",
+                     "--out", first]) == 0
+        manifest = os.path.join(first, "manifest.txt")
+        lines = open(manifest).read().splitlines()
+        assert [ln.partition("=")[0] for ln in lines] == _FILE_MODE_KEYS
+        assert main(["reconstruct", "--config", manifest,
+                     "--out", second]) == 0
+        capsys.readouterr()
+        for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
+            with open(os.path.join(first, name), "rb") as a, \
+                    open(os.path.join(second, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+
 class TestSincCommand:
     def test_surrogate_path_square(self, small_grd, tmp_path, capsys):
         _, paths = small_grd

@@ -14,11 +14,12 @@ import pytest
 
 from sidecast.fields import GridSpec, RealField, l2_norm, l2_distance, \
     read_field, sample
-from sidecast.harness import (ExperimentConfig, _symbol_rows,
+from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET, _symbol_rows,
                               convergence_table, default_data_grid,
-                              default_out_grid, identity_residual, perturb,
-                              refined_window_grid, run_experiment,
-                              validate_s_hat, write_convergence_csv)
+                              default_out_grid, identity_residual,
+                              noisy_histories, perturb, refined_window_grid,
+                              run_experiment, validate_s_hat,
+                              write_convergence_csv)
 from sidecast.kernels import SINGULAR_OFFSET, s_hat, test_problem
 from sidecast.regularizer import RegParams, reconstruct
 from sidecast.transform import _lattice_offsets
@@ -107,6 +108,16 @@ class TestPerturb:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             perturb(self._field(), -0.01, seed=0)
+
+
+def test_noisy_histories_draw_f_and_g_from_separate_streams():
+    g = GridSpec(x0=-2.0, dx=0.125, nx=33, t0=0.1, dt=0.1, nt=40)
+    prob = test_problem("P1")
+    f_n, g_n = noisy_histories(prob, g, 0.02, seed=5)
+    want_f = perturb(sample(prob.f0, g), 0.02, 5)
+    want_g = perturb(sample(prob.g0, g), 0.02, 5 + _G_SEED_OFFSET)
+    np.testing.assert_array_equal(f_n.values, want_f.values)
+    np.testing.assert_array_equal(g_n.values, want_g.values)
 
 
 class TestNoiseStreamFixture:
@@ -276,7 +287,7 @@ class TestRunExperiment:
 
     def test_bound_dominates_measured_error(self, p2_run):
         _, res, _, _, _ = p2_run
-        assert res.eta_hat is not None and res.eta_hat > 0.0
+        assert res.report.eta_hat is not None and res.report.eta_hat > 0.0
         assert res.measured_error < res.report.bound_l2
 
     def test_sinc_surrogate_bits(self, p2_run):
@@ -322,11 +333,21 @@ class TestRunExperiment:
         og = _coarse_out_grid_p1()
         f0 = sample(prob.f0, cfg.data_grid)
         g0 = sample(prob.g0, cfg.data_grid)
-        v0, report = reconstruct(f0, g0, cfg.params, og,
-                                 v_exact=prob.v_exact)
+        rec = reconstruct(f0, g0, cfg.params, og, v_exact=prob.v_exact)
+        v0, report = rec.v_eps, rec.report
         measured = l2_distance(v0, sample(prob.v_exact, og))
         assert report.eta_hat is not None
         assert measured < report.bound_l2
+
+    def test_run_is_the_library_reconstruction(self, p2_run):
+        cfg, res, _, _, _ = p2_run
+        prob = test_problem(cfg.problem)
+        f, g = noisy_histories(prob, cfg.data_grid, cfg.params.epsilon,
+                               cfg.noise_seed)
+        rec = reconstruct(f, g, cfg.params, cfg.out_grid,
+                          v_exact=prob.v_exact)
+        np.testing.assert_array_equal(rec.v_eps.values, res.v_eps.values)
+        assert rec.report == res.report
 
 
 class TestConvergenceTable:

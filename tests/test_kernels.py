@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidecast.kernels import (KernelSpec, R_SPEC, S_SPEC, SINGULAR_OFFSET,
-                              gamma_fundamental, green_g, image_n,
                               kernel_eval, kernel_l1_norm, layer_trace,
                               layer_trace_hat, s_hat, s_hat_abs, test_problem)
 
@@ -43,30 +42,6 @@ def test_kernel_is_causal_and_underflow_safe():
     assert v == 0.0
     arr = kernel_eval(S_SPEC, np.array([0.0, 1.0]), np.array([-1.0, 1.0]))
     assert arr[0] == 0.0 and arr[1] > 0.0
-
-
-def test_fundamental_solution_peak_and_causality():
-    # on-diagonal peak 1/(4 pi (t - tau))
-    assert gamma_fundamental(0, 0, 1.0, 0, 0, 0.0) == \
-        pytest.approx(1.0 / (4.0 * math.pi), rel=1e-15)
-    with pytest.raises(ValueError):
-        gamma_fundamental(0, 0, 1.0, 0, 0, 1.0)
-
-
-def test_reflected_green_vanishes_on_upper_wall():
-    for eta in (0.5, 1.0, 1.7):
-        for t in (0.3, 1.0, 5.0):
-            assert green_g(0.4, 2.0, t, 0.0, eta, 0.0) == pytest.approx(0.0,
-                                                                        abs=1e-300)
-    # strip point anchor: (1/4pi)(1 - e^{-1}) at unit separation from the wall
-    want = (1.0 - math.exp(-1.0)) / (4.0 * math.pi)
-    assert green_g(0.0, 1.0, 1.0, 0.0, 1.0, 0.0) == pytest.approx(want, rel=1e-14)
-
-
-def test_odd_image_vanishes_on_lower_wall():
-    assert image_n(0.3, 0.0, 1.0, 0.0, 0.5, 0.0) == pytest.approx(0.0, abs=1e-300)
-    want = (1.0 - math.exp(-1.0)) / (4.0 * math.pi)
-    assert image_n(0.0, 1.0, 1.0, 0.0, 1.0, 0.0) == pytest.approx(want, rel=1e-14)
 
 
 def _sqrt_quadrature_error(theta: float, h: float) -> float:
@@ -171,9 +146,6 @@ def test_problem_p1_fields():
     assert p.v_exact(0.5, 1.0) == pytest.approx(math.exp(-1.0 / 16.0), rel=1e-15)
     assert p.f0(0.0, 1.0) == pytest.approx(math.exp(-0.25), rel=1e-15)
     assert p.g0(0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    # published shorthand transform of the right-hand side, reference only
-    assert p.f_hat_closed(0.0, 1.0) == pytest.approx(4.0 * math.exp(-1.0),
-                                                     rel=1e-15)
 
 
 def test_problem_p2_is_signed_layer():

@@ -15,7 +15,8 @@ from sidecast.regularizer import (CONVOLUTION_FACTOR, BoundReport,
                                   assemble_rhs, build_report, cutoff_hm,
                                   cutoff_l2, default_coverage_grid,
                                   default_spectral_grid, error_bound_hm,
-                                  error_bound_l2, reconstruct, region_for,
+                                  error_bound_l2, reconstruct,
+                                  reconstruct_spectrum, region_for,
                                   spectral_division, tail_energy)
 from sidecast.transform import SpectralWindow, convolve2_causal, dft2_forward
 
@@ -252,12 +253,25 @@ def test_reconstruct_small_p2_end_to_end():
     params = RegParams(epsilon=0.02, gamma=1.0)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
-    v_eps, report = reconstruct(f, g, params, og, v_exact=prob.v_exact)
+    rec = reconstruct(f, g, params, og, v_exact=prob.v_exact)
+    v_eps, report = rec.v_eps, rec.report
     exact = sample(prob.v_exact, og)
     rel = l2_norm(RealField(og, v_eps.values - exact.values)) / l2_norm(exact)
     assert rel < 0.3
     assert report.eta_hat is not None and report.eta_hat >= 0.0
     assert report.bound_l2 >= math.sqrt(report.C * 0.02)
     # without the exact solution no tail estimate is possible
-    _, rep2 = reconstruct(f, g, params, og)
+    rep2 = reconstruct(f, g, params, og).report
     assert rep2.eta_hat is None and rep2.bound_l2 is not None
+
+
+def test_reconstruct_carries_the_divided_spectrum():
+    prob = test_problem("P2")
+    dg = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 80)
+    og = GridSpec(0.0, 1.0 / 8, 9, 0.5, 0.3, 9)
+    params = RegParams(epsilon=0.02, gamma=1.0)
+    f, g = sample(prob.f0, dg), sample(prob.g0, dg)
+    rec = reconstruct(f, g, params, og)
+    v_hat, region = reconstruct_spectrum(f, g, params)
+    assert rec.region == region
+    np.testing.assert_array_equal(rec.v_hat.values, v_hat.values)

@@ -155,9 +155,9 @@ def test_eval_expansion_matches_node_coefficients():
 
 
 def test_eval_expansion_chunking_is_seamless():
-    # 441 coefficients puts the internal block size at ~9.5k points, so
-    # 20k points crosses two block boundaries; slicing bugs would show as
-    # mismatches against independently evaluated pieces
+    # at N=10 a block holds 2^22/21 (~200k) points, so all 20k points sit
+    # in one block: this checks only that split evaluation equals whole
+    # evaluation (test_eval_expansion_block_seams_at_n50 crosses seams)
     rng = np.random.Generator(np.random.Philox(13))
     ms, ns = index_lattice(IndexSetKind.SQUARE, 10)
     vals = rng.standard_normal(ms.size)
@@ -238,6 +238,7 @@ def test_eval_expansion_block_seams_at_n50():
         one = eval_expansion(exp, float(xs[i]), float(ts[i]))
         assert abs(whole[i] - one) <= 1e-12 * float(np.sum(np.abs(exp.values)))
 
+
 def test_expansion_rejects_indices_off_the_lattice():
     with pytest.raises(ValueError, match="index_lattice"):
         SincExpansion(d=0.5, kind=IndexSetKind.TRIANGULAR, n=1,
@@ -269,6 +270,19 @@ def test_coefficient_matrix_holds_the_index_set():
     # entries outside |m| <= |n| stay zero
     assert np.count_nonzero(exp.coeffs) == ms.size
     assert exp.coeffs[4, 2] == 0.0  # (m, n) = (2, 0)
+
+
+def test_expansions_compare_and_hash_by_identity():
+    # ndarray fields make field-wise == ambiguous; identity semantics, as
+    # for the field classes, keep ==, `in` and hashing well defined
+    ms, ns = index_lattice(IndexSetKind.SQUARE, 1)
+    a = SincExpansion(d=0.5, kind=IndexSetKind.SQUARE, n=1, ms=ms, ns=ns,
+                      values=np.ones(ms.size))
+    b = SincExpansion(d=0.5, kind=IndexSetKind.SQUARE, n=1, ms=ms, ns=ns,
+                      values=np.ones(ms.size))
+    assert a == a and a != b
+    assert a in [a, b] and b not in [a]
+    assert len({a, b, a}) == 2
 
 
 def _series_reference(exp, x, t):
