@@ -399,6 +399,9 @@ def cmd_convergence(args) -> int:
     from . import harness
 
     _merge_config(args)
+    if (args.mode or "l2").lower() != "l2" or args.m is not None:
+        raise UsageError("convergence reports the L2-mode bound only; "
+                         "--mode hm and --m do not apply")
     if args.eps_list is None:
         raise UsageError("--eps-list is required (comma-separated)")
     try:

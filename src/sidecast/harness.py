@@ -1,7 +1,8 @@
 """Experiment orchestration: exact test problems with synthetic noise,
 end-to-end reconstruction runs, convergence tables, and the independent
 numerical checks (symbol quadrature, identity residual, transform-factor
-calibration) that pin the analytic ingredients.
+calibration) that pin the analytic ingredients; only the checks use the
+convolution identity, so they share no code with the reconstruction.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from .fields import (GridSpec, RealField, l2_distance, sample, write_csv,
                      write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, _substituted_mass,
                       kernel_eval, s_hat, test_problem)
-from .regularizer import (CONVOLUTION_FACTOR, RegMode, RegParams,
-                          assemble_rhs, default_spectral_grid, reconstruct,
-                          region_for)
-from .sinc import (IndexSetKind, band_halfwidth, eval_expansion,
-                   spectral_expansion, write_expansion)
+from .regularizer import (RegMode, RegParams, default_spectral_grid,
+                          reconstruct, region_for)
+from .sinc import eval_expansion
 from .transform import (_lattice_offsets, _windowed_nodes, convolve2_causal,
                         dft2_forward, idft2_windowed_at)
 
 __all__ = [
+    "CONVOLUTION_FACTOR",
     "ExperimentConfig",
     "ExperimentResult",
     "ConvergenceRow",
@@ -35,6 +35,7 @@ __all__ = [
     "default_out_grid",
     "perturb",
     "noisy_histories",
+    "assemble_rhs",
     "identity_residual",
     "refined_window_grid",
     "validate_s_hat",
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+
+# dft2(K*w) = CONVOLUTION_FACTOR * K_hat * w_hat under the symmetric 1/(2 pi)
+# transform pair. kappa_calibration pins this against the alternative
+# reading (factor 1) by residual comparison.
+CONVOLUTION_FACTOR = 2.0 * math.pi
 
 # sub-seed separation so f and g never share a noise stream
 _G_SEED_OFFSET = 1000003
@@ -83,16 +89,13 @@ class ExperimentConfig:
     data_grid: GridSpec
     out_grid: GridSpec
     noise_seed: int = 0
-    sinc_n: Optional[int] = None
-    sinc_kind: IndexSetKind = IndexSetKind.SQUARE
 
     @classmethod
-    def default(cls, problem: str, params: RegParams, noise_seed: int = 0,
-                **kw) -> "ExperimentConfig":
+    def default(cls, problem: str, params: RegParams,
+                noise_seed: int = 0) -> "ExperimentConfig":
         return cls(problem=problem, params=params,
                    data_grid=default_data_grid(),
-                   out_grid=default_out_grid(problem),
-                   noise_seed=noise_seed, **kw)
+                   out_grid=default_out_grid(problem), noise_seed=noise_seed)
 
 
 def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
@@ -124,26 +127,40 @@ def noisy_histories(prob, data_grid: GridSpec, epsilon: float, seed: int):
     return f, g
 
 
+def assemble_rhs(f: RealField, g: RealField,
+                 out_grid: Optional[GridSpec] = None) -> RealField:
+    """Right-hand side F = 2(R*f) - (S*g) + 4*pi*f of the convolution
+    identity S*v = F, on out_grid.
+
+    f and g share a grid; out_grid defaults to it and must be a sub-lattice
+    of it (the pointwise f term is read off by slicing, not interpolation).
+    """
+    if f.grid != g.grid:
+        raise ValueError("f and g must share a grid")
+    og = out_grid if out_grid is not None else f.grid
+    ox, ot = _lattice_offsets(og, f.grid)
+    if ox < 0 or ot < 0 or ox + og.nx > f.grid.nx or ot + og.nt > f.grid.nt:
+        raise ValueError("output grid must lie inside the data grid")
+    rf = convolve2_causal(R_SPEC, f, og).values
+    sg = convolve2_causal(S_SPEC, g, og).values
+    fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
+    return RealField(og, 2.0 * rf - sg + (4.0 * math.pi) * fw)
+
+
 def identity_residual(v: RealField, f: RealField, g: RealField,
                       out_grid: Optional[GridSpec] = None) -> float:
     """Relative L2 defect of S*v = 2(R*f) - (S*g) + 4*pi*f on out_grid.
 
     v, f, g share a grid; out_grid defaults to it and must be a sub-lattice
-    of it (the pointwise f term is read off by slicing, not interpolation).
+    of it (see assemble_rhs).
     """
     if not (v.grid == f.grid == g.grid):
         raise ValueError("v, f, g must share a grid")
-    og = out_grid if out_grid is not None else v.grid
-    ox, ot = _lattice_offsets(og, f.grid)
-    if ox < 0 or ot < 0 or ox + og.nx > f.grid.nx or ot + og.nt > f.grid.nt:
-        raise ValueError("output grid must lie inside the data grid")
+    rhs = assemble_rhs(f, g, out_grid)
+    og = rhs.grid
     lhs = convolve2_causal(S_SPEC, v, og).values
-    rf = convolve2_causal(R_SPEC, f, og).values
-    sg = convolve2_causal(S_SPEC, g, og).values
-    fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
-    rhs = 2.0 * rf - sg + (4.0 * math.pi) * fw
-    num = math.sqrt(og.cell_area * float(np.sum((lhs - rhs) ** 2)))
-    den = math.sqrt(og.cell_area * float(np.sum(rhs ** 2)))
+    num = math.sqrt(og.cell_area * float(np.sum((lhs - rhs.values) ** 2)))
+    den = math.sqrt(og.cell_area * float(np.sum(rhs.values ** 2)))
     return num / max(den, np.finfo(float).tiny)
 
 
@@ -311,8 +328,6 @@ class ExperimentResult:
     v_eps: RealField
     report: object
     measured_error: float
-    sinc_max_dev: Optional[float] = None
-    sinc_n_coeff: Optional[int] = None
 
 
 def _grid_str(g: GridSpec) -> str:
@@ -321,7 +336,7 @@ def _grid_str(g: GridSpec) -> str:
 
 
 def _manifest_lines(source, params: RegParams, noise_seed, data_grid,
-                    out_grid, rec, measured=None, sinc_bits=None) -> list:
+                    out_grid, rec, measured=None) -> list:
     """Manifest of one run. source holds the lines naming the data (the
     problem, or the two GRD files); noise_seed is None for file data."""
     lines = list(source) + [
@@ -351,13 +366,6 @@ def _manifest_lines(source, params: RegParams, noise_seed, data_grid,
         lines.append("bound_hm=%s" % (_FMT % report.bound_hm))
     if measured is not None:
         lines.append("measured_error=%s" % (_FMT % measured))
-    if sinc_bits is not None:
-        n, kind, d, dev, count = sinc_bits
-        lines.append("sinc_n=%d" % n)
-        lines.append("sinc_kind=%s" % kind.value)
-        lines.append("sinc_mesh=%s" % (_FMT % d))
-        lines.append("sinc_coefficients=%d" % count)
-        lines.append("sinc_max_dev=%s" % (_FMT % dev))
     return lines
 
 
@@ -373,10 +381,9 @@ def _write_run(out_dir, v_eps: RealField, manifest_lines) -> None:
 def run_experiment(config: ExperimentConfig,
                    out_dir=None) -> ExperimentResult:
     """One full run: sample exact data, add noise, reconstruct, measure
-    against the exact solution, optionally build the Sinc surrogate, and
-    optionally write v_eps.grd / v_eps.csv / manifest.txt (plus sinc.txt)
-    into out_dir. No wall-clock data goes into the files, so outputs are
-    byte-reproducible for a fixed config.
+    against the exact solution, and optionally write v_eps.grd / v_eps.csv
+    / manifest.txt into out_dir. No wall-clock data goes into the files, so
+    outputs are byte-reproducible for a fixed config.
     """
     prob = test_problem(config.problem)
     params = config.params
@@ -384,29 +391,13 @@ def run_experiment(config: ExperimentConfig,
                            config.noise_seed)
     rec = reconstruct(f, g, params, config.out_grid, v_exact=prob.v_exact)
     measured = l2_distance(rec.v_eps, sample(prob.v_exact, config.out_grid))
-
-    sinc_bits = None
-    if config.sinc_n is not None:
-        exp = spectral_expansion(rec.v_hat, rec.region.window,
-                                 band_halfwidth(params), config.sinc_n,
-                                 config.sinc_kind)
-        dev = sinc_deviation(exp, rec.v_hat, rec.region, config.out_grid)
-        sinc_bits = (config.sinc_n, config.sinc_kind, exp.d, dev,
-                     exp.values.size)
-
     if out_dir is not None:
         _write_run(out_dir, rec.v_eps, _manifest_lines(
             ["problem=%s" % config.problem.upper()], params,
             config.noise_seed, config.data_grid, config.out_grid, rec,
-            measured, sinc_bits))
-        if sinc_bits is not None:
-            write_expansion(os.path.join(out_dir, "sinc.txt"), exp)
-
-    return ExperimentResult(
-        config=config, v_eps=rec.v_eps, report=rec.report,
-        measured_error=measured,
-        sinc_max_dev=sinc_bits[3] if sinc_bits else None,
-        sinc_n_coeff=sinc_bits[4] if sinc_bits else None)
+            measured))
+    return ExperimentResult(config=config, v_eps=rec.v_eps,
+                            report=rec.report, measured_error=measured)
 
 
 @dataclass(frozen=True)

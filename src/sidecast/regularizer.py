@@ -1,13 +1,15 @@
-"""Core inverse solver: assemble the convolution-identity right-hand side,
-select the spectral cutoff region from the noise level, divide by the
-symbol on that region only, and evaluate the theoretical error bounds.
+"""Core inverse solver: select the spectral cutoff region from the noise
+level, continue the two interior histories sideways to the surface on that
+region only, and evaluate the theoretical error bounds.
 
-The surface trace v satisfies  S*v = 2(R*f) - (S*g) + 4*pi*f  where f and g
-are the depth-1 and depth-2 histories and S, R the c=1 and c=4 kernels. The
-4*pi weight comes from the image-kernel normalization; it is pinned
-numerically by the identity-residual check in the harness. Transforming and
-dividing by the symbol is unstable, so the division is truncated to a
-low-frequency region sized by the noise level epsilon.
+Across the layer the transformed temperature satisfies u_yy = w^2 u with
+w = sqrt(z^2 + i r), so the surface spectrum follows from the depth-1 and
+depth-2 spectra f_hat and g_hat in closed form:  v_hat = 2 cosh(w) f_hat -
+g_hat. cosh(w) grows like e^{|w|}, which amplifies noise without bound, so
+the formula is applied only on a low-frequency window sized by the noise
+level epsilon. The same v_hat solves the convolution identity
+S*v = 2(R*f) - (S*g) + 4*pi*f (S, R the c=1 and c=4 kernels); the harness
+checks that identity independently, by causal convolution.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .fields import ComplexField, GridSpec, RealField, sample
-from .kernels import R_SPEC, S_SPEC, kernel_l1_norm, s_hat
-from .transform import (SpectralWindow, _windowed_nodes, convolve2_causal,
-                        dft2_forward, idft2_windowed)
+from .kernels import R_SPEC, S_SPEC, kernel_l1_norm
+from .transform import (SpectralWindow, _windowed_nodes, dft2_forward,
+                        idft2_windowed)
 
 __all__ = [
-    "CONVOLUTION_FACTOR",
     "RegMode",
     "RegParams",
     "CutoffRegion",
@@ -35,8 +36,7 @@ __all__ = [
     "cutoff_l2",
     "cutoff_hm",
     "region_for",
-    "assemble_rhs",
-    "spectral_division",
+    "continue_sideways",
     "tail_energy",
     "error_bound_l2",
     "error_bound_hm",
@@ -47,11 +47,6 @@ __all__ = [
     "reconstruct_spectrum",
     "reconstruct",
 ]
-
-# dft2(K*w) = CONVOLUTION_FACTOR * K_hat * w_hat under the symmetric 1/(2 pi)
-# transform pair. The calibration test in the harness pins this against the
-# alternative reading (factor 1) by residual comparison.
-CONVOLUTION_FACTOR = 2.0 * math.pi
 
 # ln(4/eps^gamma) divided by this gives the cutoff half-width b_eps
 _B_DENOM = math.sqrt(2.0) * math.sqrt(math.sqrt(2.0) + 1.0)
@@ -150,30 +145,22 @@ def region_for(params: RegParams) -> CutoffRegion:
     return CutoffRegion(SpectralWindow.square(a), a_eps=a)
 
 
-def assemble_rhs(f: RealField, g: RealField) -> RealField:
-    """Right-hand side F = 2(R*f) - (S*g) + 4*pi*f on the common grid.
+def continue_sideways(f_hat: ComplexField, g_hat: ComplexField,
+                      region: CutoffRegion) -> ComplexField:
+    """v_hat_eps = 2 cosh(w) f_hat - g_hat, w = sqrt(z^2 + i r), inside the
+    window and exactly 0 outside; f_hat and g_hat share one spectral grid.
 
-    S*v equals this F for the exact surface trace v; the reconstruction
-    inverts that relation spectrally.
+    cosh is even in w, so the branch of the square root does not matter.
+    With S_hat = 2 e^{-w} the c=1 symbol, |2 cosh w| <= 2/|S_hat| +
+    |S_hat|/2, so the symbol floor on the window (eps^(gamma/2) for the
+    rectangle) bounds the noise gain.
     """
-    if f.grid != g.grid:
-        raise ValueError("f and g must share a grid")
-    rf = convolve2_causal(R_SPEC, f, f.grid)
-    sg = convolve2_causal(S_SPEC, g, g.grid)
-    vals = 2.0 * rf.values - sg.values + (4.0 * math.pi) * f.values
-    return RealField(f.grid, vals)
-
-
-def spectral_division(f_hat: ComplexField, region: CutoffRegion) -> ComplexField:
-    """v_hat_eps = F_hat / (kappa * S_hat) inside the window, exactly 0
-    outside. The symbol never vanishes, and inside the window its modulus
-    is at least eps^(gamma/2) by construction of b_eps."""
     zs, rs, mask = _windowed_nodes(f_hat, region.window)
     Z, R = np.meshgrid(zs, rs, indexing="ij")
+    w = np.sqrt(Z[mask] ** 2 + 1j * R[mask])
     vals = np.zeros(f_hat.values.shape, dtype=complex)
-    # divide only where the window keeps nodes; the symbol reciprocal
-    # overflows harmlessly far outside otherwise
-    vals[mask] = f_hat.values[mask] / (CONVOLUTION_FACTOR * s_hat(Z, R)[mask])
+    # evaluate only on the kept nodes: cosh overflows far outside the window
+    vals[mask] = 2.0 * np.cosh(w) * f_hat.values[mask] - g_hat.values[mask]
     return ComplexField(f_hat.grid, vals)
 
 
@@ -249,16 +236,29 @@ def default_coverage_grid(region: CutoffRegion, factor: float = 3.0,
 
 def reconstruct_spectrum(f: RealField, g: RealField, params: RegParams,
                          spectral_grid: Optional[GridSpec] = None):
-    """Assemble, transform and divide; returns (v_hat_eps, region).
+    """Transform both histories and continue them to the surface; returns
+    (v_hat_eps, region).
 
     The windowed spectrum is what both the physical reconstruction and the
     Sinc expansion evaluate; exposing it keeps the two on the same object.
+    A window past the data grid's Nyquist limit is a ValueError.
     """
+    if f.grid != g.grid:
+        raise ValueError("f and g must share a grid")
     region = region_for(params)
+    win = region.window
+    # past pi/step the data spectrum aliases, and the window would amplify
+    # the aliased copies instead of the signal
+    z_lim, r_lim = math.pi / f.grid.dx, math.pi / f.grid.dt
+    if win.zmax > z_lim or win.rmax > r_lim:
+        raise ValueError(
+            "cutoff window |z| <= %.6g, |r| <= %.6g passes the data Nyquist "
+            "limits pi/dx = %.6g, pi/dt = %.6g; use a finer data grid or a "
+            "larger epsilon" % (win.zmax, win.rmax, z_lim, r_lim))
     sgrid = spectral_grid if spectral_grid is not None \
         else default_spectral_grid(region)
-    f_hat = dft2_forward(assemble_rhs(f, g), sgrid)
-    return spectral_division(f_hat, region), region
+    return continue_sideways(dft2_forward(f, sgrid), dft2_forward(g, sgrid),
+                             region), region
 
 
 def build_report(params: RegParams, eta_hat: Optional[float] = None,
@@ -280,7 +280,7 @@ def build_report(params: RegParams, eta_hat: Optional[float] = None,
 class Reconstruction:
     """One run of the pipeline: v_eps on the output grid, its bound
     report, and the windowed spectrum v_hat with the cutoff region it was
-    divided on (the Sinc series samples the same spectrum)."""
+    computed on (the Sinc series samples the same spectrum)."""
 
     v_eps: RealField
     report: BoundReport

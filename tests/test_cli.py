@@ -220,6 +220,32 @@ class TestUsageExits:
         assert rc == 2
         assert "empty" in capsys.readouterr().err
 
+    def test_convergence_refuses_hm_mode(self, tmp_path, capsys):
+        rc = main(["convergence", "--problem", "p1", "--mode", "hm",
+                   "--m", "1", "--eps-list", "0.0001",
+                   "--out", str(tmp_path / "flags")])
+        assert rc == 2
+        assert "L2-mode bound only" in capsys.readouterr().err
+        cfg = tmp_path / "hm.cfg"
+        cfg.write_text("mode=hm\nm=1\neps_list=0.0001\n")
+        rc = main(["convergence", "--problem", "p1", "--config", str(cfg),
+                   "--out", str(tmp_path / "config")])
+        assert rc == 2
+        assert "L2-mode bound only" in capsys.readouterr().err
+        assert not (tmp_path / "flags").exists()
+        assert not (tmp_path / "config").exists()
+
+    def test_window_past_the_data_nyquist_limit(self, tmp_path, capsys):
+        # at eps=1e-10, gamma=1.9 the window reaches |r| <= 421.9, past
+        # pi/dt = 157.1 of the default data grid
+        out = tmp_path / "aliased"
+        rc = main(["reconstruct", "--problem", "p1", "--epsilon", "1e-10",
+                   "--gamma", "1.9", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Nyquist" in err and "pi/dt = 157.08" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def small_grd(tmp_path_factory):
@@ -333,6 +359,22 @@ class TestSincCommand:
         rc = main(["sinc", "--epsilon", "0.02", "--N", "2"])
         assert rc == 2
         assert "need a source" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index_set", ["square", "triangular"])
+    def test_problem_path_reruns_are_byte_identical(self, index_set,
+                                                    tmp_path, capsys):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            rc = main(["sinc", "--problem", "p2", "--epsilon", "0.02",
+                       "--N", "3", "--index-set", index_set, "--seed", "4",
+                       "--data-grid", _DATA_GRID, "--grid", _OUT_GRID,
+                       "--out", str(out)])
+            assert rc == 0
+        text = capsys.readouterr().out
+        assert "deviation from the windowed inverse" in text
+        for name in ("sinc.txt", "sinc_eval.csv"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")

@@ -270,7 +270,6 @@ def p2_run(tmp_path_factory):
         data_grid=_coarse_data_grid(),
         out_grid=_coarse_out_grid_p2(),
         noise_seed=7,
-        sinc_n=3,
     )
     dir_a = tmp_path_factory.mktemp("run_a")
     dir_b = tmp_path_factory.mktemp("run_b")
@@ -290,14 +289,9 @@ class TestRunExperiment:
         assert res.report.eta_hat is not None and res.report.eta_hat > 0.0
         assert res.measured_error < res.report.bound_l2
 
-    def test_sinc_surrogate_bits(self, p2_run):
-        _, res, _, _, _ = p2_run
-        assert res.sinc_n_coeff == (2 * 3 + 1) ** 2
-        assert np.isfinite(res.sinc_max_dev) and res.sinc_max_dev > 0.0
-
     def test_artifacts_written(self, p2_run):
         _, _, _, dir_a, _ = p2_run
-        for name in ("v_eps.grd", "v_eps.csv", "manifest.txt", "sinc.txt"):
+        for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
             assert (dir_a / name).is_file()
 
     def test_manifest_records_the_run_without_wall_clock(self, p2_run):
@@ -310,12 +304,11 @@ class TestRunExperiment:
         assert ("kappa=%s" % ("%.17g" % (2.0 * math.pi))) in lines
         assert any(ln.startswith("b_eps=") for ln in lines)
         assert any(ln.startswith("measured_error=") for ln in lines)
-        assert any(ln.startswith("sinc_mesh=") for ln in lines)
         assert "runtime" not in text
 
     def test_reruns_are_byte_identical(self, p2_run):
         _, _, _, dir_a, dir_b = p2_run
-        for name in ("v_eps.grd", "v_eps.csv", "manifest.txt", "sinc.txt"):
+        for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     def test_grd_round_trips_the_field(self, p2_run):

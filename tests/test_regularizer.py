@@ -1,7 +1,8 @@
 """Cutoff formulas, bound constants, right-hand-side assembly, and the
-spectral division, with frozen high-precision anchors."""
+closed-form sideways continuation, with frozen high-precision anchors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,16 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidecast.fields import ComplexField, GridSpec, RealField, l2_norm, sample
-from sidecast.kernels import s_hat, s_hat_abs, test_problem
-from sidecast.regularizer import (CONVOLUTION_FACTOR, BoundReport,
-                                  CutoffRegion, RegMode, RegParams,
-                                  assemble_rhs, build_report, cutoff_hm,
-                                  cutoff_l2, default_coverage_grid,
+from sidecast.harness import (CONVOLUTION_FACTOR, assemble_rhs,
+                              noisy_histories)
+from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
+from sidecast.regularizer import (BoundReport, CutoffRegion, RegMode,
+                                  RegParams, build_report, continue_sideways,
+                                  cutoff_hm, cutoff_l2, default_coverage_grid,
                                   default_spectral_grid, error_bound_hm,
                                   error_bound_l2, reconstruct,
                                   reconstruct_spectrum, region_for,
-                                  spectral_division, tail_energy)
-from sidecast.transform import SpectralWindow, convolve2_causal, dft2_forward
+                                  tail_energy)
+from sidecast.transform import (SpectralWindow, convolve2_causal,
+                                dft2_forward, idft2_windowed)
 
 # frozen from 50-digit evaluation of ln(4/eps^gamma)/(sqrt2 sqrt(sqrt2+1))
 B_001_10 = 2.72665476530690
@@ -214,15 +217,76 @@ def test_rhs_transform_matches_symbol_product_two_sided():
     assert float(np.quantile(rel, 0.9)) < 0.2
 
 
-def test_spectral_division_inverts_symbol_products():
-    sg = GridSpec.centered(4.0, 21, 8.0, 21)
+def test_continue_sideways_maps_layer_traces_to_the_surface():
+    # the depth-1 and depth-2 layer traces are the histories of the surface
+    # trace layer_trace(0), whose transform is 1/w; even node counts keep
+    # the grid off that pole at the origin
+    sg = GridSpec.centered(4.0, 20, 8.0, 20)
     Z, R = np.meshgrid(sg.x_nodes(), sg.t_nodes(), indexing="ij")
-    spec = ComplexField(sg, CONVOLUTION_FACTOR * s_hat(Z, R))
+    f_hat = ComplexField(sg, layer_trace_hat(1.0)(Z, R))
+    g_hat = ComplexField(sg, layer_trace_hat(4.0)(Z, R))
     region = CutoffRegion(SpectralWindow.rect(2.0, 4.0), b_eps=2.0)
-    got = spectral_division(spec, region)
+    got = continue_sideways(f_hat, g_hat, region)
+    want = layer_trace_hat(0.0)(Z, R)
     inside = region.window.contains(Z, R)
-    assert np.max(np.abs(got.values[inside] - 1.0)) < 1e-12
+    assert 0 < np.count_nonzero(inside) < inside.size
+    rel = np.abs(got.values[inside] - want[inside]) / np.abs(want[inside])
+    assert float(np.max(rel)) < 1e-12
     assert np.all(got.values[~inside] == 0.0)
+
+
+# the coarse data grid of the CLI tests and the coarse output windows of
+# the harness tests
+_COARSE_DATA = GridSpec(x0=-10.0, dx=0.078125, nx=257, t0=0.05, dt=0.08,
+                        nt=500)
+
+
+@pytest.mark.parametrize("pid,out_grid", [
+    ("P1", GridSpec(0.25, 1.05 / 16, 17, 0.1, 3.9 / 16, 17)),
+    ("P2", GridSpec(0.0, 1.0 / 32, 33, 0.1, 3.9 / 32, 33)),
+])
+def test_closed_form_agrees_with_the_convolution_route(pid, out_grid):
+    # the convolution identity divided by its symbol, composed here from
+    # the check path, must give the same reconstruction up to quadrature
+    params = RegParams(epsilon=0.02, gamma=1.0)
+    f, g = noisy_histories(test_problem(pid), _COARSE_DATA, params.epsilon,
+                           seed=11)
+    v_hat, region = reconstruct_spectrum(f, g, params)
+    rhs_hat = dft2_forward(assemble_rhs(f, g), v_hat.grid)
+    Z, R = np.meshgrid(v_hat.grid.x_nodes(), v_hat.grid.t_nodes(),
+                       indexing="ij")
+    inside = region.window.contains(Z, R)
+    divided = np.zeros(v_hat.values.shape, dtype=complex)
+    divided[inside] = rhs_hat.values[inside] / (
+        CONVOLUTION_FACTOR * s_hat(Z[inside], R[inside]))
+    old = idft2_windowed(ComplexField(v_hat.grid, divided), region.window,
+                         out_grid)
+    new = idft2_windowed(v_hat, region.window, out_grid)
+    gap = l2_norm(RealField(out_grid, old.values - new.values)) / l2_norm(new)
+    assert gap < 2e-2
+
+
+@pytest.mark.parametrize("axis", ["z", "r"])
+@pytest.mark.parametrize("scale,past", [(1.0 - 1e-9, False),
+                                        (1.0 + 1e-9, True)])
+def test_window_past_the_data_nyquist_limit_is_rejected(axis, scale, past):
+    # pi/step sits a relative 1e-9 above (inside) or below (past) the
+    # window's half-width on one axis; the other axis keeps a wide margin
+    params = RegParams(epsilon=0.02, gamma=1.0)
+    window = region_for(params).window
+    dx = math.pi / window.zmax * scale if axis == "z" else 0.5
+    dt = math.pi / window.rmax * scale if axis == "r" else 0.1
+    dg = GridSpec(x0=-2.0, dx=dx, nx=9, t0=0.3 * dt, dt=dt, nt=8)
+    prob = test_problem("P1")
+    f, g = sample(prob.f0, dg), sample(prob.g0, dg)
+    if past:
+        limits = "Nyquist limits pi/dx = %.6g, pi/dt = %.6g" % (
+            math.pi / dx, math.pi / dt)
+        with pytest.raises(ValueError, match=re.escape(limits)):
+            reconstruct_spectrum(f, g, params)
+    else:
+        v_hat, _ = reconstruct_spectrum(f, g, params)
+        assert np.all(np.isfinite(v_hat.values))
 
 
 def test_tail_energy_counts_outside_nodes():
