@@ -20,10 +20,9 @@ from .fields import (GridSpec, RealField, l2_distance, sample, write_csv,
                      write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, _substituted_mass,
                       kernel_eval, s_hat, test_problem)
-from .regularizer import (RegMode, RegParams, default_spectral_grid,
-                          reconstruct, region_for)
+from .regularizer import RegMode, RegParams, reconstruct, region_for
 from .sinc import eval_expansion
-from .transform import (_lattice_offsets, _windowed_nodes, convolve2_causal,
+from .transform import (_lattice_offsets, _window_slices, convolve2_causal,
                         dft2_forward, idft2_windowed_at)
 
 __all__ = [
@@ -278,30 +277,28 @@ def validate_s_hat(points=None, x_half: float = 40.0, dx: float = 0.05,
 
 
 def kappa_calibration(epsilon: float = 0.01, gamma: float = 1.0,
-                      data_grid: Optional[GridSpec] = None,
-                      spectral_grid: Optional[GridSpec] = None):
+                      data_grid: Optional[GridSpec] = None):
     """Residuals of kappa * S_hat * v0_hat = F_hat over the cutoff region
     for kappa = 2*pi (the symmetric-transform convolution factor) and
     kappa = 1 (the competing reading). Returns (res_2pi, res_1); the first
-    should sit at quadrature level, the second should be order one.
+    should sit at quadrature level, the second should be order one. The
+    spectra are taken by the matrix DFT on a fixed 257-node grid over 1.25x
+    the window, independently of the reconstruction's FFT lattice.
     """
     prob = test_problem("P1")
     dg = data_grid if data_grid is not None else default_data_grid()
-    params = RegParams(epsilon=epsilon, gamma=gamma)
-    region = region_for(params)
-    sg = spectral_grid if spectral_grid is not None \
-        else default_spectral_grid(region)
+    window = region_for(RegParams(epsilon=epsilon, gamma=gamma)).window
+    sg = GridSpec.centered(1.25 * window.zmax, 257, 1.25 * window.rmax, 257)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
-    f_hat = dft2_forward(assemble_rhs(f, g), sg)
-    v0_hat = dft2_forward(sample(prob.v_exact, dg), sg)
-    _, _, mask = _windowed_nodes(f_hat, region.window)
-    zs, rs = sg.x_nodes(), sg.t_nodes()
-    sh = s_hat(zs[:, None], rs[None, :])
-    den = math.sqrt(float(np.sum(np.abs(f_hat.values[mask]) ** 2)))
+    sz, sr = _window_slices(sg, window)
+    f_hat = dft2_forward(assemble_rhs(f, g), sg).values[sz, sr]
+    v0_hat = dft2_forward(sample(prob.v_exact, dg), sg).values[sz, sr]
+    sh = s_hat(sg.x_nodes()[sz, None], sg.t_nodes()[None, sr])
+    den = math.sqrt(float(np.sum(np.abs(f_hat) ** 2)))
     out = []
     for kappa in (CONVOLUTION_FACTOR, 1.0):
-        diff = kappa * sh[mask] * v0_hat.values[mask] - f_hat.values[mask]
+        diff = kappa * sh * v0_hat - f_hat
         out.append(math.sqrt(float(np.sum(np.abs(diff) ** 2))) / den)
     return out[0], out[1]
 
@@ -356,7 +353,6 @@ def _manifest_lines(source, params: RegParams, noise_seed, data_grid,
         lines.append("b_eps=%s" % (_FMT % region.b_eps))
     if region.a_eps is not None:
         lines.append("a_eps=%s" % (_FMT % region.a_eps))
-    lines.append("kappa=%s" % (_FMT % CONVOLUTION_FACTOR))
     lines.append("C=%s" % (_FMT % report.C))
     if report.eta_hat is not None:
         lines.append("eta_hat=%s" % (_FMT % report.eta_hat))

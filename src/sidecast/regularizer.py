@@ -25,7 +25,7 @@ import numpy as np
 
 from .fields import ComplexField, GridSpec, RealField, sample
 from .kernels import R_SPEC, S_SPEC, kernel_l1_norm
-from .transform import (SpectralWindow, _windowed_nodes, dft2_forward,
+from .transform import (SpectralWindow, _window_slices, dft2_lattice,
                         idft2_windowed)
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "error_bound_hm",
     "build_report",
     "Reconstruction",
-    "default_spectral_grid",
-    "default_coverage_grid",
     "reconstruct_spectrum",
     "reconstruct",
 ]
@@ -140,9 +138,9 @@ def cutoff_hm(epsilon: float, m: float) -> float:
 def region_for(params: RegParams) -> CutoffRegion:
     if params.mode is RegMode.L2:
         b = cutoff_l2(params.epsilon, params.gamma)
-        return CutoffRegion(SpectralWindow.rect(b, b * b), b_eps=b)
+        return CutoffRegion(SpectralWindow(b, b * b), b_eps=b)
     a = cutoff_hm(params.epsilon, params.m)
-    return CutoffRegion(SpectralWindow.square(a), a_eps=a)
+    return CutoffRegion(SpectralWindow(a, a), a_eps=a)
 
 
 def continue_sideways(f_hat: ComplexField, g_hat: ComplexField,
@@ -155,24 +153,28 @@ def continue_sideways(f_hat: ComplexField, g_hat: ComplexField,
     |S_hat|/2, so the symbol floor on the window (eps^(gamma/2) for the
     rectangle) bounds the noise gain.
     """
-    zs, rs, mask = _windowed_nodes(f_hat, region.window)
-    Z, R = np.meshgrid(zs, rs, indexing="ij")
-    w = np.sqrt(Z[mask] ** 2 + 1j * R[mask])
+    sg = f_hat.grid
+    sz, sr = _window_slices(sg, region.window)
+    w = np.sqrt(sg.x_nodes()[sz, None] ** 2 + 1j * sg.t_nodes()[None, sr])
     vals = np.zeros(f_hat.values.shape, dtype=complex)
     # evaluate only on the kept nodes: cosh overflows far outside the window
-    vals[mask] = 2.0 * np.cosh(w) * f_hat.values[mask] - g_hat.values[mask]
-    return ComplexField(f_hat.grid, vals)
+    vals[sz, sr] = 2.0 * np.cosh(w) * f_hat.values[sz, sr] \
+        - g_hat.values[sz, sr]
+    return ComplexField(sg, vals)
 
 
-def tail_energy(v0_hat: ComplexField, region: CutoffRegion) -> float:
-    """Rectangle-rule integral of |v0_hat|^2 over covered spectral nodes
-    outside the window: the irreducible truncation part of the error bound.
-    Only the covered rectangle is summed, so the value depends on the
-    coverage grid; callers record that grid alongside the number."""
-    _, _, mask = _windowed_nodes(v0_hat, region.window)
-    outside = ~mask
-    return float(np.sum(np.abs(v0_hat.values[outside]) ** 2)
-                 * v0_hat.grid.cell_area)
+def tail_energy(v0: RealField, region: CutoffRegion) -> float:
+    """Integral of |v0_hat|^2 outside the window over the full band up to
+    the data Nyquist limits: the irreducible truncation part of the error
+    bound. By Parseval on the padded FFT lattice this is ||v0||^2 on the
+    data grid minus the window's energy, so only the window is
+    transformed; the difference is clipped at 0 against rounding."""
+    spec = dft2_lattice(v0, region.window)
+    sz, sr = _window_slices(spec.grid, region.window)
+    inside = float(np.sum(np.abs(spec.values[sz, sr]) ** 2)) \
+        * spec.grid.cell_area
+    total = float(np.sum(v0.values ** 2)) * v0.grid.cell_area
+    return max(total - inside, 0.0)
 
 
 @lru_cache(maxsize=1)
@@ -220,45 +222,21 @@ class BoundReport:
     bound_hm: Optional[float] = None
 
 
-def default_spectral_grid(region: CutoffRegion, factor: float = 1.25,
-                          nodes: int = 257) -> GridSpec:
-    """Inversion grid: odd-count centered grid covering factor x window."""
-    w = region.window
-    return GridSpec.centered(factor * w.zmax, nodes, factor * w.rmax, nodes)
-
-
-def default_coverage_grid(region: CutoffRegion, factor: float = 3.0,
-                          nodes: int = 385) -> GridSpec:
-    """Tail-energy grid: must extend well beyond the window."""
-    w = region.window
-    return GridSpec.centered(factor * w.zmax, nodes, factor * w.rmax, nodes)
-
-
-def reconstruct_spectrum(f: RealField, g: RealField, params: RegParams,
-                         spectral_grid: Optional[GridSpec] = None):
-    """Transform both histories and continue them to the surface; returns
-    (v_hat_eps, region).
+def reconstruct_spectrum(f: RealField, g: RealField, params: RegParams):
+    """Transform both histories onto the data's FFT lattice and continue
+    them to the surface; returns (v_hat_eps, region).
 
     The windowed spectrum is what both the physical reconstruction and the
     Sinc expansion evaluate; exposing it keeps the two on the same object.
-    A window past the data grid's Nyquist limit is a ValueError.
+    A window reaching the data grid's Nyquist limits is a ValueError:
+    there the data spectrum aliases, and the window would amplify the
+    aliased copies instead of the signal.
     """
     if f.grid != g.grid:
-        raise ValueError("f and g must share a grid")
+        raise ValueError("f and g grids differ")
     region = region_for(params)
-    win = region.window
-    # past pi/step the data spectrum aliases, and the window would amplify
-    # the aliased copies instead of the signal
-    z_lim, r_lim = math.pi / f.grid.dx, math.pi / f.grid.dt
-    if win.zmax > z_lim or win.rmax > r_lim:
-        raise ValueError(
-            "cutoff window |z| <= %.6g, |r| <= %.6g passes the data Nyquist "
-            "limits pi/dx = %.6g, pi/dt = %.6g; use a finer data grid or a "
-            "larger epsilon" % (win.zmax, win.rmax, z_lim, r_lim))
-    sgrid = spectral_grid if spectral_grid is not None \
-        else default_spectral_grid(region)
-    return continue_sideways(dft2_forward(f, sgrid), dft2_forward(g, sgrid),
-                             region), region
+    return continue_sideways(dft2_lattice(f, region.window),
+                             dft2_lattice(g, region.window), region), region
 
 
 def build_report(params: RegParams, eta_hat: Optional[float] = None,
@@ -289,26 +267,20 @@ class Reconstruction:
 
 
 def reconstruct(f: RealField, g: RealField, params: RegParams,
-                out_grid: GridSpec,
-                spectral_grid: Optional[GridSpec] = None,
-                coverage_grid: Optional[GridSpec] = None,
-                v_exact=None, c1: Optional[float] = None) -> Reconstruction:
+                out_grid: GridSpec, v_exact=None,
+                c1: Optional[float] = None) -> Reconstruction:
     """Full pipeline onto out_grid.
 
     v_exact, when given, is an evaluator used for validation only: it is
-    sampled on the data grid, transformed on the coverage grid, and its
-    spectral tail outside the cutoff becomes eta_hat in the report. c1
-    likewise only feeds the HM-mode bound.
+    sampled on the data grid, and its spectral tail outside the cutoff
+    becomes eta_hat in the report. c1 likewise only feeds the HM-mode
+    bound.
     """
-    v_hat, region = reconstruct_spectrum(f, g, params, spectral_grid)
+    v_hat, region = reconstruct_spectrum(f, g, params)
     v_eps = idft2_windowed(v_hat, region.window, out_grid)
-
     eta = None
     if v_exact is not None:
-        cov = coverage_grid if coverage_grid is not None \
-            else default_coverage_grid(region)
-        v0_hat = dft2_forward(sample(v_exact, f.grid), cov)
-        eta = tail_energy(v0_hat, region)
+        eta = tail_energy(sample(v_exact, f.grid), region)
     return Reconstruction(v_eps=v_eps,
                           report=build_report(params, eta_hat=eta, c1=c1),
                           v_hat=v_hat, region=region)

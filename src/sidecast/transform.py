@@ -6,23 +6,27 @@ The transform pair is fixed here once: forward kernel (1/2pi) e^{-i(xz+tr)},
 inverse kernel (1/2pi) e^{+i(xz+tr)}. No other module may rescale. Under
 this convention the transform of a convolution is 2*pi times the product of
 transforms; the regularizer owns that constant.
+
+The reconstruction takes its spectra from dft2_lattice, the FFT of the
+zero-padded data; dft2_forward evaluates the same sum on any grid by matrix
+products and is the independent transform of the checks.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.signal import oaconvolve
 
 from .fields import ComplexField, GridSpec, RealField
 from .kernels import KernelSpec, kernel_eval
 
 __all__ = [
-    "WindowShape",
     "SpectralWindow",
+    "dft2_lattice",
     "dft2_forward",
     "idft2_windowed",
     "idft2_windowed_at",
@@ -32,36 +36,66 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-class WindowShape(enum.Enum):
-    RECT_LR = "rect_lr"  # |z| <= zmax, |r| <= rmax (low-frequency rectangle)
-    SQUARE = "square"    # |z|, |r| <= a
+def _tol(half: float) -> float:
+    # boundary nodes count as inside the window, up to rounding
+    return 1e-12 * max(1.0, half)
 
 
 @dataclass(frozen=True)
 class SpectralWindow:
-    shape: WindowShape
+    """Axis-aligned cutoff rectangle |z| <= zmax, |r| <= rmax."""
+
     zmax: float
     rmax: float
 
     def __post_init__(self):
         if not (self.zmax > 0 and self.rmax > 0):
             raise ValueError("window extents must be positive")
-        if self.shape is WindowShape.SQUARE and self.zmax != self.rmax:
-            raise ValueError("SQUARE window needs zmax == rmax")
-
-    @classmethod
-    def rect(cls, zmax: float, rmax: float) -> "SpectralWindow":
-        return cls(WindowShape.RECT_LR, zmax, rmax)
-
-    @classmethod
-    def square(cls, a: float) -> "SpectralWindow":
-        return cls(WindowShape.SQUARE, a, a)
 
     def contains(self, z, r):
         """Inclusive node mask; boundary nodes carry full quadrature weight."""
-        tol_z = 1e-12 * max(1.0, self.zmax)
-        tol_r = 1e-12 * max(1.0, self.rmax)
-        return (np.abs(z) <= self.zmax + tol_z) & (np.abs(r) <= self.rmax + tol_r)
+        return ((np.abs(z) <= self.zmax + _tol(self.zmax))
+                & (np.abs(r) <= self.rmax + _tol(self.rmax)))
+
+
+def _lattice_axis(n: int, step: float, half: float):
+    """(padded length L, lattice step, crop half-width K) on one axis: L is
+    an even fast FFT length of at least 2n, so bin L/2 sits at the Nyquist
+    frequency pi/step, and the window's nodes are |k| <= K - 1."""
+    length = 2 * scipy.fft.next_fast_len(n, real=True)
+    dw = TWO_PI / (length * step)
+    return length, dw, int(math.floor((half + _tol(half)) / dw)) + 1
+
+
+def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
+    """The rectangle-rule transform of dft2_forward on the lattice of the
+    zero-padded FFT of the data, cropped to the window.
+
+    Each axis is padded to L >= 2n nodes, so the lattice step is
+    2 pi/(L step) and the alias period L step is at least twice the data
+    extent. The crop keeps the window plus one node past each edge,
+    |k| <= K. The window's 2K - 1 nodes must be distinct bins, so a window
+    reaching the data Nyquist limits, where +-pi/step share a bin, is a
+    ValueError, and the crop never goes past bin L/2. The t-axis rfft is
+    cropped before the x-axis FFT; r < 0 follows by conjugate symmetry of
+    the real data.
+    """
+    g = field.grid
+    lz, dz, kz = _lattice_axis(g.nx, g.dx, window.zmax)
+    lr, dr, kr = _lattice_axis(g.nt, g.dt, window.rmax)
+    if 2 * kz - 1 > lz or 2 * kr - 1 > lr:
+        raise ValueError(
+            "cutoff window |z| <= %.6g, |r| <= %.6g reaches the data Nyquist "
+            "limits pi/dx = %.6g, pi/dt = %.6g; use a finer data grid or a "
+            "smaller window" % (window.zmax, window.rmax, math.pi / g.dx,
+                                math.pi / g.dt))
+    hat = scipy.fft.rfft(field.values, n=lr, axis=1)[:, :kr + 1]
+    hat = scipy.fft.fft(hat, n=lz, axis=0)[np.arange(-kz, kz + 1) % lz]
+    grid = GridSpec(-kz * dz, dz, 2 * kz + 1, -kr * dr, dr, 2 * kr + 1)
+    phase = np.outer(np.exp(-1j * g.x0 * grid.x_nodes()),
+                     np.exp(-1j * g.t0 * grid.t_nodes()))
+    vals = np.concatenate([np.conj(hat[::-1, :0:-1]), hat], axis=1)
+    return ComplexField(grid, vals * phase * (g.cell_area / TWO_PI))
 
 
 def dft2_forward(field: RealField, spectral_grid: GridSpec) -> ComplexField:
@@ -95,17 +129,22 @@ def _dft2_direct(field: RealField, spectral_grid: GridSpec) -> ComplexField:
     return ComplexField(spectral_grid, out)
 
 
-def _windowed_nodes(spec: ComplexField, window: SpectralWindow):
-    g = spec.grid
-    zs, rs = g.x_nodes(), g.t_nodes()
-    tol = 1e-9 * max(g.dx, g.dt, 1.0)
+def _window_slice(nodes: np.ndarray, half: float) -> slice:
+    idx = np.flatnonzero(np.abs(nodes) <= half + _tol(half))
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+
+
+def _window_slices(grid: GridSpec, window: SpectralWindow):
+    """Index slices (z rows, r columns) of the grid nodes inside the
+    window; the window is a rectangle, so they form one block."""
+    zs, rs = grid.x_nodes(), grid.t_nodes()
+    tol = 1e-9 * max(grid.dx, grid.dt, 1.0)
     if -window.zmax < zs[0] - tol or window.zmax > zs[-1] + tol \
             or -window.rmax < rs[0] - tol or window.rmax > rs[-1] + tol:
         raise ValueError("window %r exceeds spectral grid coverage "
                          "[%g, %g] x [%g, %g]"
                          % (window, zs[0], zs[-1], rs[0], rs[-1]))
-    Z, R = np.meshgrid(zs, rs, indexing="ij")
-    return zs, rs, window.contains(Z, R)
+    return _window_slice(zs, window.zmax), _window_slice(rs, window.rmax)
 
 
 def _check_imag_residue(vals: np.ndarray):
@@ -125,12 +164,11 @@ def idft2_windowed(spec: ComplexField, window: SpectralWindow,
     imaginary residue above 1e-6 of the real part is an error (it means a
     symmetry bug upstream), below that it is discarded.
     """
-    zs, rs, mask = _windowed_nodes(spec, window)
     g = spec.grid
-    masked = np.where(mask, spec.values, 0.0)
-    ex = np.exp(1j * np.outer(phys_grid.x_nodes(), zs))   # (nx, nz)
-    et = np.exp(1j * np.outer(rs, phys_grid.t_nodes()))   # (nr, nt)
-    vals = (ex @ masked @ et) * (g.cell_area / TWO_PI)
+    sz, sr = _window_slices(g, window)
+    ex = np.exp(1j * np.outer(phys_grid.x_nodes(), g.x_nodes()[sz]))
+    et = np.exp(1j * np.outer(g.t_nodes()[sr], phys_grid.t_nodes()))
+    vals = (ex @ spec.values[sz, sr] @ et) * (g.cell_area / TWO_PI)
     _check_imag_residue(vals)
     return RealField(phys_grid, vals.real)
 
@@ -142,16 +180,15 @@ def idft2_windowed_at(spec: ComplexField, window: SpectralWindow, x, t):
     broadcast shape. This is the direct evaluator that the Sinc expansion
     is measured against.
     """
-    zs, rs, mask = _windowed_nodes(spec, window)
     g = spec.grid
-    masked = np.where(mask, spec.values, 0.0)
+    sz, sr = _window_slices(g, window)
     xb, tb = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
     shape = xb.shape
     xf, tf = xb.ravel(), tb.ravel()
-    ex = np.exp(1j * np.outer(xf, zs))            # (npts, nz)
-    et = np.exp(1j * np.outer(rs, tf))            # (nr, npts)
+    ex = np.exp(1j * np.outer(xf, g.x_nodes()[sz]))     # (npts, nz)
+    et = np.exp(1j * np.outer(g.t_nodes()[sr], tf))     # (nr, npts)
     # optimize=True contracts via matmuls; intermediate is npts x nr only
-    vals = np.einsum("pz,zr,rp->p", ex, masked, et,
+    vals = np.einsum("pz,zr,rp->p", ex, spec.values[sz, sr], et,
                      optimize=True) * (g.cell_area / TWO_PI)
     _check_imag_residue(vals)
     out = vals.real.reshape(shape)

@@ -5,7 +5,6 @@ runs live in the acceptance suite.
 """
 
 import argparse
-import math
 import os
 
 import numpy as np
@@ -293,11 +292,11 @@ class TestFileModeReconstruct:
             assert os.path.isfile(os.path.join(out, name))
         manifest = open(os.path.join(out, "manifest.txt")).read()
         assert manifest.startswith("f_file=")
-        assert "kappa=%s" % ("%.17g" % (2 * math.pi)) in manifest
+        assert "kappa=" not in manifest
 
 
 _FILE_MODE_KEYS = ["f_file", "g_file", "mode", "epsilon", "gamma",
-                   "data_grid", "out_grid", "b_eps", "kappa", "C", "bound_l2"]
+                   "data_grid", "out_grid", "b_eps", "C", "bound_l2"]
 
 
 class TestFileModeManifest:

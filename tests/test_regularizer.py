@@ -15,13 +15,12 @@ from sidecast.harness import (CONVOLUTION_FACTOR, assemble_rhs,
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
 from sidecast.regularizer import (BoundReport, CutoffRegion, RegMode,
                                   RegParams, build_report, continue_sideways,
-                                  cutoff_hm, cutoff_l2, default_coverage_grid,
-                                  default_spectral_grid, error_bound_hm,
+                                  cutoff_hm, cutoff_l2, error_bound_hm,
                                   error_bound_l2, reconstruct,
                                   reconstruct_spectrum, region_for,
                                   tail_energy)
 from sidecast.transform import (SpectralWindow, convolve2_causal,
-                                dft2_forward, idft2_windowed)
+                                dft2_forward, dft2_lattice, idft2_windowed)
 
 # frozen from 50-digit evaluation of ln(4/eps^gamma)/(sqrt2 sqrt(sqrt2+1))
 B_001_10 = 2.72665476530690
@@ -199,7 +198,8 @@ def test_rhs_transform_matches_symbol_product_two_sided():
     # and against the fully analytic transform of the exact solution
     params = RegParams(epsilon=0.01, gamma=1.0)
     region = region_for(params)
-    sg = default_spectral_grid(region, nodes=65)
+    w = region.window
+    sg = GridSpec.centered(1.25 * w.zmax, 65, 1.25 * w.rmax, 65)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
     f_hat = dft2_forward(assemble_rhs(f, g), sg)
@@ -225,7 +225,7 @@ def test_continue_sideways_maps_layer_traces_to_the_surface():
     Z, R = np.meshgrid(sg.x_nodes(), sg.t_nodes(), indexing="ij")
     f_hat = ComplexField(sg, layer_trace_hat(1.0)(Z, R))
     g_hat = ComplexField(sg, layer_trace_hat(4.0)(Z, R))
-    region = CutoffRegion(SpectralWindow.rect(2.0, 4.0), b_eps=2.0)
+    region = CutoffRegion(SpectralWindow(2.0, 4.0), b_eps=2.0)
     got = continue_sideways(f_hat, g_hat, region)
     want = layer_trace_hat(0.0)(Z, R)
     inside = region.window.contains(Z, R)
@@ -289,25 +289,100 @@ def test_window_past_the_data_nyquist_limit_is_rejected(axis, scale, past):
         assert np.all(np.isfinite(v_hat.values))
 
 
+def _lattice_bins(field, window):
+    # the padded lengths (L_x, L_t) behind dft2_lattice: its step is
+    # 2 pi/(L step) per axis
+    g, lat = field.grid, dft2_lattice(field, window).grid
+    return (round(2.0 * math.pi / (lat.dx * g.dx)),
+            round(2.0 * math.pi / (lat.dt * g.dt)), lat)
+
+
 def test_tail_energy_counts_outside_nodes():
-    sg = GridSpec.centered(3.0, 7, 3.0, 7)
-    ones = ComplexField(sg, np.ones((7, 7), dtype=complex))
-    region = CutoffRegion(SpectralWindow.rect(1.0, 1.0))
-    # nodes at -3..3 step 1; |z|<=1 and |r|<=1 keeps 3x3 of 49
-    want = (49 - 9) * sg.cell_area
-    assert tail_energy(ones, region) == pytest.approx(want, rel=1e-14)
-    # a window covering the whole grid leaves nothing outside
-    full = CutoffRegion(SpectralWindow.rect(3.0, 3.0))
-    assert tail_energy(ones, full) == 0.0
+    # a unit spike has |v0_hat| = dx dt/(2 pi) on every bin of the padded
+    # lattice, so the tail is ||v0||^2 = dx dt times the share of the
+    # L_x L_t bins that lie outside the window
+    g = GridSpec(-1.3, 0.5, 8, 0.2, 0.25, 10)
+    spike = np.zeros(g.shape)
+    spike[3, 4] = 1.0
+    v0 = RealField(g, spike)
+    for scale in (0.3, 1.0 - 1e-9):
+        window = SpectralWindow(scale * math.pi / g.dx,
+                                scale * math.pi / g.dt)
+        lx, lt, lat = _lattice_bins(v0, window)
+        Z, R = np.meshgrid(lat.x_nodes(), lat.t_nodes(), indexing="ij")
+        kept = np.count_nonzero(window.contains(Z, R))
+        got = tail_energy(v0, CutoffRegion(window))
+        assert got == pytest.approx(g.cell_area * (1.0 - kept / (lx * lt)),
+                                    rel=1e-12)
+    # just inside the Nyquist limits only the Nyquist row and column of
+    # bins lie outside
+    assert kept == (lx - 1) * (lt - 1)
 
 
-def test_default_grids_cover_the_window():
-    region = region_for(RegParams(epsilon=0.01, gamma=1.0))
-    sg = default_spectral_grid(region)
-    assert sg.nx == sg.nt == 257
-    assert sg.x_nodes()[-1] == pytest.approx(1.25 * region.window.zmax)
-    cov = default_coverage_grid(region)
-    assert cov.x_nodes()[-1] == pytest.approx(3.0 * region.window.zmax)
+def _padded_tail(field, window):
+    # the direct out-of-window sum over every bin of the padded FFT, with
+    # bin k at frequency k * 2 pi/(L step) for k in [-L/2, L/2)
+    g = field.grid
+    lx, lt, lat = _lattice_bins(field, window)
+    bins = np.fft.fft2(field.values, s=(lx, lt)) \
+        * (g.cell_area / (2.0 * math.pi))
+    zs = np.fft.fftfreq(lx) * lx * lat.dx
+    rs = np.fft.fftfreq(lt) * lt * lat.dt
+    outside = ~window.contains(zs[:, None], rs[None, :])
+    return float(np.sum(np.abs(bins[outside]) ** 2)) * lat.cell_area
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 24), st.integers(3, 24), st.floats(0.05, 1.0),
+       st.floats(0.05, 1.0), st.sampled_from([0.2, 0.7, 1.0 - 1e-9]),
+       st.sampled_from([0.2, 0.7, 1.0 - 1e-9]), st.integers(0, 10 ** 6))
+def test_tail_energy_is_the_padded_out_of_window_sum(nx, nt, dx, dt, fz, fr,
+                                                     seed):
+    # windows at fz = fr = 1 - 1e-9 sit at the Nyquist edge, where a crop
+    # wrapped past bin L/2 would count that bin twice
+    g = GridSpec(-0.37 * nx * dx, dx, nx, 0.3 * dt, dt, nt)
+    rng = np.random.Generator(np.random.Philox(seed))
+    v0 = RealField(g, rng.standard_normal(g.shape))
+    window = SpectralWindow(fz * math.pi / dx, fr * math.pi / dt)
+    got = tail_energy(v0, CutoffRegion(window))
+    want = _padded_tail(v0, window)
+    assert got >= 0.0
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-12 * l2_norm(v0) ** 2)
+
+
+def test_reconstruct_reports_the_full_band_tail():
+    # eta_hat against the check path's matrix DFT on a grid of every bin
+    # of the padded lattice, out to the data Nyquist limits
+    prob = test_problem("P2")
+    dg = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 80)
+    params = RegParams(epsilon=0.02, gamma=1.0)
+    f, g = sample(prob.f0, dg), sample(prob.g0, dg)
+    rec = reconstruct(f, g, params, GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9),
+                      v_exact=prob.v_exact)
+    v0 = sample(prob.v_exact, dg)
+    lx, lt, lat = _lattice_bins(v0, rec.region.window)
+    band = GridSpec(-(lx // 2) * lat.dx, lat.dx, lx,
+                    -(lt // 2) * lat.dt, lat.dt, lt)
+    spec = dft2_forward(v0, band).values
+    Z, R = np.meshgrid(band.x_nodes(), band.t_nodes(), indexing="ij")
+    outside = ~rec.region.window.contains(Z, R)
+    want = float(np.sum(np.abs(spec[outside]) ** 2)) * band.cell_area
+    assert rec.report.eta_hat == pytest.approx(want, rel=1e-9)
+
+
+def test_spectrum_lattice_is_set_by_the_data_grid():
+    # the step is 2 pi/(L step) with L >= 2n, so the alias period is at
+    # least twice the data extent; the crop reaches one node past the
+    # window on each side
+    params = RegParams(epsilon=0.01, gamma=1.0)
+    f, g = noisy_histories(test_problem("P1"), _COARSE_DATA, 0.01, seed=0)
+    v_hat, region = reconstruct_spectrum(f, g, params)
+    lat, w = v_hat.grid, region.window
+    assert 2.0 * math.pi / lat.dx >= 2 * _COARSE_DATA.nx * _COARSE_DATA.dx
+    assert 2.0 * math.pi / lat.dt >= 2 * _COARSE_DATA.nt * _COARSE_DATA.dt
+    zs, rs = lat.x_nodes(), lat.t_nodes()
+    assert zs[-1] > w.zmax >= zs[-2] and rs[-1] > w.rmax >= rs[-2]
+    assert zs[0] == pytest.approx(-zs[-1]) and rs[0] == pytest.approx(-rs[-1])
 
 
 def test_reconstruct_small_p2_end_to_end():

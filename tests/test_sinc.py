@@ -322,7 +322,7 @@ def test_grid_inverse_lattice_matches_the_point_inverse():
     field = sample(lambda x, t: np.exp(-(x - 0.3) ** 2 - 2.0 * (t + 0.1) ** 2),
                    g)
     spec = dft2_forward(field, GridSpec.centered(6.0, 49, 6.0, 49))
-    window = SpectralWindow.rect(4.0, 5.0)
+    window = SpectralWindow(4.0, 5.0)
     a_eps, n = 5.0, 4
     lattice = sinc_lattice(a_eps, n)
     assert lattice.shape == (2 * n + 1, 2 * n + 1)
