@@ -272,12 +272,12 @@ def cmd_reconstruct(args) -> int:
     if file_mode:
         if not (args.f and args.g):
             raise UsageError("file input needs both --f and --g")
-        f = read_field(args.f)
-        g = read_field(args.g)
         if args.grid is None:
             raise UsageError("--grid (output grid) is required with file "
                              "input")
         out_grid = _parse_grid(args.grid)
+        f = read_field(args.f)
+        g = read_field(args.g)
         rec = reconstruct(f, g, params, out_grid)
         harness._write_run(out_dir, rec.v_eps, harness._manifest_lines(
             ["f_file=%s" % args.f, "g_file=%s" % args.g], params, None,
@@ -313,7 +313,7 @@ def cmd_sinc(args) -> int:
     import numpy as np
 
     from . import harness
-    from .fields import RealField, read_field, write_csv
+    from .fields import read_field, sample, write_csv
     from .kernels import test_problem
     from .regularizer import reconstruct_spectrum
     from .sinc import (IndexSetKind, band_halfwidth, build_expansion,
@@ -370,10 +370,7 @@ def cmd_sinc(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     write_expansion(os.path.join(out_dir, "sinc.txt"), exp)
-    xs, ts = np.meshgrid(eval_grid.x_nodes(), eval_grid.t_nodes(),
-                         indexing="ij")
-    series = eval_expansion(exp, xs.ravel(), ts.ravel())
-    write_csv(RealField(eval_grid, series.reshape(eval_grid.shape)),
+    write_csv(sample(lambda x, t: eval_expansion(exp, x, t), eval_grid),
               os.path.join(out_dir, "sinc_eval.csv"))
 
     print("mesh d=%s, %d coefficients (%s, N=%d)"

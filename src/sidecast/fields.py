@@ -112,27 +112,26 @@ class ComplexField(RealField):
 def sample(fn, grid: GridSpec) -> RealField:
     """Evaluate fn(x, t) at every node.
 
-    Tries one vectorized call over meshgrids first and falls back to a per
-    node loop for scalar-only evaluators. A non-finite value anywhere is an
-    error naming the offending node.
+    Tries one vectorized call on the open grid first: x as a column (nx, 1)
+    and t as a row (1, nt), so an elementwise evaluator does its x-only and
+    t-only work once per axis. The result is broadcast to the grid's shape.
+    A call that raises TypeError/ValueError, or whose result does not
+    broadcast, falls back to a per node loop for scalar-only evaluators. A
+    non-finite value anywhere is an error naming the offending node.
     """
-    X, T = np.meshgrid(grid.x_nodes(), grid.t_nodes(), indexing="ij")
-    vals = None
+    xs, ts = grid.x_nodes(), grid.t_nodes()
     try:
-        out = np.asarray(fn(X, T), dtype=np.float64)
-        if out.shape == X.shape:
-            vals = out
+        vals = np.broadcast_to(
+            np.asarray(fn(xs[:, None], ts[None, :]), dtype=np.float64),
+            grid.shape)
     except (TypeError, ValueError):
-        vals = None
-    if vals is None:
-        vals = np.array([[float(fn(x, t)) for t in grid.t_nodes()]
-                         for x in grid.x_nodes()])
+        vals = np.array([[float(fn(x, t)) for t in ts] for x in xs])
     bad = ~np.isfinite(vals)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise ValueError(
             "evaluator returned non-finite value at node (i=%d, j=%d), "
-            "x=%.17g, t=%.17g" % (i, j, X[i, j], T[i, j]))
+            "x=%.17g, t=%.17g" % (i, j, xs[i], ts[j]))
     return RealField(grid, vals)
 
 
@@ -225,10 +224,11 @@ def write_csv(field: RealField, path) -> None:
     if np.iscomplexobj(field.values):
         raise TypeError("CSV dumps hold real fields only")
     g = field.grid
-    xs, ts = g.x_nodes(), g.t_nodes()
+    # node coordinates are formatted once per axis
+    t_cols = [",%s," % (_FMT % t) for t in g.t_nodes().tolist()]
     with open(path, "w") as fh:
         fh.write("x,t,value\n")
-        for i in range(g.nx):
-            for j in range(g.nt):
-                fh.write("%s,%s,%s\n" % (_FMT % xs[i], _FMT % ts[j],
-                                         _FMT % field.values[i, j]))
+        for x, row in zip(g.x_nodes().tolist(), field.values.tolist()):
+            x_txt = _FMT % x
+            fh.write("".join([x_txt + tc + (_FMT % v) + "\n"
+                              for tc, v in zip(t_cols, row)]))

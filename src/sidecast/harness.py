@@ -218,10 +218,13 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
                  t_max: float = 400.0, dt: float = 0.005, closed_form=None):
     """Brute-force transform of the c=1 kernel at the probe points.
 
-    One pass over the (x, t) box, batched by unique r. The origin is the
-    exception: the t tail of the box integral decays only like 1/sqrt(T)
-    there, so no reachable T suffices; it is instead evaluated by the
-    substituted-variables mass quadrature, which converges fast.
+    One pass over the (x, t) box. Per block of t nodes, one real matrix
+    product kv @ [cos(r t) | sin(r t)] takes the t sums for every unique
+    probe r at once; the box sum over t is then acc_cos - i acc_sin. The
+    origin is the exception: the t tail of the box integral decays only
+    like 1/sqrt(T) there, so no reachable T suffices; it is instead
+    evaluated by the substituted-variables mass quadrature, which converges
+    fast.
 
     closed_form replaces the symbol being checked; the verify command uses
     it to prove the check can fail.
@@ -233,15 +236,17 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     nx = int(round(2.0 * x_half / dx)) + 1
     xs = -x_half + dx * np.arange(nx)
     nt = int(round(t_max / dt))
-    need_box = [(z, r) for z, r in pts if not (z == 0.0 and r == 0.0)]
-    rs_unique = sorted({r for _, r in need_box})
-    acc = {r: np.zeros(nx, dtype=complex) for r in rs_unique}
+    rs = np.array(sorted({r for z, r in pts if not (z == 0.0 and r == 0.0)}))
+    acc = np.zeros((nx, 2 * rs.size))
     chunk = 4096
-    for j0 in range(0, nt, chunk):
+    # a panel of the origin alone needs no box sum
+    for j0 in range(0, nt if rs.size else 0, chunk):
         tc = (np.arange(j0, min(j0 + chunk, nt)) + SINGULAR_OFFSET) * dt
         kv = kernel_eval(S_SPEC, xs[:, None], tc[None, :])
-        for r in rs_unique:
-            acc[r] += kv @ np.exp(-1j * r * tc)
+        rt = tc[:, None] * rs[None, :]
+        acc += kv @ np.hstack([np.cos(rt), np.sin(rt)])
+    t_sums = dict(zip(rs.tolist(), (acc[:, :rs.size]
+                                    - 1j * acc[:, rs.size:]).T))
     scale = dx * dt / (2.0 * math.pi)
 
     rows = []
@@ -250,7 +255,7 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
         if z == 0.0 and r == 0.0:
             numeric = complex(_substituted_mass(1.0) / (2.0 * math.pi))
         else:
-            numeric = complex(np.exp(-1j * z * xs) @ acc[r] * scale)
+            numeric = complex(np.exp(-1j * z * xs) @ t_sums[r] * scale)
         mag = abs(closed)
         if mag == 0.0:
             warnings.warn("closed form vanished at (z=%g, r=%g); point "

@@ -205,19 +205,23 @@ def eval_expansion(exp: SincExpansion, x, t):
     """Evaluate the truncated series at points (x, t), broadcasting scalars.
 
     The series is a tensor product: with Cx[p, i] = sinc(x_p/d - (i - N)),
-    Ct[p, j] = sinc(t_p/d - (j - N)) and C the coefficient matrix, the value
-    at point p is rowsum((Cx @ C) * Ct)[p]. Each point needs 2(2N+1)
-    cardinal values instead of 2(2N+1)^2, and the (2N+1)^2 multiply-adds
-    left are one matrix product. Points are taken in blocks of a size set
-    by 2N+1, so memory stays bounded for any number of points.
+    Ct[q, j] = sinc(t_q/d - (j - N)) and C the coefficient matrix, the
+    values on an open grid, x a column (n, 1) and t a row (1, m), are the
+    (n, m) matrix Cx @ C @ Ct.T: 2(2N+1) cardinal values per axis node and
+    two matrix products. Scattered points take the value at point p as
+    rowsum((Cx @ C) * Ct)[p], in blocks of a size set by 2N+1, so memory
+    stays bounded for any number of points.
     """
+    idx = np.arange(-exp.n, exp.n + 1)
+    xs = np.asarray(x, dtype=float)
+    ts = np.asarray(t, dtype=float)
+    if xs.ndim == ts.ndim == 2 and xs.shape[1] == 1 and ts.shape[0] == 1:
+        return (np.sinc(xs / exp.d - idx) @ exp.coeffs
+                @ np.sinc(ts.T / exp.d - idx).T)
     scalar = np.isscalar(x) and np.isscalar(t)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    xs, ts = np.broadcast_arrays(xs, ts)
+    xs, ts = np.broadcast_arrays(np.atleast_1d(xs), np.atleast_1d(ts))
     shape = xs.shape
     xf, tf = xs.ravel(), ts.ravel()
-    idx = np.arange(-exp.n, exp.n + 1)
     out = np.empty(xf.shape)
     step = max(1, (1 << 22) // idx.size)
     for i0 in range(0, xf.size, step):

@@ -268,6 +268,13 @@ class TestFileModeReconstruct:
         assert rc == 2
         assert "--grid" in capsys.readouterr().err
 
+    def test_missing_output_grid_is_reported_before_any_read(self, capsys):
+        rc = main(["reconstruct", "--f", "/nonexistent/f.grd",
+                   "--g", "/nonexistent/g.grd", "--epsilon", "0.02"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--grid" in err and "No such file" not in err
+
     def test_mismatched_grids(self, small_grd, tmp_path, capsys):
         g, paths = small_grd
         other = GridSpec(x0=g.x0, dx=g.dx, nx=g.nx, t0=g.t0, dt=g.dt,
@@ -290,7 +297,8 @@ class TestFileModeReconstruct:
         assert "wrote v_eps.grd" in capsys.readouterr().out
         for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
             assert os.path.isfile(os.path.join(out, name))
-        manifest = open(os.path.join(out, "manifest.txt")).read()
+        with open(os.path.join(out, "manifest.txt")) as fh:
+            manifest = fh.read()
         assert manifest.startswith("f_file=")
         assert "kappa=" not in manifest
 
@@ -311,7 +319,8 @@ class TestFileModeManifest:
                      "--grid", "9,9,0.2,0.1,0.5,0.3", "--epsilon", "0.02",
                      "--out", first]) == 0
         manifest = os.path.join(first, "manifest.txt")
-        lines = open(manifest).read().splitlines()
+        with open(manifest) as fh:
+            lines = fh.read().splitlines()
         assert [ln.partition("=")[0] for ln in lines] == _FILE_MODE_KEYS
         assert main(["reconstruct", "--config", manifest,
                      "--out", second]) == 0
@@ -418,7 +427,8 @@ class TestConvergenceCommand:
         text = capsys.readouterr().out
         assert "epsilon" in text and "measured" in text
         path = os.path.join(out, "convergence.csv")
-        lines = open(path).read().strip().split("\n")
+        with open(path) as fh:
+            lines = fh.read().strip().split("\n")
         assert lines[0] == ("epsilon,measured_error,bound,eta_hat,"
                             "runtime_seconds")
         assert len(lines) == 3
@@ -441,4 +451,13 @@ class TestVerifyCommand:
         assert rc == 1
         assert "overall: FAIL" in text
         # only the symbol check fails; the rest of the panel stays green
+        assert "symbol closed form vs quadrature  FAIL" in text
+
+    def test_corrupted_symbol_goes_red_on_the_box_quadrature(self, capsys):
+        # off the origin the numeric side is the (x, t) box sum, not the
+        # substituted mass, so this shows the box quadrature can go red
+        rc = main(["verify", "--quick", "--break-shat",
+                   "--points", "1,0;0,1"])
+        text = capsys.readouterr().out
+        assert rc == 1
         assert "symbol closed form vs quadrature  FAIL" in text

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sidecast.fields import (GridSpec, GrdParseError, RealField, l2_distance,
                              l2_norm, read_field, sample, write_csv,
                              write_field)
+from sidecast.kernels import test_problem
 
 
 def test_grid_nodes_and_area():
@@ -70,8 +71,37 @@ def test_sample_vectorized_matches_scalar_fallback():
 
 def test_sample_names_the_nonfinite_node():
     g = GridSpec(0.0, 1.0, 3, 0.0, 1.0, 2)
-    with pytest.raises(ValueError, match=r"\(i=1, j=0\)"):
+    with pytest.raises(ValueError, match=r"\(i=1, j=0\), x=1, t=0$"):
         sample(lambda x, t: np.where(x == 1.0, np.inf, 0.0) + 0 * t, g)
+
+
+@pytest.mark.parametrize("pid", ["P1", "P2"])
+@pytest.mark.parametrize("which", ["f0", "g0", "v_exact"])
+def test_open_grid_sample_is_bit_identical_to_a_meshgrid_call(pid, which):
+    # t runs through 0 into negative values, so the causal branch is hit
+    g = GridSpec(x0=-3.0, dx=0.0731, nx=83, t0=-0.37, dt=0.0419, nt=97)
+    fn = getattr(test_problem(pid), which)
+    X, T = np.meshgrid(g.x_nodes(), g.t_nodes(), indexing="ij")
+    assert np.array_equal(sample(fn, g).values, fn(X, T))
+
+
+def test_x_only_evaluator_broadcasts_along_t():
+    g = GridSpec(-1.0, 0.25, 9, 0.5, 0.1, 4)
+    want = np.repeat(np.sin(g.x_nodes())[:, None], g.nt, axis=1)
+    assert np.array_equal(sample(lambda x, t: np.sin(x), g).values, want)
+
+
+def test_flattened_result_takes_the_node_loop():
+    g = GridSpec(-1.0, 0.5, 5, 0.0, 0.25, 4)
+    calls = []
+
+    def flat(x, t):  # a flat array cannot broadcast to the grid's shape
+        calls.append(np.ndim(x))
+        return np.ravel(x + t) if np.ndim(x) else x + t
+
+    X, T = np.meshgrid(g.x_nodes(), g.t_nodes(), indexing="ij")
+    assert np.array_equal(sample(flat, g).values, X + T)
+    assert calls[0] == 2 and calls[1:] == [0] * (g.nx * g.nt)
 
 
 def test_l2_norm_gaussian_anchor():
@@ -174,6 +204,21 @@ def test_csv_layout(tmp_path):
     assert lines[1] == "0,10,1"       # x outer, t inner
     assert lines[2] == "0,10.5,2"
     assert lines[3] == "1,10,3"
+
+
+def test_csv_bytes_match_a_per_node_writer(tmp_path):
+    rng = np.random.Generator(np.random.Philox(11))
+    g = GridSpec(x0=-0.1, dx=1.0 / 3.0, nx=7, t0=1e-9, dt=0.7, nt=5)
+    vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300,
+                                                               g.shape)
+    vals[0, :] = [0.0, -0.0, 1.0, -2.0, 1e16]
+    path = tmp_path / "f.csv"
+    write_csv(RealField(g, vals), path)
+    want = ["x,t,value\n"]
+    for i, x in enumerate(g.x_nodes()):
+        for j, t in enumerate(g.t_nodes()):
+            want.append("%.17g,%.17g,%.17g\n" % (x, t, vals[i, j]))
+    assert path.read_bytes() == "".join(want).encode()
 
 
 def test_writers_reject_complex():

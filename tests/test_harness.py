@@ -20,7 +20,8 @@ from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET, _symbol_rows,
                               noisy_histories, perturb, refined_window_grid,
                               run_experiment, validate_s_hat,
                               write_convergence_csv)
-from sidecast.kernels import SINGULAR_OFFSET, s_hat, test_problem
+from sidecast.kernels import (S_SPEC, SINGULAR_OFFSET, kernel_eval, s_hat,
+                              test_problem)
 from sidecast.regularizer import RegParams, reconstruct
 from sidecast.transform import _lattice_offsets
 
@@ -252,6 +253,20 @@ class TestSymbolValidation:
             dev = validate_s_hat(points=[(0.0, 0.0)],
                                  closed_form=lambda z, r: 0.0, **_TINY_BOX)
         assert dev == 0.0
+
+    def test_box_sums_match_a_direct_double_sum_per_point(self):
+        # 4101 t nodes span two t blocks; r repeats, changes sign and is 0
+        box = dict(x_half=1.0, dx=0.25, t_max=41.01, dt=0.01)
+        pts = [(1.0, 0.5), (-2.0, 0.5), (0.0, -1.5), (0.7, 0.0), (0.0, 0.0)]
+        rows = _symbol_rows(points=pts, **box)
+        xs = -1.0 + 0.25 * np.arange(9)
+        ts = (np.arange(4101) + SINGULAR_OFFSET) * 0.01
+        kv = kernel_eval(S_SPEC, xs[:, None], ts[None, :])
+        for row, (z, r) in zip(rows, pts[:-1]):
+            phase = np.exp(-1j * (z * xs[:, None] + r * ts[None, :]))
+            direct = np.sum(kv * phase) * 0.25 * 0.01 / (2.0 * math.pi)
+            assert (row.z, row.r) == (z, r)
+            assert abs(row.numeric - direct) <= 1e-12 * abs(direct)
 
     def test_shorthand_modulus_agrees_at_unit_z_only(self):
         rows = _symbol_rows(points=[(1.0, 0.0), (2.0, 0.0)], **_TINY_BOX)

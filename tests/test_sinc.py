@@ -315,6 +315,17 @@ def test_eval_expansion_matches_the_literal_double_sum(kind, n, d, seed):
     one = eval_expansion(exp, float(xs[0]), float(ts[0]))
     assert isinstance(one, float)
     assert abs(one - float(_series_reference(exp, xs[0], ts[0]))) <= tol
+    # an open grid (x column, t row) mixing random points with lattice
+    # nodes takes the two-product path; it must agree with the point path
+    nodes = np.arange(-n - 1, n + 2) * d
+    xg = np.concatenate([xs[:6], nodes])[:, None]
+    tg = np.concatenate([nodes, ts[:5]])[None, :]
+    grid = eval_expansion(exp, xg, tg)
+    assert grid.shape == (xg.size, tg.size)
+    assert np.max(np.abs(grid - _series_reference(exp, xg, tg))) <= tol
+    xm, tm = np.meshgrid(xg.ravel(), tg.ravel(), indexing="ij")
+    points = eval_expansion(exp, xm.ravel(), tm.ravel()).reshape(grid.shape)
+    assert np.max(np.abs(grid - points)) <= tol
 
 
 def test_grid_inverse_lattice_matches_the_point_inverse():
