@@ -159,62 +159,65 @@ def write_field(field: RealField, path) -> None:
     if np.iscomplexobj(field.values):
         raise TypeError("GRD files hold real fields only")
     g = field.grid
-    lines = ["%d %d %s %s %s %s" % (g.nx, g.nt, _FMT % g.x0, _FMT % g.dx,
-                                    _FMT % g.t0, _FMT % g.dt)]
-    for j in range(g.nt):
-        lines.append(" ".join(_FMT % v for v in field.values[:, j]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("%d %d %s %s %s %s\n" % (g.nx, g.nt, _FMT % g.x0, _FMT % g.dx,
+                                          _FMT % g.t0, _FMT % g.dt))
+        for col in field.values.T:
+            fh.write(" ".join([_FMT % v for v in col.tolist()]) + "\n")
 
 
 def read_field(path) -> RealField:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    """Parse a GRD file line by line, so memory holds one text row at a
+    time besides the values."""
 
     def err(lineno, msg):
         raise GrdParseError("%s:%d: %s" % (os.fspath(path), lineno, msg))
 
-    # '#' comment lines are allowed before the header only
-    k = 0
-    while k < len(raw) and (not raw[k].strip() or raw[k].lstrip().startswith("#")):
-        k += 1
-    if k >= len(raw):
-        err(len(raw) or 1, "missing header")
-    header = raw[k].split()
-    if len(header) != 6:
-        err(k + 1, "malformed header: expected 6 tokens 'nx nt x0 dx t0 dt', got %d"
-            % len(header))
-    try:
-        nx, nt = int(header[0]), int(header[1])
-        x0, dx, t0, dt = (float(tok) for tok in header[2:])
-    except ValueError:
-        err(k + 1, "malformed header: %r" % raw[k])
-    try:
-        grid = GridSpec(x0, dx, nx, t0, dt, nt)
-    except ValueError as exc:
-        err(k + 1, "invalid grid: %s" % exc)
-
-    values = np.empty((nx, nt))
-    j = 0
-    for lineno in range(k + 1, len(raw)):
-        line = raw[lineno].strip()
-        if not line:
-            continue
-        if j >= nt:
-            err(lineno + 1, "unexpected extra data row (grid has nt=%d)" % nt)
-        toks = line.split()
-        if len(toks) != nx:
-            err(lineno + 1, "expected %d values, got %d" % (nx, len(toks)))
+    with open(path) as fh:
+        # '#' comment lines are allowed before the header only
+        lineno, head = 0, None
+        for line in fh:
+            lineno += 1
+            if line.strip() and not line.lstrip().startswith("#"):
+                head = line.rstrip("\n")
+                break
+        if head is None:
+            err(lineno or 1, "missing header")
+        header = head.split()
+        if len(header) != 6:
+            err(lineno, "malformed header: expected 6 tokens 'nx nt x0 dx t0 dt', "
+                "got %d" % len(header))
         try:
-            row = np.array([float(tok) for tok in toks])
+            nx, nt = int(header[0]), int(header[1])
+            x0, dx, t0, dt = (float(tok) for tok in header[2:])
         except ValueError:
-            err(lineno + 1, "unparseable value in row")
-        if not np.all(np.isfinite(row)):
-            err(lineno + 1, "non-finite value in row")
-        values[:, j] = row
-        j += 1
+            err(lineno, "malformed header: %r" % head)
+        try:
+            grid = GridSpec(x0, dx, nx, t0, dt, nt)
+        except ValueError as exc:
+            err(lineno, "invalid grid: %s" % exc)
+
+        values = np.empty((nx, nt))
+        j = 0
+        for line in fh:
+            lineno += 1
+            toks = line.split()
+            if not toks:
+                continue
+            if j >= nt:
+                err(lineno, "unexpected extra data row (grid has nt=%d)" % nt)
+            if len(toks) != nx:
+                err(lineno, "expected %d values, got %d" % (nx, len(toks)))
+            try:
+                row = np.array([float(tok) for tok in toks])
+            except ValueError:
+                err(lineno, "unparseable value in row")
+            if not np.all(np.isfinite(row)):
+                err(lineno, "non-finite value in row")
+            values[:, j] = row
+            j += 1
     if j != nt:
-        err(len(raw), "expected %d data rows, got %d" % (nt, j))
+        err(lineno, "expected %d data rows, got %d" % (nt, j))
     return RealField(grid, values)
 
 

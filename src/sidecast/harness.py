@@ -238,7 +238,8 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     nt = int(round(t_max / dt))
     rs = np.array(sorted({r for z, r in pts if not (z == 0.0 and r == 0.0)}))
     acc = np.zeros((nx, 2 * rs.size))
-    chunk = 4096
+    # 256 t nodes keep a 1601-row kernel block (3.3 MB) in cache
+    chunk = 256
     # a panel of the origin alone needs no box sum
     for j0 in range(0, nt if rs.size else 0, chunk):
         tc = (np.arange(j0, min(j0 + chunk, nt)) + SINGULAR_OFFSET) * dt

@@ -62,15 +62,25 @@ def _maybe_scalar(out, *inputs):
 
 
 def kernel_eval(spec: KernelSpec, x, t):
-    """k_c at (x, t); 0 for t <= 0 (causal extension, continuous at 0+)."""
+    """k_c at (x, t); 0 for t <= 0 (causal extension, continuous at 0+).
+
+    The t-only factors are formed once per t node, so x as a column and t
+    as a row (an open grid) cost one pass per axis plus three over the
+    result.
+    """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     pos = t > 0.0
-    ts = np.where(pos, t, 1.0)
     # exp(-q/4t)/t^2 via a single exponent: t^2 underflows before exp does,
-    # which would turn the tiny-t limit into 0/0.
-    logv = -(x * x + spec.c) / (4.0 * ts) - 2.0 * np.log(ts)
-    out = np.where(pos, np.exp(logv), 0.0)
+    # which would turn the tiny-t limit into 0/0. The exponent of a node
+    # with t <= 0 is -inf (x^2 + c > 0), so it exponentiates to exactly 0.
+    neg_inv4t = np.divide(-0.25, t, out=np.full(t.shape, -np.inf), where=pos)
+    log_t2 = np.log(t, out=np.zeros(t.shape), where=pos)
+    log_t2 *= 2.0
+    out = np.multiply(x * x + spec.c, neg_inv4t,
+                      out=np.empty(np.broadcast_shapes(x.shape, t.shape)))
+    out -= log_t2
+    np.exp(out, out=out)
     return _maybe_scalar(out, x, t)
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.signal import oaconvolve
 
 from .fields import ComplexField, GridSpec, RealField
 from .kernels import KernelSpec, kernel_eval
@@ -220,6 +219,10 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
     1e-12 of its peak. Everything left of w's grid is treated as zero (w is
     assumed to vanish for t <= 0), so w's grid should start near t = 0.
     out_grid must be lattice-aligned with w's grid and start no earlier.
+
+    The sum is one real FFT product on a circular lattice just long enough,
+    per axis, that no wrapped term reaches a kept output; the kept outputs
+    then equal those of the linear convolution.
     """
     gin = w.grid
     if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
@@ -242,16 +245,34 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
         return RealField(out_grid, np.zeros(out_grid.shape))
     lag_x = dx * np.arange(lo, hi + 1)
 
-    LX, LT = np.meshgrid(lag_x, lag_t, indexing="ij")
-    kv = kernel_eval(spec, LX, LT)
-    full = oaconvolve(kv, w.values, mode="full") * (dx * dt)
-    # full[p, q] corresponds to lag_x[0]+x_in[0] + p*dx, lag_t[0]+t_in[0] + q*dt
+    kv = kernel_eval(spec, lag_x[:, None], lag_t[None, :])
+    # linear output p of the lag box and the data sits at
+    # lag_x[0]+x_in[0] + p*dx on the x axis, t_in[0] + q*dt on the t axis;
+    # outputs past the linear range (lags clipped above) stay 0
     ps = (ox - lo) + np.arange(out_grid.nx)
+    ok = (ps >= 0) & (ps <= kv.shape[0] + gin.nx - 2)
     qs = ot + np.arange(out_grid.nt)
+    # data columns past the last kept output reach only later outputs
+    wv = w.values[:, :qs[-1] + 1]
+    # rounded up to fast lengths: rfft2 transforms t as real data and x as
+    # complex data, which also has fast radix-7 and radix-11 lengths
+    shape = (scipy.fft.next_fast_len(
+                 _wrap_free_length(kv.shape[0], wv.shape[0], ps[ok])),
+             scipy.fft.next_fast_len(
+                 _wrap_free_length(kv.shape[1], wv.shape[1], qs), real=True))
+    circ = scipy.fft.irfft2(scipy.fft.rfft2(kv, shape)
+                            * scipy.fft.rfft2(wv, shape), shape)
     vals = np.zeros(out_grid.shape)
-    ok = (ps >= 0) & (ps < full.shape[0])  # lags clipped above fall here
-    vals[ok, :] = full[np.ix_(ps[ok], qs)]
+    vals[ok, :] = circ[np.ix_(ps[ok], qs)] * (dx * dt)
     return RealField(out_grid, vals)
+
+
+def _wrap_free_length(n_lag: int, n_data: int, kept: np.ndarray) -> int:
+    """Shortest circular length on one axis at which the kept linear
+    outputs (sorted, all inside the linear range) take no wrapped term:
+    output p sees the aliases p -+ L, so L must pass the last kept output
+    and the linear length must end before the first one plus L."""
+    return max(int(kept[-1]) + 1, n_lag + n_data - 1 - int(kept[0]))
 
 
 def _convolve2_direct(spec: KernelSpec, w: RealField,

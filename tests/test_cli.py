@@ -6,6 +6,8 @@ runs live in the acceptance suite.
 
 import argparse
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -413,6 +415,27 @@ class TestSyntheticReconstruct:
         for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
             assert (synthetic_run / name).read_bytes() == \
                 (out2 / name).read_bytes()
+
+
+def test_fast_path_never_imports_scipy_signal(tmp_path):
+    # scipy.signal costs most of a CLI start-up; only checks may need it
+    script = (
+        "import sys\n"
+        "from sidecast.cli import main\n"
+        "common = ['--problem', 'p2', '--epsilon', '0.02', '--data-grid', "
+        "%r, '--grid', %r]\n"
+        "assert main(['reconstruct', '--out', 'rec'] + common) == 0\n"
+        "assert main(['sinc', '--N', '3', '--out', 'sinc'] + common) == 0\n"
+        "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n"
+        % (_DATA_GRID, _OUT_GRID))
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "src"))
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + inherited if inherited else "")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=str(tmp_path),
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestConvergenceCommand:

@@ -1,6 +1,7 @@
 """Grid containers, discrete L2 norms, and GRD/CSV round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,39 @@ def test_grd_missing_rows_and_missing_header(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(GrdParseError, match="missing header"):
         read_field(empty)
+
+
+def test_grd_bytes_match_a_literal_writer(tmp_path):
+    rng = np.random.Generator(np.random.Philox(12))
+    g = GridSpec(x0=-0.1, dx=1.0 / 3.0, nx=6, t0=1e-9, dt=0.7, nt=4)
+    vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300,
+                                                               g.shape)
+    vals[0, :] = [0.0, -0.0, 1.0, 1e16]
+    path = tmp_path / "f.grd"
+    write_field(RealField(g, vals), path)
+    want = "%d %d %.17g %.17g %.17g %.17g\n" % (g.nx, g.nt, g.x0, g.dx,
+                                               g.t0, g.dt)
+    for j in range(g.nt):
+        want += " ".join("%.17g" % vals[i, j] for i in range(g.nx)) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
+def test_grd_read_holds_one_row_of_text_at_a_time(tmp_path):
+    g = GridSpec(0.0, 0.1, 200, 0.05, 0.1, 500)
+    rng = np.random.Generator(np.random.Philox(13))
+    path = tmp_path / "big.grd"
+    write_field(RealField(g, rng.standard_normal(g.shape)), path)
+    size = path.stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    try:
+        field = read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.values.shape == (200, 500)
+    # the values take 0.8 MB; a whole-file read would hold 2x the text
+    assert peak < size
 
 
 def test_csv_layout(tmp_path):

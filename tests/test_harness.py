@@ -255,7 +255,8 @@ class TestSymbolValidation:
         assert dev == 0.0
 
     def test_box_sums_match_a_direct_double_sum_per_point(self):
-        # 4101 t nodes span two t blocks; r repeats, changes sign and is 0
+        # 4101 t nodes span 17 t blocks, the last one partial; r repeats,
+        # changes sign and is 0
         box = dict(x_half=1.0, dx=0.25, t_max=41.01, dt=0.01)
         pts = [(1.0, 0.5), (-2.0, 0.5), (0.0, -1.5), (0.7, 0.0), (0.0, 0.0)]
         rows = _symbol_rows(points=pts, **box)

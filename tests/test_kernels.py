@@ -44,6 +44,24 @@ def test_kernel_is_causal_and_underflow_safe():
     assert arr[0] == 0.0 and arr[1] > 0.0
 
 
+@pytest.mark.parametrize("c", [1.0, 4.0])
+def test_kernel_on_an_open_grid_matches_a_per_node_formula(c):
+    rng = np.random.Generator(np.random.Philox(8))
+    xs = np.concatenate([rng.uniform(-4.0, 4.0, 9), [0.0]])
+    ts = np.concatenate([rng.uniform(0.02, 6.0, 11), [0.0, -0.3, 1e-6]])
+    got = kernel_eval(KernelSpec(c), xs[:, None], ts[None, :])
+    assert got.shape == (xs.size, ts.size)
+    for i, x in enumerate(xs):
+        for j, t in enumerate(ts):
+            if t <= 0.0:
+                assert got[i, j] == 0.0
+                continue
+            # the same single exponent, one node at a time
+            want = math.exp((x * x + c) * (-0.25 / t) - 2.0 * math.log(t))
+            assert abs(got[i, j] - want) <= 1e-15 * want
+    assert isinstance(kernel_eval(KernelSpec(c), 0.5, 1.5), float)
+
+
 def _sqrt_quadrature_error(theta: float, h: float) -> float:
     # left-rectangle sum of integral_0^1 s^{-1/2} ds = 2 on nodes (j+theta)h;
     # leading error is zeta(1/2, theta) * sqrt(h)

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidecast.fields import GridSpec, ComplexField, RealField, sample
-from sidecast.kernels import R_SPEC, S_SPEC
+from sidecast.kernels import R_SPEC, S_SPEC, KernelSpec
 from sidecast.transform import (SpectralWindow, _convolve2_direct,
                                 _dft2_direct, _lattice_offsets,
                                 convolve2_causal, dft2_forward, dft2_lattice,
@@ -181,6 +182,83 @@ def test_causal_convolution_matches_direct_sum():
     assert np.max(np.abs(fast - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
+# where the output grid sits on the data lattice, in node offsets (ox, ot)
+_PLACEMENTS = ("inside", "left", "past_cutoff", "past_end", "first_t")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PLACEMENTS), st.sampled_from([1.0, 4.0]),
+       st.integers(2, 9), st.integers(2, 9), st.integers(2, 8),
+       st.integers(2, 8), st.floats(0.2, 1.0), st.floats(0.03, 0.3),
+       st.integers(0, 10), st.integers(0, 10 ** 6))
+def test_convolution_matches_direct_sum_wherever_the_output_sits(
+        where, c, nx, nt, onx, ont, dx, dt, shift, seed):
+    gin = GridSpec(-0.4, dx, nx, 0.3 * dt, dt, nt)
+    # unless the placement says otherwise: x about the data's left edge, t
+    # anywhere in the data
+    ox, ot = shift - onx // 2, shift % nt
+    if where == "inside":
+        ox = shift % nx
+    elif where == "left":
+        ox = -onx - shift
+    elif where == "past_end":
+        ot = max(0, nt - ont + 1) + shift
+    elif where == "first_t":
+        ot = 0
+    if where == "past_cutoff":
+        # straddle the space-lag cutoff, or pass it by a few nodes
+        t_lag = dt * max(ot + ont - 1, 1)
+        n_cut = math.ceil(math.sqrt(4.0 * t_lag * math.log(1e12)) / dx)
+        ox = nx - 1 + n_cut - onx + shift
+    out = GridSpec(gin.x0 + ox * dx, dx, onx, gin.t0 + ot * dt, dt, ont)
+    rng = np.random.Generator(np.random.Philox(seed))
+    w = RealField(gin, rng.standard_normal(gin.shape))
+    fast = convolve2_causal(KernelSpec(c), w, out).values
+    direct = _convolve2_direct(KernelSpec(c), w, out).values
+    assert np.max(np.abs(fast - direct)) <= \
+        1e-12 * max(1.0, np.max(np.abs(direct)))
+
+
+def _fft_shapes(monkeypatch):
+    shapes = []
+    rfft2 = scipy.fft.rfft2
+
+    def recording(x, s=None, *args, **kw):
+        shapes.append(tuple(s))
+        return rfft2(x, s, *args, **kw)
+
+    monkeypatch.setattr(scipy.fft, "rfft2", recording)
+    return shapes
+
+
+def test_circular_length_is_the_shortest_wrap_free_one(monkeypatch):
+    from sidecast.harness import default_data_grid, refined_window_grid
+    cases = [
+        # 3 kept t outputs from the data's first t need lags 0..2 and data
+        # columns 0..2 only: 3 + 3 - 1 = 5 nodes, not 3 + 40 - 1. In x, the
+        # 8 lags -5..2 and 6 data rows keep outputs 5..7 of 13:
+        # max(8, 13 - 5) = 8
+        (GridSpec(0.0, 0.5, 6, 0.1, 0.1, 40),
+         GridSpec(0.0, 0.5, 3, 0.1, 0.1, 3), (8, 5)),
+        # the quick verify panel's P1 identity window: 675 x-lags on 643
+        # data rows keep outputs 642..674, so x takes 675, not the linear
+        # 1317; in t, 493 lags on 493 columns keep outputs 12..492: 973,
+        # rounded up to 1000
+        refined_window_grid(GridSpec(0.25, 1.05 / 32, 33, 0.1, 3.9 / 32, 33))
+        + ((675, 1000),),
+        # the quick kappa grid onto itself: 513 x-lags on 257 rows keep
+        # outputs 256..512: 513, rounded up to 525 = 3*5^2*7 (x is a complex
+        # axis); in t, 800 + 800 - 1 = 1599, rounded up to 1600
+        (default_data_grid(nx=257, nt=800, dt=0.05),
+         default_data_grid(nx=257, nt=800, dt=0.05), (525, 1600)),
+    ]
+    shapes = _fft_shapes(monkeypatch)
+    for gin, gout, want in cases:
+        shapes.clear()
+        convolve2_causal(S_SPEC, RealField(gin, np.ones(gin.shape)), gout)
+        assert shapes == [want, want]
+
+
 def test_causal_convolution_space_cutoff_is_harmless():
     # wide slab: the Gaussian lag cutoff clips columns the direct sum keeps;
     # with t small the clipped tail is ~e^{-27} relative
@@ -218,6 +296,19 @@ def test_convolution_far_output_beyond_cutoff_is_zero():
     far = GridSpec(1e6, 1.0, 3, 0.1, 0.1, 3)
     got = convolve2_causal(S_SPEC, w, far)
     assert np.all(got.values == 0.0)
+
+
+def test_outputs_past_the_lag_cutoff_are_exactly_zero():
+    # t lags reach 0.2, so x lags stop at ceil(sqrt(0.8 ln 1e12)) = 5 nodes:
+    # data at x = 0..2 reaches x = -5..7 and no further
+    gin = GridSpec(0.0, 1.0, 3, 0.1, 0.1, 3)
+    rng = np.random.Generator(np.random.Philox(9))
+    w = RealField(gin, 1.0 + rng.random(gin.shape))
+    out = GridSpec(-9.0, 1.0, 19, 0.2, 0.1, 2)
+    got = convolve2_causal(S_SPEC, w, out).values
+    reached = (out.x_nodes() >= -5.0) & (out.x_nodes() <= 7.0)
+    assert np.all(got[~reached] == 0.0)
+    assert np.max(got[reached]) > 1e-6
 
 
 @settings(max_examples=20, deadline=None)
