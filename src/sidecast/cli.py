@@ -361,12 +361,12 @@ def cmd_sinc(args) -> int:
             else harness.default_out_grid(args.problem)
         f, g = harness.noisy_histories(prob, data_grid, params.epsilon,
                                        args.seed or 0)
-        v_hat, region = reconstruct_spectrum(f, g, params)
-        square = spectral_expansion(v_hat, region.window, a_eps, args.n)
+        v_hat, _ = reconstruct_spectrum(f, g, params)
+        square = spectral_expansion(v_hat, a_eps, args.n)
     # the square samples also give the triangular set and its dropped energy
     exp = lattice_expansion(square.coeffs, a_eps, kind)
     dev = None if args.v_eps is not None \
-        else harness.sinc_deviation(exp, v_hat, region, eval_grid)
+        else harness.sinc_deviation(exp, v_hat, eval_grid)
 
     os.makedirs(out_dir, exist_ok=True)
     write_expansion(os.path.join(out_dir, "sinc.txt"), exp)

@@ -5,8 +5,9 @@ values as ground truth: quadrature, transforms and the inversion pipeline
 are all validated against them.
 
 The kernel family is k_c(x, t) = (1/t^2) exp(-(x^2+c)/(4t)) for t > 0 and 0
-otherwise. The two members used by the inversion are c=1 (call it S) and
-c=4 (call it R); their L1 norms are 4*pi/sqrt(c).
+otherwise. The two members are c=1 (call it S) and c=4 (call it R); the
+checks convolve with them, and their L1 norms, 4*pi/sqrt(c), set the bound
+constant C.
 """
 
 from __future__ import annotations

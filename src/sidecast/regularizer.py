@@ -25,8 +25,7 @@ import numpy as np
 
 from .fields import ComplexField, GridSpec, RealField, sample
 from .kernels import R_SPEC, S_SPEC, kernel_l1_norm
-from .transform import (SpectralWindow, _window_slices, dft2_lattice,
-                        idft2_windowed)
+from .transform import SpectralWindow, dft2_lattice, idft2_windowed
 
 __all__ = [
     "RegMode",
@@ -143,10 +142,11 @@ def region_for(params: RegParams) -> CutoffRegion:
     return CutoffRegion(SpectralWindow(a, a), a_eps=a)
 
 
-def continue_sideways(f_hat: ComplexField, g_hat: ComplexField,
-                      region: CutoffRegion) -> ComplexField:
-    """v_hat_eps = 2 cosh(w) f_hat - g_hat, w = sqrt(z^2 + i r), inside the
-    window and exactly 0 outside; f_hat and g_hat share one spectral grid.
+def continue_sideways(f_hat: ComplexField,
+                      g_hat: ComplexField) -> ComplexField:
+    """v_hat_eps = 2 cosh(w) f_hat - g_hat, w = sqrt(z^2 + i r), on every
+    node of the shared spectral grid, which dft2_lattice has cropped to
+    the cutoff window.
 
     cosh is even in w, so the branch of the square root does not matter.
     With S_hat = 2 e^{-w} the c=1 symbol, |2 cosh w| <= 2/|S_hat| +
@@ -154,13 +154,8 @@ def continue_sideways(f_hat: ComplexField, g_hat: ComplexField,
     rectangle) bounds the noise gain.
     """
     sg = f_hat.grid
-    sz, sr = _window_slices(sg, region.window)
-    w = np.sqrt(sg.x_nodes()[sz, None] ** 2 + 1j * sg.t_nodes()[None, sr])
-    vals = np.zeros(f_hat.values.shape, dtype=complex)
-    # evaluate only on the kept nodes: cosh overflows far outside the window
-    vals[sz, sr] = 2.0 * np.cosh(w) * f_hat.values[sz, sr] \
-        - g_hat.values[sz, sr]
-    return ComplexField(sg, vals)
+    w = np.sqrt(sg.x_nodes()[:, None] ** 2 + 1j * sg.t_nodes()[None, :])
+    return ComplexField(sg, 2.0 * np.cosh(w) * f_hat.values - g_hat.values)
 
 
 def tail_energy(v0: RealField, region: CutoffRegion) -> float:
@@ -170,9 +165,7 @@ def tail_energy(v0: RealField, region: CutoffRegion) -> float:
     data grid minus the window's energy, so only the window is
     transformed; the difference is clipped at 0 against rounding."""
     spec = dft2_lattice(v0, region.window)
-    sz, sr = _window_slices(spec.grid, region.window)
-    inside = float(np.sum(np.abs(spec.values[sz, sr]) ** 2)) \
-        * spec.grid.cell_area
+    inside = float(np.sum(np.abs(spec.values) ** 2)) * spec.grid.cell_area
     total = float(np.sum(v0.values ** 2)) * v0.grid.cell_area
     return max(total - inside, 0.0)
 
@@ -226,17 +219,16 @@ def reconstruct_spectrum(f: RealField, g: RealField, params: RegParams):
     """Transform both histories onto the data's FFT lattice and continue
     them to the surface; returns (v_hat_eps, region).
 
-    The windowed spectrum is what both the physical reconstruction and the
-    Sinc expansion evaluate; exposing it keeps the two on the same object.
-    A window reaching the data grid's Nyquist limits is a ValueError:
-    there the data spectrum aliases, and the window would amplify the
-    aliased copies instead of the signal.
+    v_hat_eps lives on the window's lattice nodes; the physical
+    reconstruction and the Sinc expansion both invert all of it.
+    dft2_lattice refuses a window past the data Nyquist limits, where the
+    data spectrum aliases, and one narrower than a lattice step.
     """
     if f.grid != g.grid:
         raise ValueError("f and g grids differ")
     region = region_for(params)
     return continue_sideways(dft2_lattice(f, region.window),
-                             dft2_lattice(g, region.window), region), region
+                             dft2_lattice(g, region.window)), region
 
 
 def build_report(params: RegParams, eta_hat: Optional[float] = None,
@@ -257,8 +249,8 @@ def build_report(params: RegParams, eta_hat: Optional[float] = None,
 @dataclass(frozen=True)
 class Reconstruction:
     """One run of the pipeline: v_eps on the output grid, its bound
-    report, and the windowed spectrum v_hat with the cutoff region it was
-    computed on (the Sinc series samples the same spectrum)."""
+    report, and the spectrum v_hat on the lattice nodes of the cutoff
+    region's window (the Sinc series samples the same spectrum)."""
 
     v_eps: RealField
     report: BoundReport
@@ -277,7 +269,7 @@ def reconstruct(f: RealField, g: RealField, params: RegParams,
     bound.
     """
     v_hat, region = reconstruct_spectrum(f, g, params)
-    v_eps = idft2_windowed(v_hat, region.window, out_grid)
+    v_eps = idft2_windowed(v_hat, out_grid)
     eta = None
     if v_exact is not None:
         eta = tail_energy(sample(v_exact, f.grid), region)

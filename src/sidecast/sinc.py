@@ -190,14 +190,14 @@ def build_expansion(v_eval, a_eps: float, n: int,
     return lattice_expansion(samples, a_eps, kind)
 
 
-def spectral_expansion(spec, window, a_eps: float, n: int,
+def spectral_expansion(spec, a_eps: float, n: int,
                        kind: IndexSetKind = IndexSetKind.SQUARE
                        ) -> SincExpansion:
-    """Series of the windowed inverse of spec, truncated to the band
-    a_eps. The lattice is a grid, so one grid inverse (two matrix
-    products) samples all of it; kind's index set is kept."""
+    """Series of the inverse of spec, truncated to the band a_eps. The
+    lattice is a grid, so one grid inverse (two matrix products) samples
+    all of it; kind's index set is kept."""
     lattice = sinc_lattice(a_eps, n)
-    return lattice_expansion(idft2_windowed(spec, window, lattice).values,
+    return lattice_expansion(idft2_windowed(spec, lattice).values,
                              a_eps, kind)
 
 

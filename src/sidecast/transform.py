@@ -5,11 +5,12 @@ closed-form kernel family.
 The transform pair is fixed here once: forward kernel (1/2pi) e^{-i(xz+tr)},
 inverse kernel (1/2pi) e^{+i(xz+tr)}. No other module may rescale. Under
 this convention the transform of a convolution is 2*pi times the product of
-transforms; the regularizer owns that constant.
+transforms; harness.CONVOLUTION_FACTOR holds that constant.
 
 The reconstruction takes its spectra from dft2_lattice, the FFT of the
-zero-padded data; dft2_forward evaluates the same sum on any grid by matrix
-products and is the independent transform of the checks.
+zero-padded data cropped to the cutoff window; dft2_forward evaluates the
+same sum on any grid by matrix products and is the independent transform
+of the checks.
 """
 
 from __future__ import annotations
@@ -60,34 +61,40 @@ class SpectralWindow:
 def _lattice_axis(n: int, step: float, half: float):
     """(padded length L, lattice step, crop half-width K) on one axis: L is
     an even fast FFT length of at least 2n, so bin L/2 sits at the Nyquist
-    frequency pi/step, and the window's nodes are |k| <= K - 1."""
+    frequency pi/step, and the window's nodes are |k| <= K."""
     length = 2 * scipy.fft.next_fast_len(n, real=True)
     dw = TWO_PI / (length * step)
-    return length, dw, int(math.floor((half + _tol(half)) / dw)) + 1
+    return length, dw, int(math.floor((half + _tol(half)) / dw))
 
 
 def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
     """The rectangle-rule transform of dft2_forward on the lattice of the
-    zero-padded FFT of the data, cropped to the window.
+    zero-padded FFT of the data, cropped to the window's nodes.
 
     Each axis is padded to L >= 2n nodes, so the lattice step is
     2 pi/(L step) and the alias period L step is at least twice the data
-    extent. The crop keeps the window plus one node past each edge,
-    |k| <= K. The window's 2K - 1 nodes must be distinct bins, so a window
-    reaching the data Nyquist limits, where +-pi/step share a bin, is a
-    ValueError, and the crop never goes past bin L/2. The t-axis rfft is
-    cropped before the x-axis FFT; r < 0 follows by conjugate symmetry of
-    the real data.
+    extent. The crop keeps exactly the nodes inside the window, |k| <= K,
+    so the spectrum is its own window. Those 2K + 1 nodes must be distinct
+    bins, so a window reaching the data Nyquist limits, where +-pi/step
+    share a bin, is a ValueError; so is a window narrower than one lattice
+    step on either axis, which keeps only the zero frequency there. The
+    t-axis rfft is cropped before the x-axis FFT; r < 0 follows by
+    conjugate symmetry of the real data.
     """
     g = field.grid
     lz, dz, kz = _lattice_axis(g.nx, g.dx, window.zmax)
     lr, dr, kr = _lattice_axis(g.nt, g.dt, window.rmax)
-    if 2 * kz - 1 > lz or 2 * kr - 1 > lr:
+    if 2 * kz + 1 > lz or 2 * kr + 1 > lr:
         raise ValueError(
             "cutoff window |z| <= %.6g, |r| <= %.6g reaches the data Nyquist "
             "limits pi/dx = %.6g, pi/dt = %.6g; use a finer data grid or a "
             "smaller window" % (window.zmax, window.rmax, math.pi / g.dx,
                                 math.pi / g.dt))
+    if kz == 0 or kr == 0:
+        raise ValueError(
+            "cutoff window |z| <= %.6g, |r| <= %.6g is narrower than one "
+            "lattice step dz = %.6g, dr = %.6g of the padded data FFT; use a "
+            "longer data grid" % (window.zmax, window.rmax, dz, dr))
     hat = scipy.fft.rfft(field.values, n=lr, axis=1)[:, :kr + 1]
     hat = scipy.fft.fft(hat, n=lz, axis=0)[np.arange(-kz, kz + 1) % lz]
     grid = GridSpec(-kz * dz, dz, 2 * kz + 1, -kr * dr, dr, 2 * kr + 1)
@@ -128,24 +135,6 @@ def _dft2_direct(field: RealField, spectral_grid: GridSpec) -> ComplexField:
     return ComplexField(spectral_grid, out)
 
 
-def _window_slice(nodes: np.ndarray, half: float) -> slice:
-    idx = np.flatnonzero(np.abs(nodes) <= half + _tol(half))
-    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
-
-
-def _window_slices(grid: GridSpec, window: SpectralWindow):
-    """Index slices (z rows, r columns) of the grid nodes inside the
-    window; the window is a rectangle, so they form one block."""
-    zs, rs = grid.x_nodes(), grid.t_nodes()
-    tol = 1e-9 * max(grid.dx, grid.dt, 1.0)
-    if -window.zmax < zs[0] - tol or window.zmax > zs[-1] + tol \
-            or -window.rmax < rs[0] - tol or window.rmax > rs[-1] + tol:
-        raise ValueError("window %r exceeds spectral grid coverage "
-                         "[%g, %g] x [%g, %g]"
-                         % (window, zs[0], zs[-1], rs[0], rs[-1]))
-    return _window_slice(zs, window.zmax), _window_slice(rs, window.rmax)
-
-
 def _check_imag_residue(vals: np.ndarray):
     mr = float(np.max(np.abs(vals.real))) if vals.size else 0.0
     mi = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
@@ -155,39 +144,37 @@ def _check_imag_residue(vals: np.ndarray):
             "input spectrum is not conjugate-symmetric" % (mi, mr))
 
 
-def idft2_windowed(spec: ComplexField, window: SpectralWindow,
-                   phys_grid: GridSpec) -> RealField:
-    """Inverse transform restricted to spectral nodes inside the window.
+def idft2_windowed(spec: ComplexField, phys_grid: GridSpec) -> RealField:
+    """Inverse transform of the whole spectrum, all of it inside its
+    cutoff window, onto phys_grid.
 
     For conjugate-symmetric input the result is real up to rounding; an
     imaginary residue above 1e-6 of the real part is an error (it means a
     symmetry bug upstream), below that it is discarded.
     """
     g = spec.grid
-    sz, sr = _window_slices(g, window)
-    ex = np.exp(1j * np.outer(phys_grid.x_nodes(), g.x_nodes()[sz]))
-    et = np.exp(1j * np.outer(g.t_nodes()[sr], phys_grid.t_nodes()))
-    vals = (ex @ spec.values[sz, sr] @ et) * (g.cell_area / TWO_PI)
+    ex = np.exp(1j * np.outer(phys_grid.x_nodes(), g.x_nodes()))
+    et = np.exp(1j * np.outer(g.t_nodes(), phys_grid.t_nodes()))
+    vals = (ex @ spec.values @ et) * (g.cell_area / TWO_PI)
     _check_imag_residue(vals)
     return RealField(phys_grid, vals.real)
 
 
-def idft2_windowed_at(spec: ComplexField, window: SpectralWindow, x, t):
-    """Same windowed inverse, evaluated at arbitrary (x, t) points.
+def idft2_windowed_at(spec: ComplexField, x, t):
+    """Same inverse, evaluated at arbitrary (x, t) points.
 
     x and t are broadcast together; returns float or an array of their
     broadcast shape. This is the direct evaluator that the Sinc expansion
     is measured against.
     """
     g = spec.grid
-    sz, sr = _window_slices(g, window)
     xb, tb = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
     shape = xb.shape
     xf, tf = xb.ravel(), tb.ravel()
-    ex = np.exp(1j * np.outer(xf, g.x_nodes()[sz]))     # (npts, nz)
-    et = np.exp(1j * np.outer(g.t_nodes()[sr], tf))     # (nr, npts)
+    ex = np.exp(1j * np.outer(xf, g.x_nodes()))     # (npts, nz)
+    et = np.exp(1j * np.outer(g.t_nodes(), tf))     # (nr, npts)
     # optimize=True contracts via matmuls; intermediate is npts x nr only
-    vals = np.einsum("pz,zr,rp->p", ex, spec.values[sz, sr], et,
+    vals = np.einsum("pz,zr,rp->p", ex, spec.values, et,
                      optimize=True) * (g.cell_area / TWO_PI)
     _check_imag_residue(vals)
     out = vals.real.reshape(shape)

@@ -135,11 +135,11 @@ def test_criterion_7_sinc_expansion(verdict):
     prob = test_problem("P1")
     f = perturb(sample(prob.f0, dg), params.epsilon, 0)
     g = perturb(sample(prob.g0, dg), params.epsilon, _G_SEED_OFFSET)
-    v_hat, region = reconstruct_spectrum(f, g, params)
+    v_hat, _ = reconstruct_spectrum(f, g, params)
     a_eps = band_halfwidth(params)
 
     def ev(x, t):
-        return idft2_windowed_at(v_hat, region.window, x, t)
+        return idft2_windowed_at(v_hat, x, t)
 
     sq = build_expansion(ev, a_eps, 50, IndexSetKind.SQUARE)
     assert sq.d == pytest.approx(math.pi / a_eps, rel=1e-15)
@@ -151,7 +151,7 @@ def test_criterion_7_sinc_expansion(verdict):
     # truncation ringing would swamp the series-vs-inverse comparison
     box = GridSpec(x0=0.25, dx=(1.3 - 0.25) / 128, nx=129,
                    t0=0.5, dt=(4.0 - 0.5) / 128, nt=129)
-    dev_sq = sinc_deviation(sq, v_hat, region, box)
+    dev_sq = sinc_deviation(sq, v_hat, box)
 
     tri = build_expansion(ev, a_eps, 50, IndexSetKind.TRIANGULAR)
     rng = np.random.Generator(np.random.Philox(74257))

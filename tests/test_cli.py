@@ -247,6 +247,19 @@ class TestUsageExits:
         assert "Nyquist" in err and "pi/dt = 157.08" in err
         assert not out.exists()
 
+    def test_window_narrower_than_one_lattice_step(self, tmp_path, capsys):
+        # 9 x nodes at dx = 0.125 pad to 18: the lattice step 2.79 in z
+        # exceeds b_eps = 2.41 at eps = 0.02, so only z = 0 would be kept
+        out = tmp_path / "short"
+        rc = main(["reconstruct", "--problem", "p1", "--epsilon", "0.02",
+                   "--data-grid", "9,500,-0.5,0.125,0.0060544365719673,0.02",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "narrower than one lattice step dz = 2.79253" in err
+        assert "|z| <= 2.41121" in err and "longer data grid" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def small_grd(tmp_path_factory):

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import sidecast.harness as harness
 from sidecast.fields import GridSpec, RealField, l2_norm, l2_distance, \
     read_field, sample
 from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET, _symbol_rows,
@@ -20,8 +21,8 @@ from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET, _symbol_rows,
                               noisy_histories, perturb, refined_window_grid,
                               run_experiment, validate_s_hat,
                               write_convergence_csv)
-from sidecast.kernels import (S_SPEC, SINGULAR_OFFSET, kernel_eval, s_hat,
-                              test_problem)
+from sidecast.kernels import (S_SPEC, SINGULAR_OFFSET, KernelSpec,
+                              kernel_eval, s_hat, test_problem)
 from sidecast.regularizer import RegParams, reconstruct
 from sidecast.transform import _lattice_offsets
 
@@ -213,6 +214,16 @@ class TestIdentityResidual:
         _, f, g = fields["P2"]
         assert identity_residual(g, f, g, out_grid) == pytest.approx(
             2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1.1, 2.5])
+    def test_a_wrong_kernel_fails_p1_only(self, identity_fields,
+                                          monkeypatch, c):
+        # P1's residual is the one that can catch a wrong S; P2 has f = 0,
+        # so both sides are the same S*g up to sign for any kernel
+        _, out_grid, fields = identity_fields
+        monkeypatch.setattr(harness, "S_SPEC", KernelSpec(c))
+        assert identity_residual(*fields["P1"], out_grid) > 1e-2
+        assert identity_residual(*fields["P2"], out_grid) == 0.0
 
     def test_rejects_mismatched_grids(self, identity_fields):
         in_grid, out_grid, fields = identity_fields

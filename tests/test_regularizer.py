@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,19 +221,16 @@ def test_rhs_transform_matches_symbol_product_two_sided():
 def test_continue_sideways_maps_layer_traces_to_the_surface():
     # the depth-1 and depth-2 layer traces are the histories of the surface
     # trace layer_trace(0), whose transform is 1/w; even node counts keep
-    # the grid off that pole at the origin
-    sg = GridSpec.centered(4.0, 20, 8.0, 20)
+    # the grid of the window |z| <= 2, |r| <= 4 off that pole at the origin
+    sg = GridSpec.centered(2.0, 10, 4.0, 10)
     Z, R = np.meshgrid(sg.x_nodes(), sg.t_nodes(), indexing="ij")
     f_hat = ComplexField(sg, layer_trace_hat(1.0)(Z, R))
     g_hat = ComplexField(sg, layer_trace_hat(4.0)(Z, R))
-    region = CutoffRegion(SpectralWindow(2.0, 4.0), b_eps=2.0)
-    got = continue_sideways(f_hat, g_hat, region)
+    got = continue_sideways(f_hat, g_hat)
     want = layer_trace_hat(0.0)(Z, R)
-    inside = region.window.contains(Z, R)
-    assert 0 < np.count_nonzero(inside) < inside.size
-    rel = np.abs(got.values[inside] - want[inside]) / np.abs(want[inside])
+    assert got.grid == sg
+    rel = np.abs(got.values - want) / np.abs(want)
     assert float(np.max(rel)) < 1e-12
-    assert np.all(got.values[~inside] == 0.0)
 
 
 # the coarse data grid of the CLI tests and the coarse output windows of
@@ -251,17 +249,13 @@ def test_closed_form_agrees_with_the_convolution_route(pid, out_grid):
     params = RegParams(epsilon=0.02, gamma=1.0)
     f, g = noisy_histories(test_problem(pid), _COARSE_DATA, params.epsilon,
                            seed=11)
-    v_hat, region = reconstruct_spectrum(f, g, params)
+    v_hat, _ = reconstruct_spectrum(f, g, params)
     rhs_hat = dft2_forward(assemble_rhs(f, g), v_hat.grid)
     Z, R = np.meshgrid(v_hat.grid.x_nodes(), v_hat.grid.t_nodes(),
                        indexing="ij")
-    inside = region.window.contains(Z, R)
-    divided = np.zeros(v_hat.values.shape, dtype=complex)
-    divided[inside] = rhs_hat.values[inside] / (
-        CONVOLUTION_FACTOR * s_hat(Z[inside], R[inside]))
-    old = idft2_windowed(ComplexField(v_hat.grid, divided), region.window,
-                         out_grid)
-    new = idft2_windowed(v_hat, region.window, out_grid)
+    divided = rhs_hat.values / (CONVOLUTION_FACTOR * s_hat(Z, R))
+    old = idft2_windowed(ComplexField(v_hat.grid, divided), out_grid)
+    new = idft2_windowed(v_hat, out_grid)
     gap = l2_norm(RealField(out_grid, old.values - new.values)) / l2_norm(new)
     assert gap < 2e-2
 
@@ -339,11 +333,15 @@ def _padded_tail(field, window):
 def test_tail_energy_is_the_padded_out_of_window_sum(nx, nt, dx, dt, fz, fr,
                                                      seed):
     # windows at fz = fr = 1 - 1e-9 sit at the Nyquist edge, where a crop
-    # wrapped past bin L/2 would count that bin twice
+    # wrapped past bin L/2 would count that bin twice; windows are at least
+    # one lattice step 2 pi/(L step) wide, since a narrower one is refused
     g = GridSpec(-0.37 * nx * dx, dx, nx, 0.3 * dt, dt, nt)
     rng = np.random.Generator(np.random.Philox(seed))
     v0 = RealField(g, rng.standard_normal(g.shape))
-    window = SpectralWindow(fz * math.pi / dx, fr * math.pi / dt)
+    lx = 2 * scipy.fft.next_fast_len(nx, real=True)
+    lt = 2 * scipy.fft.next_fast_len(nt, real=True)
+    window = SpectralWindow(max(fz * math.pi / dx, 2.0 * math.pi / (lx * dx)),
+                            max(fr * math.pi / dt, 2.0 * math.pi / (lt * dt)))
     got = tail_energy(v0, CutoffRegion(window))
     want = _padded_tail(v0, window)
     assert got >= 0.0
@@ -372,8 +370,8 @@ def test_reconstruct_reports_the_full_band_tail():
 
 def test_spectrum_lattice_is_set_by_the_data_grid():
     # the step is 2 pi/(L step) with L >= 2n, so the alias period is at
-    # least twice the data extent; the crop reaches one node past the
-    # window on each side
+    # least twice the data extent; the crop keeps exactly the window's
+    # nodes, so one more step on either side lies outside it
     params = RegParams(epsilon=0.01, gamma=1.0)
     f, g = noisy_histories(test_problem("P1"), _COARSE_DATA, 0.01, seed=0)
     v_hat, region = reconstruct_spectrum(f, g, params)
@@ -381,7 +379,8 @@ def test_spectrum_lattice_is_set_by_the_data_grid():
     assert 2.0 * math.pi / lat.dx >= 2 * _COARSE_DATA.nx * _COARSE_DATA.dx
     assert 2.0 * math.pi / lat.dt >= 2 * _COARSE_DATA.nt * _COARSE_DATA.dt
     zs, rs = lat.x_nodes(), lat.t_nodes()
-    assert zs[-1] > w.zmax >= zs[-2] and rs[-1] > w.rmax >= rs[-2]
+    assert zs[-1] <= w.zmax < zs[-1] + lat.dx
+    assert rs[-1] <= w.rmax < rs[-1] + lat.dt
     assert zs[0] == pytest.approx(-zs[-1]) and rs[0] == pytest.approx(-rs[-1])
 
 

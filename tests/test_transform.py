@@ -67,18 +67,42 @@ def test_lattice_is_the_matrix_dft_on_its_own_nodes(nx, nt, dx, dt, x0, t0,
     g = GridSpec(x0, dx, nx, t0, dt, nt)
     rng = np.random.Generator(np.random.Philox(seed))
     f = RealField(g, rng.standard_normal(g.shape))
-    w = SpectralWindow(fz * math.pi / dx, fr * math.pi / dt)
+    # at least one lattice step wide: a narrower window is refused
+    w = SpectralWindow(max(fz * math.pi / dx, _lattice_step(nx, dx)),
+                       max(fr * math.pi / dt, _lattice_step(nt, dt)))
     lat = dft2_lattice(f, w)
     ref = dft2_forward(f, lat.grid).values
     assert np.max(np.abs(lat.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     # alias period 2 pi/step of at least twice the data extent per axis
     assert 2.0 * math.pi / lat.grid.dx >= 2.0 * nx * dx * (1.0 - 1e-12)
     assert 2.0 * math.pi / lat.grid.dt >= 2.0 * nt * dt * (1.0 - 1e-12)
-    # one node past each window edge, but never past the Nyquist bin
+    # exactly the window's nodes: the last node on each side lies inside
+    # it, one more step lies outside, and the Nyquist bin is never reached
     zs, rs = lat.grid.x_nodes(), lat.grid.t_nodes()
-    assert zs[-1] >= w.zmax and rs[-1] >= w.rmax
-    assert zs[-1] <= math.pi / dx * (1.0 + 1e-12)
-    assert rs[-1] <= math.pi / dt * (1.0 + 1e-12)
+    assert zs[0] == pytest.approx(-zs[-1])
+    assert rs[0] == pytest.approx(-rs[-1])
+    assert w.contains(zs[-1], rs[-1])
+    assert not w.contains(zs[-1] + lat.grid.dx, 0.0)
+    assert not w.contains(0.0, rs[-1] + lat.grid.dt)
+    assert zs[-1] < math.pi / dx and rs[-1] < math.pi / dt
+
+
+def _lattice_step(n, step):
+    # the step of dft2_lattice on an axis of n nodes: 2 pi/(L step) with
+    # L = 2 next_fast_len(n)
+    return 2.0 * math.pi / (2 * scipy.fft.next_fast_len(n, real=True) * step)
+
+
+@pytest.mark.parametrize("zmax,rmax", [(0.9, 4.0), (4.0, 0.9), (0.9, 0.9)])
+def test_lattice_refuses_a_window_narrower_than_one_step(zmax, rmax):
+    # 6 x 8 nodes pad to 12 x 16: lattice steps pi/3 and pi/2, so a
+    # half-width of 0.9 keeps only the zero frequency on its axis
+    g = GridSpec(0.0, 0.5, 6, 0.1, 0.25, 8)
+    f = RealField(g, np.ones(g.shape))
+    with pytest.raises(ValueError, match="narrower than one lattice step"
+                                         ".*longer data grid"):
+        dft2_lattice(f, SpectralWindow(zmax, rmax))
+    assert dft2_lattice(f, SpectralWindow(1.1, 1.6)).grid.shape == (3, 3)
 
 
 def test_lattice_matches_direct_sum():
@@ -125,32 +149,23 @@ def test_transform_of_real_field_is_conjugate_symmetric():
 def test_windowed_inverse_round_trips_a_smooth_field():
     # e^{-x^2-t^2} is numerically band-limited well inside |z|,|r| <= 10
     f = _gaussian_field()
-    sg = GridSpec.centered(12.0, 241, 12.0, 241)
+    sg = GridSpec.centered(10.0, 201, 10.0, 201)
     spec = dft2_forward(f, sg)
-    back = idft2_windowed(spec, SpectralWindow(10.0, 10.0), f.grid)
+    back = idft2_windowed(spec, f.grid)
     assert np.max(np.abs(back.values - f.values)) < 1e-6
 
 
 def test_windowed_inverse_at_matches_grid_inverse():
     f = _gaussian_field(6.0, 81)
-    sg = GridSpec.centered(8.0, 97, 8.0, 97)
+    sg = GridSpec.centered(6.0, 73, 6.0, 73)
     spec = dft2_forward(f, sg)
-    w = SpectralWindow(6.0, 6.0)
     out = GridSpec(-1.0, 0.5, 5, -1.0, 0.5, 5)
-    grid_vals = idft2_windowed(spec, w, out).values
+    grid_vals = idft2_windowed(spec, out).values
     X, T = np.meshgrid(out.x_nodes(), out.t_nodes(), indexing="ij")
-    pt_vals = idft2_windowed_at(spec, w, X, T)
+    pt_vals = idft2_windowed_at(spec, X, T)
     assert np.max(np.abs(grid_vals - pt_vals)) < 1e-9 * np.max(np.abs(grid_vals))
-    one = idft2_windowed_at(spec, w, 0.25, -0.5)
+    one = idft2_windowed_at(spec, 0.25, -0.5)
     assert isinstance(one, float)
-
-
-def test_window_must_fit_inside_the_spectral_grid():
-    f = _gaussian_field(4.0, 33)
-    sg = GridSpec.centered(3.0, 17, 3.0, 17)
-    spec = dft2_forward(f, sg)
-    with pytest.raises(ValueError, match="coverage"):
-        idft2_windowed(spec, SpectralWindow(5.0, 1.0), f.grid)
 
 
 def test_asymmetric_spectrum_trips_the_imag_residue_check():
@@ -160,7 +175,7 @@ def test_asymmetric_spectrum_trips_the_imag_residue_check():
     spec = ComplexField(sg, vals)
     out = GridSpec(-1.0, 0.5, 5, -1.0, 0.5, 5)
     with pytest.raises(ValueError, match="imaginary residue"):
-        idft2_windowed(spec, SpectralWindow(2.0, 2.0), out)
+        idft2_windowed(spec, out)
 
 
 def test_lattice_offsets_accept_aligned_and_reject_misaligned():
