@@ -313,12 +313,11 @@ def cmd_sinc(args) -> int:
     import numpy as np
 
     from . import harness
-    from .fields import read_field, sample, write_csv
+    from .fields import sample, write_csv
     from .kernels import test_problem
     from .regularizer import reconstruct_spectrum
-    from .sinc import (IndexSetKind, band_halfwidth, build_expansion,
-                       eval_expansion, lattice_expansion, spectral_expansion,
-                       write_expansion)
+    from .sinc import (IndexSetKind, band_halfwidth, eval_expansion,
+                       lattice_expansion, spectral_expansion, write_expansion)
 
     _merge_config(args)
     params = _params_from(args)
@@ -331,42 +330,23 @@ def cmd_sinc(args) -> int:
         kind = IndexSetKind((args.index_set or "square").lower())
     except ValueError:
         raise UsageError("index set must be 'square' or 'triangular'")
+    if args.problem is None:
+        raise UsageError("need a source: --problem p1|p2")
     a_eps = band_halfwidth(params)
     out_dir = args.out
 
-    if args.v_eps is not None:
-        # surrogate path: coefficients are bilinear samples of a stored
-        # reconstruction, so lattice exactness holds only where the lattice
-        # happens to hit the file's nodes
-        from scipy.interpolate import RegularGridInterpolator
-        field = read_field(args.v_eps)
-        itp = RegularGridInterpolator(
-            (field.grid.x_nodes(), field.grid.t_nodes()), field.values,
-            bounds_error=False, fill_value=0.0)
-
-        def ev(x, t):
-            xb, tb = np.broadcast_arrays(np.asarray(x, float),
-                                         np.asarray(t, float))
-            return itp(np.stack([xb, tb], axis=-1))
-
-        square = build_expansion(ev, a_eps, args.n)
-        eval_grid = field.grid
-    else:
-        if args.problem is None:
-            raise UsageError("need a source: --problem or --v-eps FILE")
-        prob = test_problem(args.problem)
-        data_grid = _parse_grid(args.data_grid) if args.data_grid \
-            else harness.default_data_grid()
-        eval_grid = _parse_grid(args.grid) if args.grid \
-            else harness.default_out_grid(args.problem)
-        f, g = harness.noisy_histories(prob, data_grid, params.epsilon,
-                                       args.seed or 0)
-        v_hat, _ = reconstruct_spectrum(f, g, params)
-        square = spectral_expansion(v_hat, a_eps, args.n)
+    prob = test_problem(args.problem)
+    data_grid = _parse_grid(args.data_grid) if args.data_grid \
+        else harness.default_data_grid()
+    eval_grid = _parse_grid(args.grid) if args.grid \
+        else harness.default_out_grid(args.problem)
+    f, g = harness.noisy_histories(prob, data_grid, params.epsilon,
+                                   args.seed or 0)
+    v_hat, _ = reconstruct_spectrum(f, g, params)
+    square = spectral_expansion(v_hat, a_eps, args.n)
     # the square samples also give the triangular set and its dropped energy
     exp = lattice_expansion(square.coeffs, a_eps, kind)
-    dev = None if args.v_eps is not None \
-        else harness.sinc_deviation(exp, v_hat, eval_grid)
+    dev = harness.sinc_deviation(exp, v_hat, eval_grid)
 
     os.makedirs(out_dir, exist_ok=True)
     write_expansion(os.path.join(out_dir, "sinc.txt"), exp)
@@ -375,9 +355,8 @@ def cmd_sinc(args) -> int:
 
     print("mesh d=%s, %d coefficients (%s, N=%d)"
           % (_fmt(exp.d), exp.values.size, kind.value, args.n))
-    if dev is not None:
-        print("relative l2 deviation from the windowed inverse over 200 "
-              "points: %s" % _fmt(dev))
+    print("relative l2 deviation from the windowed inverse over 200 "
+          "points: %s" % _fmt(dev))
     if kind is IndexSetKind.TRIANGULAR:
         # how much series mass the triangular truncation discards
         dropped = np.abs(square.ms) > np.abs(square.ns)
@@ -468,9 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--N", dest="n", type=int, help="index radius")
     ps.add_argument("--index-set", dest="index_set",
                     choices=["square", "triangular"])
-    ps.add_argument("--v-eps", dest="v_eps",
-                    help="GRD file of a stored reconstruction to expand "
-                         "(bilinear surrogate) instead of reconstructing")
     ps.set_defaults(func=cmd_sinc)
 
     pc = sub.add_parser("convergence", help="error-vs-noise table")

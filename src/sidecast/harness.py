@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -410,7 +409,6 @@ class ConvergenceRow:
     measured_error: float
     bound: float
     eta_hat: float
-    runtime_seconds: float
 
 
 def convergence_table(problem: str, gamma: float,
@@ -420,8 +418,7 @@ def convergence_table(problem: str, gamma: float,
     """Reconstruction error vs noise level, one row per epsilon.
 
     Rows are ordered by decreasing epsilon; the i-th row perturbs with
-    seed+i so no two levels share a noise draw. Runtime covers the full
-    reconstruction including the bound ingredients.
+    seed+i so no two levels share a noise draw.
     """
     rows = []
     eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
@@ -431,22 +428,18 @@ def convergence_table(problem: str, gamma: float,
         params = RegParams(epsilon=eps, gamma=gamma, mode=RegMode.L2)
         cfg = ExperimentConfig(problem=problem, params=params, data_grid=dg,
                                out_grid=og, noise_seed=seed + i)
-        t0 = time.perf_counter()
         res = run_experiment(cfg)
-        dt_run = time.perf_counter() - t0
         rows.append(ConvergenceRow(epsilon=eps,
                                    measured_error=res.measured_error,
                                    bound=res.report.bound_l2,
-                                   eta_hat=res.report.eta_hat,
-                                   runtime_seconds=dt_run))
+                                   eta_hat=res.report.eta_hat))
     return rows
 
 
 def write_convergence_csv(rows, path) -> None:
     with open(path, "w") as fh:
-        fh.write("epsilon,measured_error,bound,eta_hat,runtime_seconds\n")
+        fh.write("epsilon,measured_error,bound,eta_hat\n")
         for row in rows:
-            fh.write("%s,%s,%s,%s,%s\n" % (
+            fh.write("%s,%s,%s,%s\n" % (
                 _FMT % row.epsilon, _FMT % row.measured_error,
-                _FMT % row.bound, _FMT % row.eta_hat,
-                _FMT % row.runtime_seconds))
+                _FMT % row.bound, _FMT % row.eta_hat))

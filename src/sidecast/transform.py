@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .fields import ComplexField, GridSpec, RealField
 from .kernels import KernelSpec, kernel_eval
@@ -58,11 +57,26 @@ class SpectralWindow:
                 & (np.abs(r) <= self.rmax + _tol(self.rmax)))
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n, a length whose real FFT splits into
+    radix-2, -3 and -5 passes: for each 3^b 5^c below the best so far, the
+    least power of two that lifts it to n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _lattice_axis(n: int, step: float, half: float):
     """(padded length L, lattice step, crop half-width K) on one axis: L is
     an even fast FFT length of at least 2n, so bin L/2 sits at the Nyquist
     frequency pi/step, and the window's nodes are |k| <= K."""
-    length = 2 * scipy.fft.next_fast_len(n, real=True)
+    length = 2 * _fast_len(n)
     dw = TWO_PI / (length * step)
     return length, dw, int(math.floor((half + _tol(half)) / dw))
 
@@ -95,8 +109,8 @@ def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
             "cutoff window |z| <= %.6g, |r| <= %.6g is narrower than one "
             "lattice step dz = %.6g, dr = %.6g of the padded data FFT; use a "
             "longer data grid" % (window.zmax, window.rmax, dz, dr))
-    hat = scipy.fft.rfft(field.values, n=lr, axis=1)[:, :kr + 1]
-    hat = scipy.fft.fft(hat, n=lz, axis=0)[np.arange(-kz, kz + 1) % lz]
+    hat = np.fft.rfft(field.values, n=lr, axis=1)[:, :kr + 1]
+    hat = np.fft.fft(hat, n=lz, axis=0)[np.arange(-kz, kz + 1) % lz]
     grid = GridSpec(-kz * dz, dz, 2 * kz + 1, -kr * dr, dr, 2 * kr + 1)
     phase = np.outer(np.exp(-1j * g.x0 * grid.x_nodes()),
                      np.exp(-1j * g.t0 * grid.t_nodes()))
@@ -211,6 +225,9 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
     per axis, that no wrapped term reaches a kept output; the kept outputs
     then equal those of the linear convolution.
     """
+    # scipy's rfft2 runs this product about 1.4x faster than numpy's
+    import scipy.fft
+
     gin = w.grid
     if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
         raise ValueError("output grid extends before the data grid's t0")

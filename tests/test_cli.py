@@ -263,12 +263,12 @@ class TestUsageExits:
 
 @pytest.fixture(scope="module")
 def small_grd(tmp_path_factory):
-    """A smooth stored reconstruction for the surrogate and file paths."""
+    """Exact P1 histories as GRD files for the file path."""
     d = tmp_path_factory.mktemp("grd")
     g = GridSpec(x0=-5.0, dx=10.0 / 32, nx=33, t0=0.05, dt=0.1, nt=40)
     prob = test_problem("P1")
     paths = {}
-    for name, fn in (("f", prob.f0), ("g", prob.g0), ("v", prob.v_exact)):
+    for name, fn in (("f", prob.f0), ("g", prob.g0)):
         path = str(d / (name + ".grd"))
         write_field(sample(fn, g), path)
         paths[name] = path
@@ -347,54 +347,46 @@ class TestFileModeManifest:
 
 
 class TestSincCommand:
-    def test_surrogate_path_square(self, small_grd, tmp_path, capsys):
-        _, paths = small_grd
-        out = str(tmp_path / "sq")
-        rc = main(["sinc", "--v-eps", paths["v"], "--epsilon", "0.02",
-                   "--N", "2", "--out", out])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "25 coefficients (square, N=2)" in text
-        assert "deviation" not in text  # no reference inverse in this path
-        assert os.path.isfile(os.path.join(out, "sinc.txt"))
-        assert os.path.isfile(os.path.join(out, "sinc_eval.csv"))
-
-    def test_surrogate_path_triangular(self, small_grd, tmp_path, capsys):
-        _, paths = small_grd
-        out = str(tmp_path / "tri")
-        rc = main(["sinc", "--v-eps", paths["v"], "--epsilon", "0.02",
-                   "--N", "2", "--index-set", "triangular", "--out", out])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "17 coefficients (triangular, N=2)" in text
-        assert "dropped-index energy" in text
-
-    def test_zero_radius_rejected(self, small_grd, tmp_path, capsys):
-        # --out points at scratch: the directory is created before the
-        # radius check fires, and must not land in the caller's cwd
-        _, paths = small_grd
-        rc = main(["sinc", "--v-eps", paths["v"], "--epsilon", "0.02",
-                   "--N", "0", "--out", str(tmp_path / "zr")])
+    def test_zero_radius_rejected(self, tmp_path, capsys):
+        # the radius is refused before any output directory is made
+        out = tmp_path / "zr"
+        rc = main(["sinc", "--problem", "p2", "--epsilon", "0.02",
+                   "--N", "0", "--data-grid", _DATA_GRID, "--grid", _OUT_GRID,
+                   "--out", str(out)])
         assert rc == 2
-        capsys.readouterr()
+        assert "positive index radius" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_some_source(self, capsys):
         rc = main(["sinc", "--epsilon", "0.02", "--N", "2"])
         assert rc == 2
-        assert "need a source" in capsys.readouterr().err
+        assert "need a source: --problem p1|p2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("index_set", ["square", "triangular"])
-    def test_problem_path_reruns_are_byte_identical(self, index_set,
+    def test_stored_reconstruction_is_not_a_source(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sinc", "--v-eps", str(tmp_path / "x.grd"),
+                  "--epsilon", "0.02", "--N", "2"])
+        assert exc.value.code == 2
+        assert "--v-eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index_set,lines", [
+        ("square", ["25 coefficients (square, N=2)"]),
+        ("triangular", ["17 coefficients (triangular, N=2)",
+                        "dropped-index energy"]),
+    ], ids=["square", "triangular"])
+    def test_problem_path_reruns_are_byte_identical(self, index_set, lines,
                                                     tmp_path, capsys):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             rc = main(["sinc", "--problem", "p2", "--epsilon", "0.02",
-                       "--N", "3", "--index-set", index_set, "--seed", "4",
+                       "--N", "2", "--index-set", index_set, "--seed", "4",
                        "--data-grid", _DATA_GRID, "--grid", _OUT_GRID,
                        "--out", str(out)])
             assert rc == 0
         text = capsys.readouterr().out
         assert "deviation from the windowed inverse" in text
+        for line in lines:
+            assert line in text
         for name in ("sinc.txt", "sinc_eval.csv"):
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
@@ -430,17 +422,21 @@ class TestSyntheticReconstruct:
                 (out2 / name).read_bytes()
 
 
-def test_fast_path_never_imports_scipy_signal(tmp_path):
-    # scipy.signal costs most of a CLI start-up; only checks may need it
+def test_fast_path_never_imports_scipy(small_grd, tmp_path):
+    # importing scipy costs about 0.3 s of a CLI start; only checks need it
+    _, paths = small_grd
     script = (
         "import sys\n"
         "from sidecast.cli import main\n"
         "common = ['--problem', 'p2', '--epsilon', '0.02', '--data-grid', "
         "%r, '--grid', %r]\n"
         "assert main(['reconstruct', '--out', 'rec'] + common) == 0\n"
+        "assert main(['reconstruct', '--epsilon', '0.02', '--f', %r, "
+        "'--g', %r, '--grid', '9,9,0.2,0.1,0.5,0.3', '--out', 'file']) == 0\n"
         "assert main(['sinc', '--N', '3', '--out', 'sinc'] + common) == 0\n"
-        "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n"
-        % (_DATA_GRID, _OUT_GRID))
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        % (_DATA_GRID, _OUT_GRID, paths["f"], paths["g"]))
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
                                        "src"))
     env = dict(os.environ)
@@ -465,11 +461,21 @@ class TestConvergenceCommand:
         path = os.path.join(out, "convergence.csv")
         with open(path) as fh:
             lines = fh.read().strip().split("\n")
-        assert lines[0] == ("epsilon,measured_error,bound,eta_hat,"
-                            "runtime_seconds")
+        assert lines[0] == "epsilon,measured_error,bound,eta_hat"
         assert len(lines) == 3
         eps_col = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert eps_col == [0.04, 0.02]
+
+    def test_reruns_are_byte_identical(self, tmp_path, capsys):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["convergence", "--problem", "p2",
+                         "--eps-list", "0.04,0.02", "--seed", "1",
+                         "--data-grid", _DATA_GRID, "--grid", _OUT_GRID,
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (outs[0] / "convergence.csv").read_bytes() == \
+            (outs[1] / "convergence.csv").read_bytes()
 
 
 class TestVerifyCommand:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sidecast.fields import GridSpec, ComplexField, RealField, sample
 from sidecast.kernels import R_SPEC, S_SPEC, KernelSpec
 from sidecast.transform import (SpectralWindow, _convolve2_direct,
-                                _dft2_direct, _lattice_offsets,
+                                _dft2_direct, _fast_len, _lattice_offsets,
                                 convolve2_causal, dft2_forward, dft2_lattice,
                                 idft2_windowed, idft2_windowed_at)
 
@@ -85,6 +85,12 @@ def test_lattice_is_the_matrix_dft_on_its_own_nodes(nx, nt, dx, dt, x0, t0,
     assert not w.contains(zs[-1] + lat.grid.dx, 0.0)
     assert not w.contains(0.0, rs[-1] + lat.grid.dt)
     assert zs[-1] < math.pi / dx and rs[-1] < math.pi / dt
+
+
+def test_fast_len_is_scipys_real_next_fast_len():
+    # the padded lattice, and so every output byte, depends on this length
+    for n in range(1, 20001):
+        assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
 def _lattice_step(n, step):
