@@ -21,8 +21,8 @@ from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, _substituted_mass,
                       kernel_eval, s_hat, test_problem)
 from .regularizer import RegMode, RegParams, reconstruct, region_for
 from .sinc import eval_expansion
-from .transform import (_lattice_offsets, convolve2_causal, dft2_forward,
-                        idft2_windowed_at)
+from .transform import (_causal_convolutions, _lattice_offsets,
+                        convolve2_causal, dft2_forward, idft2_windowed_at)
 
 __all__ = [
     "CONVOLUTION_FACTOR",
@@ -133,6 +133,13 @@ def assemble_rhs(f: RealField, g: RealField,
     f and g share a grid; out_grid defaults to it and must be a sub-lattice
     of it (the pointwise f term is read off by slicing, not interpolation).
     """
+    return _identity_sides(f, g, (), out_grid)[0]
+
+
+def _identity_sides(f: RealField, g: RealField, vs: Sequence[RealField],
+                    out_grid: Optional[GridSpec]):
+    """(F, [S*v for v in vs]) on out_grid, as assemble_rhs: every v shares
+    g's grid, so S*g and each S*v take one lag box of the S kernel."""
     if f.grid != g.grid:
         raise ValueError("f and g must share a grid")
     og = out_grid if out_grid is not None else f.grid
@@ -140,9 +147,9 @@ def assemble_rhs(f: RealField, g: RealField,
     if ox < 0 or ot < 0 or ox + og.nx > f.grid.nx or ot + og.nt > f.grid.nt:
         raise ValueError("output grid must lie inside the data grid")
     rf = convolve2_causal(R_SPEC, f, og).values
-    sg = convolve2_causal(S_SPEC, g, og).values
+    sg, *svs = _causal_convolutions(S_SPEC, (g, *vs), og)
     fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
-    return RealField(og, 2.0 * rf - sg + (4.0 * math.pi) * fw)
+    return RealField(og, 2.0 * rf - sg + (4.0 * math.pi) * fw), svs
 
 
 def identity_residual(v: RealField, f: RealField, g: RealField,
@@ -157,9 +164,8 @@ def identity_residual(v: RealField, f: RealField, g: RealField,
     """
     if not (v.grid == f.grid == g.grid):
         raise ValueError("v, f, g must share a grid")
-    rhs = assemble_rhs(f, g, out_grid)
+    rhs, (lhs,) = _identity_sides(f, g, (v,), out_grid)
     og = rhs.grid
-    lhs = convolve2_causal(S_SPEC, v, og).values
     num = math.sqrt(og.cell_area * float(np.sum((lhs - rhs.values) ** 2)))
     den = math.sqrt(og.cell_area * float(np.sum(rhs.values ** 2)))
     return num / max(den, np.finfo(float).tiny)

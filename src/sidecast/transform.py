@@ -7,10 +7,11 @@ inverse kernel (1/2pi) e^{+i(xz+tr)}. No other module may rescale. Under
 this convention the transform of a convolution is 2*pi times the product of
 transforms; harness.CONVOLUTION_FACTOR holds that constant.
 
-The reconstruction takes its spectra from dft2_lattice, the FFT of the
-zero-padded data cropped to the cutoff window; dft2_forward evaluates the
-same sum on any grid by matrix products and is the independent transform
-of the checks.
+The reconstruction takes its spectra from dft2_lattice: the bins of the
+zero-padded data's FFT that fall in the cutoff window, computed by a pruned
+transform (one real matrix product over x for the z >= 0 bins, then one FFT
+along t of those rows only); dft2_forward evaluates the same sum on any grid
+by matrix products and is the independent transform of the checks.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ class SpectralWindow:
         if not (self.zmax > 0 and self.rmax > 0):
             raise ValueError("window extents must be positive")
 
-    def contains(self, z, r):
-        """Inclusive node mask; boundary nodes carry full quadrature weight."""
-        return ((np.abs(z) <= self.zmax + _tol(self.zmax))
-                & (np.abs(r) <= self.rmax + _tol(self.rmax)))
-
 
 def _fast_len(n: int) -> int:
     """The least 5-smooth integer >= n, a length whose real FFT splits into
@@ -91,9 +87,14 @@ def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
     so the spectrum is its own window. Those 2K + 1 nodes must be distinct
     bins, so a window reaching the data Nyquist limits, where +-pi/step
     share a bin, is a ValueError; so is a window narrower than one lattice
-    step on either axis, which keeps only the zero frequency there. The
-    t-axis rfft is cropped before the x-axis FFT; r < 0 follows by
-    conjugate symmetry of the real data.
+    step on either axis, which keeps only the zero frequency there.
+
+    The values are the padded FFT's bins, but only the kept ones are
+    formed: the x-stage is one real matrix product with [cos; -sin] of
+    2 pi ((k i) mod L_x)/L_x for the z-bins 0 <= k <= K_z, the same roots of
+    unity the FFT uses; one FFT of length L_t along t then transforms those
+    rows only, and is cropped to |l| <= K_r. z < 0 follows by conjugate
+    symmetry of the real data.
     """
     g = field.grid
     lz, dz, kz = _lattice_axis(g.nx, g.dx, window.zmax)
@@ -109,12 +110,15 @@ def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
             "cutoff window |z| <= %.6g, |r| <= %.6g is narrower than one "
             "lattice step dz = %.6g, dr = %.6g of the padded data FFT; use a "
             "longer data grid" % (window.zmax, window.rmax, dz, dr))
-    hat = np.fft.rfft(field.values, n=lr, axis=1)[:, :kr + 1]
-    hat = np.fft.fft(hat, n=lz, axis=0)[np.arange(-kz, kz + 1) % lz]
+    # reducing k i mod L_x keeps every angle in [0, 2 pi)
+    ang = np.outer(np.arange(kz + 1), np.arange(g.nx)) % lz * (TWO_PI / lz)
+    rows = np.concatenate([np.cos(ang), -np.sin(ang)]) @ field.values
+    hat = np.fft.fft(rows[:kz + 1] + 1j * rows[kz + 1:], n=lr, axis=1)
+    hat = hat[:, np.arange(-kr, kr + 1) % lr]
     grid = GridSpec(-kz * dz, dz, 2 * kz + 1, -kr * dr, dr, 2 * kr + 1)
     phase = np.outer(np.exp(-1j * g.x0 * grid.x_nodes()),
                      np.exp(-1j * g.t0 * grid.t_nodes()))
-    vals = np.concatenate([np.conj(hat[::-1, :0:-1]), hat], axis=1)
+    vals = np.concatenate([np.conj(hat[:0:-1, ::-1]), hat], axis=0)
     return ComplexField(grid, vals * phase * (g.cell_area / TWO_PI))
 
 
@@ -131,22 +135,6 @@ def dft2_forward(field: RealField, spectral_grid: GridSpec) -> ComplexField:
     et = np.exp(-1j * np.outer(g.t_nodes(), rs))   # (nt, nr)
     vals = (ez @ field.values @ et) * (g.cell_area / TWO_PI)
     return ComplexField(spectral_grid, vals)
-
-
-def _dft2_direct(field: RealField, spectral_grid: GridSpec) -> ComplexField:
-    """Literal quadruple-loop definition; reference for equality tests."""
-    g = field.grid
-    xs, ts = g.x_nodes(), g.t_nodes()
-    zs, rs = spectral_grid.x_nodes(), spectral_grid.t_nodes()
-    out = np.zeros((spectral_grid.nx, spectral_grid.nt), dtype=complex)
-    for k, z in enumerate(zs):
-        for l, r in enumerate(rs):
-            acc = 0.0 + 0.0j
-            for i, x in enumerate(xs):
-                for j, t in enumerate(ts):
-                    acc += field.values[i, j] * np.exp(-1j * (x * z + t * r))
-            out[k, l] = acc * g.cell_area / TWO_PI
-    return ComplexField(spectral_grid, out)
 
 
 def _check_imag_residue(vals: np.ndarray):
@@ -223,12 +211,20 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
 
     The sum is one real FFT product on a circular lattice just long enough,
     per axis, that no wrapped term reaches a kept output; the kept outputs
-    then equal those of the linear convolution.
+    then equal those of the linear convolution. Only the kept output rows
+    take the inverse transform along t.
     """
+    return RealField(out_grid, _causal_convolutions(spec, (w,), out_grid)[0])
+
+
+def _causal_convolutions(spec: KernelSpec, ws, out_grid: GridSpec) -> list:
+    """The values of convolve2_causal(spec, w, out_grid) for each w of ws,
+    which share a grid: the kernel's lag box and its transform are formed
+    once for all of them."""
     # scipy's rfft2 runs this product about 1.4x faster than numpy's
     import scipy.fft
 
-    gin = w.grid
+    gin = ws[0].grid
     if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
         raise ValueError("output grid extends before the data grid's t0")
     ox, ot = _lattice_offsets(out_grid, gin)
@@ -246,7 +242,7 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
     hi = min(ox + out_grid.nx - 1, int(math.ceil(lag_cut / dx)))
     if lo > hi:
         # every needed lag is beyond the cutoff; the convolution vanishes
-        return RealField(out_grid, np.zeros(out_grid.shape))
+        return [np.zeros(out_grid.shape) for _ in ws]
     lag_x = dx * np.arange(lo, hi + 1)
 
     kv = kernel_eval(spec, lag_x[:, None], lag_t[None, :])
@@ -257,18 +253,28 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
     ok = (ps >= 0) & (ps <= kv.shape[0] + gin.nx - 2)
     qs = ot + np.arange(out_grid.nt)
     # data columns past the last kept output reach only later outputs
-    wv = w.values[:, :qs[-1] + 1]
+    n_data_t = min(gin.nt, int(qs[-1]) + 1)
     # rounded up to fast lengths: rfft2 transforms t as real data and x as
     # complex data, which also has fast radix-7 and radix-11 lengths
     shape = (scipy.fft.next_fast_len(
-                 _wrap_free_length(kv.shape[0], wv.shape[0], ps[ok])),
+                 _wrap_free_length(kv.shape[0], gin.nx, ps[ok])),
              scipy.fft.next_fast_len(
-                 _wrap_free_length(kv.shape[1], wv.shape[1], qs), real=True))
-    circ = scipy.fft.irfft2(scipy.fft.rfft2(kv, shape)
-                            * scipy.fft.rfft2(wv, shape), shape)
-    vals = np.zeros(out_grid.shape)
-    vals[ok, :] = circ[np.ix_(ps[ok], qs)] * (dx * dt)
-    return RealField(out_grid, vals)
+                 _wrap_free_length(kv.shape[1], n_data_t, qs), real=True))
+    kv_hat = scipy.fft.rfft2(kv, shape)
+    # only kv_hat and one field's transform are held at a time
+    del kv
+    out = []
+    for w in ws:
+        prod = scipy.fft.rfft2(w.values[:, :n_data_t], shape)
+        prod *= kv_hat
+        # the inverse along x in place, then along t for the kept rows only
+        rows = scipy.fft.ifft(prod, axis=0, overwrite_x=True)[ps[ok]]
+        del prod
+        vals = np.zeros(out_grid.shape)
+        circ = scipy.fft.irfft(rows, shape[1], axis=1)
+        vals[ok, :] = circ[:, qs] * (dx * dt)
+        out.append(vals)
+    return out
 
 
 def _wrap_free_length(n_lag: int, n_data: int, kept: np.ndarray) -> int:
@@ -277,19 +283,3 @@ def _wrap_free_length(n_lag: int, n_data: int, kept: np.ndarray) -> int:
     output p sees the aliases p -+ L, so L must pass the last kept output
     and the linear length must end before the first one plus L."""
     return max(int(kept[-1]) + 1, n_lag + n_data - 1 - int(kept[0]))
-
-
-def _convolve2_direct(spec: KernelSpec, w: RealField,
-                      out_grid: GridSpec) -> RealField:
-    """Direct-sum reference (no FFT, no lag truncation) for equality tests."""
-    gin = w.grid
-    if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
-        raise ValueError("output grid extends before the data grid's t0")
-    _lattice_offsets(out_grid, gin)
-    xs_i, ts_i = gin.x_nodes(), gin.t_nodes()
-    out = np.zeros(out_grid.shape)
-    for a, x in enumerate(out_grid.x_nodes()):
-        for b, t in enumerate(out_grid.t_nodes()):
-            kv = kernel_eval(spec, x - xs_i[:, None], t - ts_i[None, :])
-            out[a, b] = np.sum(kv * w.values) * gin.cell_area
-    return RealField(out_grid, out)

@@ -1,0 +1,49 @@
+"""Literal references the tests compare the library against: the forward
+transform and the causal convolution as plain loops over their defining
+sums, and the inclusive node mask of a cutoff window."""
+
+import numpy as np
+
+from sidecast.fields import ComplexField, GridSpec, RealField
+from sidecast.kernels import KernelSpec, kernel_eval
+from sidecast.transform import (TWO_PI, SpectralWindow, _lattice_offsets,
+                                _tol)
+
+
+def window_contains(window: SpectralWindow, z, r):
+    """Inclusive node mask of |z| <= zmax, |r| <= rmax; boundary nodes
+    carry full quadrature weight."""
+    return ((np.abs(z) <= window.zmax + _tol(window.zmax))
+            & (np.abs(r) <= window.rmax + _tol(window.rmax)))
+
+
+def dft2_direct(field: RealField, spectral_grid: GridSpec) -> ComplexField:
+    """Literal quadruple-loop definition of the forward transform."""
+    g = field.grid
+    xs, ts = g.x_nodes(), g.t_nodes()
+    zs, rs = spectral_grid.x_nodes(), spectral_grid.t_nodes()
+    out = np.zeros((spectral_grid.nx, spectral_grid.nt), dtype=complex)
+    for k, z in enumerate(zs):
+        for l, r in enumerate(rs):
+            acc = 0.0 + 0.0j
+            for i, x in enumerate(xs):
+                for j, t in enumerate(ts):
+                    acc += field.values[i, j] * np.exp(-1j * (x * z + t * r))
+            out[k, l] = acc * g.cell_area / TWO_PI
+    return ComplexField(spectral_grid, out)
+
+
+def convolve2_direct(spec: KernelSpec, w: RealField,
+                     out_grid: GridSpec) -> RealField:
+    """Direct sum of the causal convolution (no FFT, no lag truncation)."""
+    gin = w.grid
+    if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
+        raise ValueError("output grid extends before the data grid's t0")
+    _lattice_offsets(out_grid, gin)
+    xs_i, ts_i = gin.x_nodes(), gin.t_nodes()
+    out = np.zeros(out_grid.shape)
+    for a, x in enumerate(out_grid.x_nodes()):
+        for b, t in enumerate(out_grid.t_nodes()):
+            kv = kernel_eval(spec, x - xs_i[:, None], t - ts_i[None, :])
+            out[a, b] = np.sum(kv * w.values) * gin.cell_area
+    return RealField(out_grid, out)

@@ -202,15 +202,8 @@ def test_criterion_8_bit_identical_reruns(verdict, tmp_path):
             "--grid", "17,17,0.25,0.065625,0.1,0.24375"]
     for d in ("ca", "cb"):
         _cli(conv + ["--out", d], tmp_path)
-
-    def _data_columns(path):
-        # every column except the trailing wall-clock one
-        lines = path.read_text().strip().split("\n")
-        return [lines[0]] + [",".join(ln.split(",")[:4]) for ln in lines[1:]]
-
-    conv_same = (_data_columns(tmp_path / "ca" / "convergence.csv")
-                 == _data_columns(tmp_path / "cb" / "convergence.csv"))
+    conv_same = ((tmp_path / "ca" / "convergence.csv").read_bytes()
+                 == (tmp_path / "cb" / "convergence.csv").read_bytes())
     ok = all(same.values()) and conv_same
     verdict(8, ok, "reconstruct reruns byte-identical: %s; convergence "
-            "data columns identical (wall clock excluded): %s"
-            % (all(same.values()), conv_same))
+            "reruns byte-identical: %s" % (all(same.values()), conv_same))

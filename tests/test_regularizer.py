@@ -23,6 +23,8 @@ from sidecast.regularizer import (BoundReport, CutoffRegion, RegMode,
 from sidecast.transform import (SpectralWindow, convolve2_causal,
                                 dft2_forward, dft2_lattice, idft2_windowed)
 
+from direct_reference import window_contains
+
 # frozen from 50-digit evaluation of ln(4/eps^gamma)/(sqrt2 sqrt(sqrt2+1))
 B_001_10 = 2.72665476530690
 B_002_10 = 2.41121051155677
@@ -304,7 +306,7 @@ def test_tail_energy_counts_outside_nodes():
                                 scale * math.pi / g.dt)
         lx, lt, lat = _lattice_bins(v0, window)
         Z, R = np.meshgrid(lat.x_nodes(), lat.t_nodes(), indexing="ij")
-        kept = np.count_nonzero(window.contains(Z, R))
+        kept = np.count_nonzero(window_contains(window, Z, R))
         got = tail_energy(v0, CutoffRegion(window))
         assert got == pytest.approx(g.cell_area * (1.0 - kept / (lx * lt)),
                                     rel=1e-12)
@@ -322,7 +324,7 @@ def _padded_tail(field, window):
         * (g.cell_area / (2.0 * math.pi))
     zs = np.fft.fftfreq(lx) * lx * lat.dx
     rs = np.fft.fftfreq(lt) * lt * lat.dt
-    outside = ~window.contains(zs[:, None], rs[None, :])
+    outside = ~window_contains(window, zs[:, None], rs[None, :])
     return float(np.sum(np.abs(bins[outside]) ** 2)) * lat.cell_area
 
 
@@ -363,7 +365,7 @@ def test_reconstruct_reports_the_full_band_tail():
                     -(lt // 2) * lat.dt, lat.dt, lt)
     spec = dft2_forward(v0, band).values
     Z, R = np.meshgrid(band.x_nodes(), band.t_nodes(), indexing="ij")
-    outside = ~rec.region.window.contains(Z, R)
+    outside = ~window_contains(rec.region.window, Z, R)
     want = float(np.sum(np.abs(spec[outside]) ** 2)) * band.cell_area
     assert rec.report.eta_hat == pytest.approx(want, rel=1e-9)
 

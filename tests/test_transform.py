@@ -2,19 +2,23 @@
 against literal direct-sum references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sidecast.fields import GridSpec, ComplexField, RealField, sample
+from sidecast.harness import default_data_grid
 from sidecast.kernels import R_SPEC, S_SPEC, KernelSpec
-from sidecast.transform import (SpectralWindow, _convolve2_direct,
-                                _dft2_direct, _fast_len, _lattice_offsets,
+from sidecast.regularizer import RegParams, region_for
+from sidecast.transform import (SpectralWindow, _fast_len, _lattice_offsets,
                                 convolve2_causal, dft2_forward, dft2_lattice,
                                 idft2_windowed, idft2_windowed_at)
+
+from direct_reference import convolve2_direct, dft2_direct, window_contains
 
 
 def _gaussian_field(extent=8.0, n=161):
@@ -29,10 +33,10 @@ def test_window_validation():
 
 def test_window_contains_is_inclusive_at_the_boundary():
     w = SpectralWindow(2.0, 5.0)
-    assert w.contains(2.0, 0.0)
-    assert w.contains(-2.0, 5.0)
-    assert not w.contains(2.0 * (1 + 1e-9), 0.0)
-    assert not w.contains(0.0, 5.1)
+    assert window_contains(w, 2.0, 0.0)
+    assert window_contains(w, -2.0, 5.0)
+    assert not window_contains(w, 2.0 * (1 + 1e-9), 0.0)
+    assert not window_contains(w, 0.0, 5.1)
 
 
 def test_forward_transform_gaussian_anchor():
@@ -53,7 +57,7 @@ def test_forward_transform_matches_direct_sum():
     f = RealField(g, rng.standard_normal(g.shape))
     sg = GridSpec(-1.5, 0.8, 4, -1.1, 0.7, 5)
     a = dft2_forward(f, sg).values
-    b = _dft2_direct(f, sg).values
+    b = dft2_direct(f, sg).values
     assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
@@ -81,9 +85,9 @@ def test_lattice_is_the_matrix_dft_on_its_own_nodes(nx, nt, dx, dt, x0, t0,
     zs, rs = lat.grid.x_nodes(), lat.grid.t_nodes()
     assert zs[0] == pytest.approx(-zs[-1])
     assert rs[0] == pytest.approx(-rs[-1])
-    assert w.contains(zs[-1], rs[-1])
-    assert not w.contains(zs[-1] + lat.grid.dx, 0.0)
-    assert not w.contains(0.0, rs[-1] + lat.grid.dt)
+    assert window_contains(w, zs[-1], rs[-1])
+    assert not window_contains(w, zs[-1] + lat.grid.dx, 0.0)
+    assert not window_contains(w, 0.0, rs[-1] + lat.grid.dt)
     assert zs[-1] < math.pi / dx and rs[-1] < math.pi / dt
 
 
@@ -116,8 +120,63 @@ def test_lattice_matches_direct_sum():
     rng = np.random.Generator(np.random.Philox(3))
     f = RealField(g, rng.standard_normal(g.shape))
     lat = dft2_lattice(f, SpectralWindow(4.0, 6.0))
-    b = _dft2_direct(f, lat.grid).values
+    b = dft2_direct(f, lat.grid).values
     assert np.max(np.abs(lat.values - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 40), st.floats(0.05, 1.0),
+       st.floats(0.05, 1.0), st.floats(-3.0, 3.0).filter(lambda v: v != 0),
+       st.floats(0.01, 2.0), st.booleans(),
+       st.sampled_from([0.1, 0.6, 1.0 - 1e-9]),
+       st.sampled_from([0.1, 0.6, 1.0 - 1e-9]), st.integers(0, 10 ** 6))
+def test_lattice_is_the_cropped_padded_fft(nx, nt, dx, dt, x0, t0, square,
+                                           fz, fr, seed):
+    # the pruned transform against the bins of the full padded fft2: an
+    # L2 rectangle or an HM square, out to 1 - 1e-9 of the Nyquist limits
+    g = GridSpec(x0, dx, nx, t0, dt, nt)
+    rng = np.random.Generator(np.random.Philox(seed))
+    f = RealField(g, rng.standard_normal(g.shape))
+    zmax = max(fz * math.pi / dx, _lattice_step(nx, dx))
+    rmax = max(fr * math.pi / dt, _lattice_step(nt, dt))
+    if square:
+        zmax = rmax = max(fz * min(math.pi / dx, math.pi / dt),
+                          _lattice_step(nx, dx), _lattice_step(nt, dt))
+        assume(zmax < math.pi / dx and zmax < math.pi / dt)
+    lat = dft2_lattice(f, SpectralWindow(zmax, rmax))
+    lx = 2 * scipy.fft.next_fast_len(nx, real=True)
+    lt = 2 * scipy.fft.next_fast_len(nt, real=True)
+    kz, kr = lat.grid.nx // 2, lat.grid.nt // 2
+    ks, ls = np.arange(-kz, kz + 1), np.arange(-kr, kr + 1)
+    zs, rs = ks * (2.0 * math.pi / (lx * dx)), ls * (2.0 * math.pi / (lt * dt))
+    bins = np.fft.fft2(f.values, s=(lx, lt))[np.ix_(ks % lx, ls % lt)]
+    want = (bins * np.outer(np.exp(-1j * x0 * zs), np.exp(-1j * t0 * rs))
+            * (g.cell_area / (2.0 * math.pi)))
+    np.testing.assert_allclose(lat.grid.x_nodes(), zs, rtol=1e-12)
+    np.testing.assert_allclose(lat.grid.t_nodes(), rs, rtol=1e-12)
+    assert np.max(np.abs(lat.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lattice_forms_only_the_window_bins():
+    # the padded 1080 x 4000 spectrum of the default data grid takes 69 MB,
+    # and an rfft along t of all 513 data rows 16 MB; the window at
+    # eps = 0.02 keeps 33 x 149 of those bins
+    g = default_data_grid()
+    f = RealField(g, np.random.Generator(np.random.Philox(5))
+                  .standard_normal(g.shape))
+    window = region_for(RegParams(epsilon=0.02, gamma=1.0)).window
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        lat = dft2_lattice(f, window)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert lat.grid.shape == (33, 149)
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("zmax,rmax", [(math.pi / 0.5, 1.0),
@@ -199,7 +258,7 @@ def test_causal_convolution_matches_direct_sum():
     w = RealField(gin, rng.standard_normal(gin.shape))
     out = GridSpec(-1.0, 0.25, 9, 0.45, 0.1, 9)
     fast = convolve2_causal(S_SPEC, w, out).values
-    direct = _convolve2_direct(S_SPEC, w, out).values
+    direct = convolve2_direct(S_SPEC, w, out).values
     assert np.max(np.abs(fast - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -235,7 +294,7 @@ def test_convolution_matches_direct_sum_wherever_the_output_sits(
     rng = np.random.Generator(np.random.Philox(seed))
     w = RealField(gin, rng.standard_normal(gin.shape))
     fast = convolve2_causal(KernelSpec(c), w, out).values
-    direct = _convolve2_direct(KernelSpec(c), w, out).values
+    direct = convolve2_direct(KernelSpec(c), w, out).values
     assert np.max(np.abs(fast - direct)) <= \
         1e-12 * max(1.0, np.max(np.abs(direct)))
 
@@ -288,7 +347,7 @@ def test_causal_convolution_space_cutoff_is_harmless():
     w = RealField(gin, rng.standard_normal(gin.shape))
     out = GridSpec(-3.0, 1.0, 7, 0.1, 0.05, 3)
     fast = convolve2_causal(R_SPEC, w, out).values
-    direct = _convolve2_direct(R_SPEC, w, out).values
+    direct = convolve2_direct(R_SPEC, w, out).values
     assert np.max(np.abs(fast - direct)) < 1e-9 * max(1.0, np.max(np.abs(direct)))
 
 
