@@ -316,8 +316,8 @@ def cmd_sinc(args) -> int:
     from .fields import sample, write_csv
     from .kernels import test_problem
     from .regularizer import reconstruct_spectrum
-    from .sinc import (IndexSetKind, band_halfwidth, eval_expansion,
-                       lattice_expansion, spectral_expansion, write_expansion)
+    from .sinc import (IndexSetKind, SincExpansion, band_halfwidth,
+                       eval_expansion, spectral_expansion, write_expansion)
 
     _merge_config(args)
     params = _params_from(args)
@@ -345,7 +345,7 @@ def cmd_sinc(args) -> int:
     v_hat, _ = reconstruct_spectrum(f, g, params)
     square = spectral_expansion(v_hat, a_eps, args.n)
     # the square samples also give the triangular set and its dropped energy
-    exp = lattice_expansion(square.coeffs, a_eps, kind)
+    exp = SincExpansion(square.d, kind, square.coeffs)
     dev = harness.sinc_deviation(exp, v_hat, eval_grid)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -21,8 +21,8 @@ from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, _substituted_mass,
                       kernel_eval, s_hat, test_problem)
 from .regularizer import RegMode, RegParams, reconstruct, region_for
 from .sinc import eval_expansion
-from .transform import (_causal_convolutions, _lattice_offsets,
-                        convolve2_causal, dft2_forward, idft2_windowed_at)
+from .transform import (_lattice_offsets, convolve2_causal, dft2_forward,
+                        idft2_windowed_at)
 
 __all__ = [
     "CONVOLUTION_FACTOR",
@@ -133,13 +133,6 @@ def assemble_rhs(f: RealField, g: RealField,
     f and g share a grid; out_grid defaults to it and must be a sub-lattice
     of it (the pointwise f term is read off by slicing, not interpolation).
     """
-    return _identity_sides(f, g, (), out_grid)[0]
-
-
-def _identity_sides(f: RealField, g: RealField, vs: Sequence[RealField],
-                    out_grid: Optional[GridSpec]):
-    """(F, [S*v for v in vs]) on out_grid, as assemble_rhs: every v shares
-    g's grid, so S*g and each S*v take one lag box of the S kernel."""
     if f.grid != g.grid:
         raise ValueError("f and g must share a grid")
     og = out_grid if out_grid is not None else f.grid
@@ -147,9 +140,9 @@ def _identity_sides(f: RealField, g: RealField, vs: Sequence[RealField],
     if ox < 0 or ot < 0 or ox + og.nx > f.grid.nx or ot + og.nt > f.grid.nt:
         raise ValueError("output grid must lie inside the data grid")
     rf = convolve2_causal(R_SPEC, f, og).values
-    sg, *svs = _causal_convolutions(S_SPEC, (g, *vs), og)
+    sg = convolve2_causal(S_SPEC, g, og).values
     fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
-    return RealField(og, 2.0 * rf - sg + (4.0 * math.pi) * fw), svs
+    return RealField(og, 2.0 * rf - sg + (4.0 * math.pi) * fw)
 
 
 def identity_residual(v: RealField, f: RealField, g: RealField,
@@ -164,8 +157,9 @@ def identity_residual(v: RealField, f: RealField, g: RealField,
     """
     if not (v.grid == f.grid == g.grid):
         raise ValueError("v, f, g must share a grid")
-    rhs, (lhs,) = _identity_sides(f, g, (v,), out_grid)
+    rhs = assemble_rhs(f, g, out_grid)
     og = rhs.grid
+    lhs = convolve2_causal(S_SPEC, v, og).values
     num = math.sqrt(og.cell_area * float(np.sum((lhs - rhs.values) ** 2)))
     den = math.sqrt(og.cell_area * float(np.sum(rhs.values ** 2)))
     return num / max(den, np.finfo(float).tiny)
@@ -301,7 +295,7 @@ def kappa_calibration(epsilon: float = 0.01, gamma: float = 1.0,
     """
     prob = test_problem("P1")
     dg = data_grid if data_grid is not None else default_data_grid()
-    window = region_for(RegParams(epsilon=epsilon, gamma=gamma)).window
+    window = region_for(RegParams(epsilon=epsilon, gamma=gamma))
     sg = GridSpec.centered(window.zmax, 205, window.rmax, 205)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
@@ -361,11 +355,9 @@ def _manifest_lines(source, params: RegParams, noise_seed, data_grid,
         lines.append("noise_seed=%d" % noise_seed)
     lines.append("data_grid=%s" % _grid_str(data_grid))
     lines.append("out_grid=%s" % _grid_str(out_grid))
-    region, report = rec.region, rec.report
-    if region.b_eps is not None:
-        lines.append("b_eps=%s" % (_FMT % region.b_eps))
-    if region.a_eps is not None:
-        lines.append("a_eps=%s" % (_FMT % region.a_eps))
+    report = rec.report
+    lines.append("%s=%s" % ("b_eps" if params.mode is RegMode.L2 else "a_eps",
+                            _FMT % rec.window.zmax))
     lines.append("C=%s" % (_FMT % report.C))
     if report.eta_hat is not None:
         lines.append("eta_hat=%s" % (_FMT % report.eta_hat))

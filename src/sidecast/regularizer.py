@@ -30,7 +30,6 @@ from .transform import SpectralWindow, dft2_lattice, idft2_windowed
 __all__ = [
     "RegMode",
     "RegParams",
-    "CutoffRegion",
     "BoundReport",
     "cutoff_l2",
     "cutoff_hm",
@@ -104,13 +103,6 @@ class RegParams:
             raise ValueError("unknown mode %r" % (self.mode,))
 
 
-@dataclass(frozen=True)
-class CutoffRegion:
-    window: SpectralWindow
-    b_eps: Optional[float] = None
-    a_eps: Optional[float] = None
-
-
 def cutoff_l2(epsilon: float, gamma: float) -> float:
     """Half-width b of the rectangle cutoff |z| <= b, |r| <= b^2.
 
@@ -134,12 +126,14 @@ def cutoff_hm(epsilon: float, m: float) -> float:
     return a
 
 
-def region_for(params: RegParams) -> CutoffRegion:
+def region_for(params: RegParams) -> SpectralWindow:
+    """The cutoff window: the rectangle |z| <= b_eps, |r| <= b_eps^2 in L2
+    mode, the square |z|, |r| <= a_eps in HM mode; zmax is the half-width."""
     if params.mode is RegMode.L2:
         b = cutoff_l2(params.epsilon, params.gamma)
-        return CutoffRegion(SpectralWindow(b, b * b), b_eps=b)
+        return SpectralWindow(b, b * b)
     a = cutoff_hm(params.epsilon, params.m)
-    return CutoffRegion(SpectralWindow(a, a), a_eps=a)
+    return SpectralWindow(a, a)
 
 
 def continue_sideways(f_hat: ComplexField,
@@ -158,13 +152,13 @@ def continue_sideways(f_hat: ComplexField,
     return ComplexField(sg, 2.0 * np.cosh(w) * f_hat.values - g_hat.values)
 
 
-def tail_energy(v0: RealField, region: CutoffRegion) -> float:
+def tail_energy(v0: RealField, window: SpectralWindow) -> float:
     """Integral of |v0_hat|^2 outside the window over the full band up to
     the data Nyquist limits: the irreducible truncation part of the error
     bound. By Parseval on the padded FFT lattice this is ||v0||^2 on the
     data grid minus the window's energy, so only the window is
     transformed; the difference is clipped at 0 against rounding."""
-    spec = dft2_lattice(v0, region.window)
+    spec = dft2_lattice(v0, window)
     inside = float(np.sum(np.abs(spec.values) ** 2)) * spec.grid.cell_area
     total = float(np.sum(v0.values ** 2)) * v0.grid.cell_area
     return max(total - inside, 0.0)
@@ -217,7 +211,7 @@ class BoundReport:
 
 def reconstruct_spectrum(f: RealField, g: RealField, params: RegParams):
     """Transform both histories onto the data's FFT lattice and continue
-    them to the surface; returns (v_hat_eps, region).
+    them to the surface; returns (v_hat_eps, window).
 
     v_hat_eps lives on the window's lattice nodes; the physical
     reconstruction and the Sinc expansion both invert all of it.
@@ -226,9 +220,9 @@ def reconstruct_spectrum(f: RealField, g: RealField, params: RegParams):
     """
     if f.grid != g.grid:
         raise ValueError("f and g grids differ")
-    region = region_for(params)
-    return continue_sideways(dft2_lattice(f, region.window),
-                             dft2_lattice(g, region.window)), region
+    window = region_for(params)
+    return continue_sideways(dft2_lattice(f, window),
+                             dft2_lattice(g, window)), window
 
 
 def build_report(params: RegParams, eta_hat: Optional[float] = None,
@@ -249,13 +243,13 @@ def build_report(params: RegParams, eta_hat: Optional[float] = None,
 @dataclass(frozen=True)
 class Reconstruction:
     """One run of the pipeline: v_eps on the output grid, its bound
-    report, and the spectrum v_hat on the lattice nodes of the cutoff
-    region's window (the Sinc series samples the same spectrum)."""
+    report, the cutoff window, and the spectrum v_hat on the window's
+    lattice nodes (the Sinc series samples the same spectrum)."""
 
     v_eps: RealField
     report: BoundReport
     v_hat: ComplexField
-    region: CutoffRegion
+    window: SpectralWindow
 
 
 def reconstruct(f: RealField, g: RealField, params: RegParams,
@@ -268,11 +262,11 @@ def reconstruct(f: RealField, g: RealField, params: RegParams,
     becomes eta_hat in the report. c1 likewise only feeds the HM-mode
     bound.
     """
-    v_hat, region = reconstruct_spectrum(f, g, params)
+    v_hat, window = reconstruct_spectrum(f, g, params)
     v_eps = idft2_windowed(v_hat, out_grid)
     eta = None
     if v_exact is not None:
-        eta = tail_energy(sample(v_exact, f.grid), region)
+        eta = tail_energy(sample(v_exact, f.grid), window)
     return Reconstruction(v_eps=v_eps,
                           report=build_report(params, eta_hat=eta, c1=c1),
-                          v_hat=v_hat, region=region)
+                          v_hat=v_hat, window=window)

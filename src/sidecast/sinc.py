@@ -4,14 +4,15 @@ The regularized spectrum vanishes outside the cutoff region, so the
 reconstruction is band-limited and equals its own cardinal series on the
 mesh d = pi / a, a the band half-width. Truncating the series to a finite
 index set gives a compact, serializable surrogate that is exact at the
-lattice nodes by construction.
+lattice nodes by construction. The series is held as one (2N+1) x (2N+1)
+coefficient matrix, the tensor-product form in which it is evaluated.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,28 +23,15 @@ from .transform import idft2_windowed
 __all__ = [
     "IndexSetKind",
     "SincExpansion",
-    "cardinal",
     "band_halfwidth",
-    "sinc_mesh",
     "index_lattice",
     "sinc_lattice",
-    "lattice_expansion",
     "build_expansion",
     "spectral_expansion",
     "eval_expansion",
     "write_expansion",
     "read_expansion",
 ]
-
-
-def cardinal(p, d, z):
-    """p-th cardinal function on mesh d: sin(pi (z - p d)/d) / (pi (z - p d)/d).
-
-    Equals 1 at z = p d and 0 at every other lattice node.
-    """
-    if not d > 0:
-        raise ValueError("mesh spacing d must be positive, got %r" % (d,))
-    return np.sinc((np.asarray(z, dtype=float) - np.asarray(p) * d) / d)
 
 
 class IndexSetKind(enum.Enum):
@@ -58,13 +46,8 @@ def band_halfwidth(params: RegParams) -> float:
     rectangle (half-widths b and b^2), so the larger of the two sets the
     band.
     """
-    w = region_for(params).window
+    w = region_for(params)
     return max(w.zmax, w.rmax)
-
-
-def sinc_mesh(params: RegParams) -> float:
-    """Mesh spacing d = pi / a for the band of the cutoff region."""
-    return math.pi / band_halfwidth(params)
 
 
 def index_lattice(kind: IndexSetKind, n: int):
@@ -89,47 +72,42 @@ def index_lattice(kind: IndexSetKind, n: int):
 
 @dataclass(frozen=True, eq=False)
 class SincExpansion:
-    """Truncated cardinal series: sum of values[i] * S(ms[i]) * S(ns[i]).
+    """Truncated cardinal series: the sum of c_mn S_m(x) S_n(t) over kind's
+    index set, held as the (2N+1) x (2N+1) matrix coeffs[m + N, n + N] =
+    c_mn, with S_p(z) = sinc(z/d - p).
 
-    (ms, ns) must be exactly index_lattice(kind, n), in that order. The
-    coefficients are also held as the (2N+1) x (2N+1) matrix `coeffs`,
-    coeffs[m + N, n + N] = c_mn, with zeros at indices outside the set.
+    Entries outside the index set are zeroed, so the stored matrix is the
+    series; a non-finite entry inside it is a ValueError. The radius n and
+    the set's indices ms, ns with their coefficients values, in
+    index_lattice order, are read-only attributes derived from coeffs.
     """
 
     d: float
     kind: IndexSetKind
-    n: int
-    ms: np.ndarray
-    ns: np.ndarray
-    values: np.ndarray
-    coeffs: np.ndarray = field(init=False, repr=False)
+    coeffs: np.ndarray
 
     def __post_init__(self):
         if not self.d > 0:
             raise ValueError("mesh spacing d must be positive")
-        ms = np.ascontiguousarray(np.asarray(self.ms, dtype=int))
-        ns = np.ascontiguousarray(np.asarray(self.ns, dtype=int))
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if not (ms.shape == ns.shape == vals.shape) or ms.ndim != 1:
-            raise ValueError("index and value arrays must be equal-length 1-d")
-        want_m, want_n = index_lattice(self.kind, self.n)
-        if not (np.array_equal(ms, want_m) and np.array_equal(ns, want_n)):
-            raise ValueError("indices (ms, ns) must be index_lattice(%s, %d) "
-                             "in order" % (self.kind.value, self.n))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("expansion coefficients must be finite")
-        coeffs = np.zeros((2 * self.n + 1, 2 * self.n + 1))
-        coeffs[ms + self.n, ns + self.n] = vals
+        full = np.asarray(self.coeffs, dtype=float)
+        side = full.shape[0] if full.ndim == 2 else 0
+        if full.shape != (side, side) or side % 2 == 0:
+            raise ValueError("coefficients must be a (2N+1) x (2N+1) matrix, "
+                             "got shape %r" % (full.shape,))
+        n = side // 2
+        ms, ns = index_lattice(self.kind, n)
+        vals = full[ms + n, ns + n]
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError("non-finite coefficient at index (m=%d, n=%d)"
+                             % (ms[bad[0]], ns[bad[0]]))
+        coeffs = np.zeros((side, side))
+        coeffs[ms + n, ns + n] = vals
+        object.__setattr__(self, "n", n)
         for name, arr in (("ms", ms), ("ns", ns), ("values", vals),
                           ("coeffs", coeffs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def coeff(self, m: int, p: int) -> float:
-        hit = np.flatnonzero((self.ms == m) & (self.ns == p))
-        if hit.size == 0:
-            raise KeyError("index (%d, %d) not in the expansion" % (m, p))
-        return float(self.values[hit[0]])
 
 
 def sinc_lattice(a_eps: float, n: int) -> GridSpec:
@@ -143,28 +121,6 @@ def sinc_lattice(a_eps: float, n: int) -> GridSpec:
     d = math.pi / a_eps
     return GridSpec(x0=-n * d, dx=d, nx=2 * n + 1, t0=-n * d, dt=d,
                     nt=2 * n + 1)
-
-
-def lattice_expansion(samples, a_eps: float,
-                      kind: IndexSetKind = IndexSetKind.SQUARE
-                      ) -> SincExpansion:
-    """Series whose coefficients are samples on sinc_lattice(a_eps, N),
-    restricted to kind's index set; samples has shape (2N+1, 2N+1)."""
-    samples = np.asarray(samples, dtype=float)
-    side = samples.shape[0] if samples.ndim == 2 else 0
-    if samples.shape != (side, side) or side % 2 == 0:
-        raise ValueError("lattice samples must be (2N+1) x (2N+1), got shape "
-                         "%r" % (samples.shape,))
-    n = side // 2
-    ms, ns = index_lattice(kind, n)
-    vals = samples[ms + n, ns + n]
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        i = bad[0]
-        raise ValueError("non-finite lattice sample at index (m=%d, n=%d)"
-                         % (ms[i], ns[i]))
-    return SincExpansion(d=math.pi / a_eps, kind=kind, n=n, ms=ms, ns=ns,
-                         values=vals)
 
 
 def build_expansion(v_eval, a_eps: float, n: int,
@@ -187,7 +143,7 @@ def build_expansion(v_eval, a_eps: float, n: int,
     if samples.shape != xs.shape:
         raise ValueError("evaluator returned shape %r for %d nodes"
                          % (samples.shape, xs.size))
-    return lattice_expansion(samples, a_eps, kind)
+    return SincExpansion(grid.dx, kind, samples)
 
 
 def spectral_expansion(spec, a_eps: float, n: int,
@@ -197,8 +153,8 @@ def spectral_expansion(spec, a_eps: float, n: int,
     lattice is a grid, so one grid inverse (two matrix products) samples
     all of it; kind's index set is kept."""
     lattice = sinc_lattice(a_eps, n)
-    return lattice_expansion(idft2_windowed(spec, lattice).values,
-                             a_eps, kind)
+    return SincExpansion(lattice.dx, kind,
+                         idft2_windowed(spec, lattice).values)
 
 
 def eval_expansion(exp: SincExpansion, x, t):
@@ -260,6 +216,7 @@ def read_expansion(path) -> SincExpansion:
                 d = float(toks[0])
                 n = int(toks[1])
                 kind = IndexSetKind(toks[2])
+                want_m, want_n = index_lattice(kind, n)
             except (ValueError, KeyError) as exc:
                 raise ValueError("%s:%d: bad header: %s"
                                  % (path, lineno, exc)) from exc
@@ -277,14 +234,17 @@ def read_expansion(path) -> SincExpansion:
     if header is None:
         raise ValueError("%s: no header line found" % path)
     d, n, kind = header
-    expect_m, _ = index_lattice(kind, n)
-    if len(vals) != expect_m.size:
+    if len(vals) != want_m.size:
         raise ValueError("%s: expected %d coefficient rows for %s N=%d, "
-                         "found %d" % (path, expect_m.size, kind.value, n,
+                         "found %d" % (path, want_m.size, kind.value, n,
                                        len(vals)))
+    if not (np.array_equal(ms, want_m) and np.array_equal(ns, want_n)):
+        raise ValueError("%s: rows must list the indices (m, n) of "
+                         "index_lattice(%s, %d) in order"
+                         % (path, kind.value, n))
+    coeffs = np.zeros((2 * n + 1, 2 * n + 1))
+    coeffs[want_m + n, want_n + n] = vals
     try:
-        return SincExpansion(d=d, kind=kind, n=n, ms=np.array(ms, dtype=int),
-                             ns=np.array(ns, dtype=int),
-                             values=np.array(vals, dtype=float))
+        return SincExpansion(d=d, kind=kind, coeffs=coeffs)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from exc

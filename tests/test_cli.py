@@ -17,7 +17,7 @@ from sidecast.cli import (UsageError, _apply_thread_cap, _load_config,
                           _parse_points, main)
 from sidecast.fields import GridSpec, sample, write_field
 from sidecast.kernels import test_problem
-from sidecast.regularizer import RegMode
+from sidecast.regularizer import RegMode, cutoff_hm
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -344,6 +344,23 @@ class TestFileModeManifest:
             with open(os.path.join(first, name), "rb") as a, \
                     open(os.path.join(second, name), "rb") as b:
                 assert a.read() == b.read(), name
+
+    def test_hm_run_records_the_square_half_width(self, tmp_path, capsys):
+        grid = GridSpec(x0=-5.0, dx=10.0 / 32, nx=33, t0=0.05, dt=0.1, nt=40)
+        prob = test_problem("P2")
+        fp, gp = str(tmp_path / "f.grd"), str(tmp_path / "g.grd")
+        write_field(sample(prob.f0, grid), fp)
+        write_field(sample(prob.g0, grid), gp)
+        out = str(tmp_path / "hm")
+        assert main(["reconstruct", "--f", fp, "--g", gp,
+                     "--grid", "9,9,0.2,0.1,0.5,0.3", "--mode", "hm",
+                     "--m", "0.5", "--epsilon", "1e-4", "--out", out]) == 0
+        capsys.readouterr()
+        with open(os.path.join(out, "manifest.txt")) as fh:
+            lines = fh.read().splitlines()
+        # HM mode's window is the square |z|, |r| <= a_eps
+        assert "a_eps=%.17g" % cutoff_hm(1e-4, 0.5) in lines
+        assert not any(ln.startswith("b_eps=") for ln in lines)
 
 
 class TestSincCommand:

@@ -14,12 +14,11 @@ from sidecast.fields import ComplexField, GridSpec, RealField, l2_norm, sample
 from sidecast.harness import (CONVOLUTION_FACTOR, assemble_rhs,
                               noisy_histories)
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
-from sidecast.regularizer import (BoundReport, CutoffRegion, RegMode,
-                                  RegParams, build_report, continue_sideways,
-                                  cutoff_hm, cutoff_l2, error_bound_hm,
-                                  error_bound_l2, reconstruct,
-                                  reconstruct_spectrum, region_for,
-                                  tail_energy)
+from sidecast.regularizer import (BoundReport, RegMode, RegParams,
+                                  build_report, continue_sideways, cutoff_hm,
+                                  cutoff_l2, error_bound_hm, error_bound_l2,
+                                  reconstruct, reconstruct_spectrum,
+                                  region_for, tail_energy)
 from sidecast.transform import (SpectralWindow, convolve2_causal,
                                 dft2_forward, dft2_lattice, idft2_windowed)
 
@@ -120,12 +119,12 @@ def test_reg_params_validation():
 
 def test_region_shapes():
     reg = region_for(RegParams(epsilon=0.01, gamma=1.0))
-    assert reg.b_eps == pytest.approx(B_001_10, rel=1e-12)
-    assert reg.window.zmax == reg.b_eps
-    assert reg.window.rmax == pytest.approx(reg.b_eps ** 2, rel=1e-15)
+    assert reg.zmax == pytest.approx(B_001_10, rel=1e-12)
+    assert reg.zmax == cutoff_l2(0.01, 1.0)
+    assert reg.rmax == pytest.approx(reg.zmax ** 2, rel=1e-15)
     with pytest.warns(UserWarning):
         reg2 = region_for(RegParams(epsilon=0.001, m=1.0, mode=RegMode.HM))
-    assert reg2.window.zmax == reg2.window.rmax == reg2.a_eps
+    assert reg2.zmax == reg2.rmax == pytest.approx(A_0001_10, rel=1e-12)
 
 
 def test_c_constant_value():
@@ -200,8 +199,7 @@ def test_rhs_transform_matches_symbol_product_two_sided():
     assert res_one > 0.5
     # and against the fully analytic transform of the exact solution
     params = RegParams(epsilon=0.01, gamma=1.0)
-    region = region_for(params)
-    w = region.window
+    w = region_for(params)
     sg = GridSpec.centered(1.25 * w.zmax, 65, 1.25 * w.rmax, 65)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
@@ -269,7 +267,7 @@ def test_window_past_the_data_nyquist_limit_is_rejected(axis, scale, past):
     # pi/step sits a relative 1e-9 above (inside) or below (past) the
     # window's half-width on one axis; the other axis keeps a wide margin
     params = RegParams(epsilon=0.02, gamma=1.0)
-    window = region_for(params).window
+    window = region_for(params)
     dx = math.pi / window.zmax * scale if axis == "z" else 0.5
     dt = math.pi / window.rmax * scale if axis == "r" else 0.1
     dg = GridSpec(x0=-2.0, dx=dx, nx=9, t0=0.3 * dt, dt=dt, nt=8)
@@ -307,7 +305,7 @@ def test_tail_energy_counts_outside_nodes():
         lx, lt, lat = _lattice_bins(v0, window)
         Z, R = np.meshgrid(lat.x_nodes(), lat.t_nodes(), indexing="ij")
         kept = np.count_nonzero(window_contains(window, Z, R))
-        got = tail_energy(v0, CutoffRegion(window))
+        got = tail_energy(v0, window)
         assert got == pytest.approx(g.cell_area * (1.0 - kept / (lx * lt)),
                                     rel=1e-12)
     # just inside the Nyquist limits only the Nyquist row and column of
@@ -344,7 +342,7 @@ def test_tail_energy_is_the_padded_out_of_window_sum(nx, nt, dx, dt, fz, fr,
     lt = 2 * scipy.fft.next_fast_len(nt, real=True)
     window = SpectralWindow(max(fz * math.pi / dx, 2.0 * math.pi / (lx * dx)),
                             max(fr * math.pi / dt, 2.0 * math.pi / (lt * dt)))
-    got = tail_energy(v0, CutoffRegion(window))
+    got = tail_energy(v0, window)
     want = _padded_tail(v0, window)
     assert got >= 0.0
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12 * l2_norm(v0) ** 2)
@@ -360,12 +358,12 @@ def test_reconstruct_reports_the_full_band_tail():
     rec = reconstruct(f, g, params, GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9),
                       v_exact=prob.v_exact)
     v0 = sample(prob.v_exact, dg)
-    lx, lt, lat = _lattice_bins(v0, rec.region.window)
+    lx, lt, lat = _lattice_bins(v0, rec.window)
     band = GridSpec(-(lx // 2) * lat.dx, lat.dx, lx,
                     -(lt // 2) * lat.dt, lat.dt, lt)
     spec = dft2_forward(v0, band).values
     Z, R = np.meshgrid(band.x_nodes(), band.t_nodes(), indexing="ij")
-    outside = ~window_contains(rec.region.window, Z, R)
+    outside = ~window_contains(rec.window, Z, R)
     want = float(np.sum(np.abs(spec[outside]) ** 2)) * band.cell_area
     assert rec.report.eta_hat == pytest.approx(want, rel=1e-9)
 
@@ -376,8 +374,8 @@ def test_spectrum_lattice_is_set_by_the_data_grid():
     # nodes, so one more step on either side lies outside it
     params = RegParams(epsilon=0.01, gamma=1.0)
     f, g = noisy_histories(test_problem("P1"), _COARSE_DATA, 0.01, seed=0)
-    v_hat, region = reconstruct_spectrum(f, g, params)
-    lat, w = v_hat.grid, region.window
+    v_hat, w = reconstruct_spectrum(f, g, params)
+    lat = v_hat.grid
     assert 2.0 * math.pi / lat.dx >= 2 * _COARSE_DATA.nx * _COARSE_DATA.dx
     assert 2.0 * math.pi / lat.dt >= 2 * _COARSE_DATA.nt * _COARSE_DATA.dt
     zs, rs = lat.x_nodes(), lat.t_nodes()
@@ -412,6 +410,6 @@ def test_reconstruct_carries_the_divided_spectrum():
     params = RegParams(epsilon=0.02, gamma=1.0)
     f, g = sample(prob.f0, dg), sample(prob.g0, dg)
     rec = reconstruct(f, g, params, og)
-    v_hat, region = reconstruct_spectrum(f, g, params)
-    assert rec.region == region
+    v_hat, window = reconstruct_spectrum(f, g, params)
+    assert rec.window == window
     np.testing.assert_array_equal(rec.v_hat.values, v_hat.values)

@@ -1,6 +1,7 @@
-"""Cardinal functions, index lattices, expansion building/evaluation, and
-the text serialization."""
+"""Index lattices, the coefficient-matrix form of the series, expansion
+building/evaluation, and the text serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,33 +12,20 @@ from hypothesis import strategies as st
 from sidecast.fields import GridSpec, sample
 from sidecast.regularizer import RegMode, RegParams, cutoff_hm, cutoff_l2
 from sidecast.sinc import (IndexSetKind, SincExpansion, band_halfwidth,
-                           build_expansion, cardinal, eval_expansion,
-                           index_lattice, lattice_expansion, read_expansion,
-                           sinc_lattice, sinc_mesh, spectral_expansion,
+                           build_expansion, eval_expansion, index_lattice,
+                           read_expansion, sinc_lattice, spectral_expansion,
                            write_expansion)
 from sidecast.transform import (SpectralWindow, dft2_forward, idft2_windowed,
                                 idft2_windowed_at)
 
 
-def test_cardinal_values():
-    assert cardinal(0, 1.0, 0.0) == 1.0
-    assert cardinal(2, 0.5, 1.0) == 1.0
-    assert abs(cardinal(1, 0.5, 1.0)) < 1e-15
-    # midpoint between nodes: sinc(1/2) = 2/pi
-    assert cardinal(0, 1.0, 0.5) == pytest.approx(2.0 / math.pi, rel=1e-15)
-    with pytest.raises(ValueError):
-        cardinal(0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        cardinal(0, -1.0, 1.0)
-
-
-def test_cardinal_is_kronecker_on_the_lattice():
-    d = 0.73
-    ps = np.arange(-6, 7)
-    for p in (-3, 0, 5):
-        vals = cardinal(p, d, ps * d)
-        want = (ps == p).astype(float)
-        assert np.max(np.abs(vals - want)) < 1e-13
+def _series(d, kind, n, values):
+    """The expansion whose coefficients on kind's index set, in
+    index_lattice order, are values."""
+    ms, ns = index_lattice(kind, n)
+    coeffs = np.zeros((2 * n + 1, 2 * n + 1))
+    coeffs[ms + n, ns + n] = values
+    return SincExpansion(d, kind, coeffs)
 
 
 def test_band_halfwidth_l2_takes_the_larger_rectangle_side():
@@ -59,10 +47,12 @@ def test_band_halfwidth_hm_is_the_square_cutoff():
 
 
 def test_sinc_mesh_anchors():
-    d = sinc_mesh(RegParams(epsilon=0.02, gamma=1.0))
+    # the series mesh is d = pi / a for the band half-width a
+    d = math.pi / band_halfwidth(RegParams(epsilon=0.02, gamma=1.0))
     assert d == pytest.approx(0.5403555496277543, rel=1e-12)
     with pytest.warns(UserWarning):
-        dh = sinc_mesh(RegParams(epsilon=0.001, m=1.0, mode=RegMode.HM))
+        dh = math.pi / band_halfwidth(
+            RegParams(epsilon=0.001, m=1.0, mode=RegMode.HM))
     assert dh == pytest.approx(0.6937771348436335, rel=1e-12)
     # published rounding of the same number is 0.69385
     assert abs(dh - 0.69385) < 2e-4
@@ -94,18 +84,17 @@ def test_triangular_is_a_subset_of_square():
 def test_expansion_validation_and_coeff_lookup():
     ms, ns = index_lattice(IndexSetKind.TRIANGULAR, 2)
     vals = np.arange(ms.size, dtype=float)
-    exp = SincExpansion(d=0.5, kind=IndexSetKind.TRIANGULAR, n=2,
-                        ms=ms, ns=ns, values=vals)
+    exp = _series(0.5, IndexSetKind.TRIANGULAR, 2, vals)
     k = int(np.flatnonzero((ms == 1) & (ns == 2))[0])
-    assert exp.coeff(1, 2) == float(vals[k])
-    with pytest.raises(KeyError):
-        exp.coeff(2, 0)  # |m| > |n| is outside the triangular set
-    with pytest.raises(ValueError):
-        SincExpansion(d=0.0, kind=IndexSetKind.SQUARE, n=1,
-                      ms=ms, ns=ns, values=vals)
-    with pytest.raises(ValueError):
-        SincExpansion(d=0.5, kind=IndexSetKind.SQUARE, n=1,
-                      ms=ms, ns=ns, values=vals[:-1])
+    assert exp.coeffs[1 + 2, 2 + 2] == float(vals[k])
+    # |m| > |n| is outside the triangular set
+    assert not np.any((exp.ms == 2) & (exp.ns == 0))
+    assert exp.coeffs[2 + 2, 0 + 2] == 0.0
+    with pytest.raises(ValueError, match="positive"):
+        SincExpansion(0.0, IndexSetKind.SQUARE, np.zeros((3, 3)))
+    for shape in ((3, 2), (4, 4), (9,), (1, 3, 3)):
+        with pytest.raises(ValueError, match="2N\\+1"):
+            SincExpansion(0.5, IndexSetKind.SQUARE, np.zeros(shape))
 
 
 def test_build_expansion_stores_node_samples():
@@ -114,7 +103,7 @@ def test_build_expansion_stores_node_samples():
 
     exp = build_expansion(ev, a_eps=math.pi, n=2)  # d = 1
     assert exp.d == pytest.approx(1.0, rel=1e-15)
-    assert exp.coeff(1, -2) == pytest.approx(1.0 - 20.0, rel=1e-15)
+    assert exp.coeffs[1 + 2, -2 + 2] == pytest.approx(1.0 - 20.0, rel=1e-15)
     with pytest.raises(ValueError):
         build_expansion(ev, a_eps=0.0, n=2)
     with pytest.raises(ValueError):
@@ -144,14 +133,13 @@ def test_eval_expansion_matches_node_coefficients():
     rng = np.random.Generator(np.random.Philox(8))
     ms, ns = index_lattice(IndexSetKind.SQUARE, 5)
     vals = rng.standard_normal(ms.size)
-    exp = SincExpansion(d=0.31, kind=IndexSetKind.SQUARE, n=5,
-                        ms=ms, ns=ns, values=vals)
+    exp = _series(0.31, IndexSetKind.SQUARE, 5, vals)
     got = eval_expansion(exp, ms * exp.d, ns * exp.d)
     assert np.max(np.abs(got - vals)) < 1e-12
     # scalar path returns a plain float
     one = eval_expansion(exp, 0.31, 0.0)
     assert isinstance(one, float)
-    assert one == pytest.approx(exp.coeff(1, 0), abs=1e-12)
+    assert one == pytest.approx(exp.coeffs[1 + 5, 0 + 5], abs=1e-12)
 
 
 def test_eval_expansion_chunking_is_seamless():
@@ -161,8 +149,7 @@ def test_eval_expansion_chunking_is_seamless():
     rng = np.random.Generator(np.random.Philox(13))
     ms, ns = index_lattice(IndexSetKind.SQUARE, 10)
     vals = rng.standard_normal(ms.size)
-    exp = SincExpansion(d=0.5, kind=IndexSetKind.SQUARE, n=10,
-                        ms=ms, ns=ns, values=vals)
+    exp = _series(0.5, IndexSetKind.SQUARE, 10, vals)
     xs = rng.uniform(-3, 3, 20000)
     ts = rng.uniform(-3, 3, 20000)
     whole = eval_expansion(exp, xs, ts)
@@ -174,11 +161,9 @@ def test_eval_expansion_chunking_is_seamless():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(-2, 2, allow_nan=False))
 def test_eval_expansion_is_linear_in_coefficients(seed, c):
-    ms, ns = index_lattice(IndexSetKind.SQUARE, 2)
     rng = np.random.Generator(np.random.Philox(seed))
-    va, vb = rng.standard_normal((2, ms.size))
-    mk = lambda v: SincExpansion(d=0.9, kind=IndexSetKind.SQUARE, n=2,
-                                 ms=ms, ns=ns, values=v)
+    va, vb = rng.standard_normal((2, 5, 5))
+    mk = lambda v: SincExpansion(0.9, IndexSetKind.SQUARE, v)
     xs = rng.uniform(-2, 2, 9)
     ts = rng.uniform(-2, 2, 9)
     lhs = eval_expansion(mk(va + c * vb), xs, ts)
@@ -188,10 +173,8 @@ def test_eval_expansion_is_linear_in_coefficients(seed, c):
 
 def test_expansion_round_trip_is_lossless(tmp_path):
     rng = np.random.Generator(np.random.Philox(4))
-    ms, ns = index_lattice(IndexSetKind.TRIANGULAR, 3)
-    exp = SincExpansion(d=math.pi / 7.434646209170825,
-                        kind=IndexSetKind.TRIANGULAR, n=3, ms=ms, ns=ns,
-                        values=rng.standard_normal(ms.size) * 1e3)
+    exp = SincExpansion(math.pi / 7.434646209170825, IndexSetKind.TRIANGULAR,
+                        rng.standard_normal((7, 7)) * 1e3)
     path = tmp_path / "sinc.txt"
     write_expansion(path, exp)
     back = read_expansion(path)
@@ -200,6 +183,7 @@ def test_expansion_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.ms, exp.ms)
     assert np.array_equal(back.ns, exp.ns)
     assert np.array_equal(back.values, exp.values)
+    assert np.array_equal(back.coeffs, exp.coeffs)
 
 
 def test_read_expansion_error_paths(tmp_path):
@@ -212,6 +196,9 @@ def test_read_expansion_error_paths(tmp_path):
         read_expansion(p)
     p.write_text("0.5 1 hexagonal\n")
     with pytest.raises(ValueError, match="bad header"):
+        read_expansion(p)
+    p.write_text("0.5 -1 square\n")
+    with pytest.raises(ValueError, match="bad.txt:1: bad header: index radius"):
         read_expansion(p)
     p.write_text("# only a comment\n")
     with pytest.raises(ValueError, match="no header"):
@@ -228,9 +215,8 @@ def test_eval_expansion_block_seams_at_n50():
     # blocks hold 2^22 / (2N+1) points, 41 527 at N=50, so 100 003 points
     # span three blocks; every point must match its own evaluation
     rng = np.random.Generator(np.random.Philox(17))
-    ms, ns = index_lattice(IndexSetKind.TRIANGULAR, 50)
-    exp = SincExpansion(d=0.54, kind=IndexSetKind.TRIANGULAR, n=50,
-                        ms=ms, ns=ns, values=rng.standard_normal(ms.size))
+    exp = SincExpansion(0.54, IndexSetKind.TRIANGULAR,
+                        rng.standard_normal((101, 101)))
     xs = rng.uniform(-30, 30, 100003)
     ts = rng.uniform(-30, 30, 100003)
     whole = eval_expansion(exp, xs, ts)
@@ -239,20 +225,41 @@ def test_eval_expansion_block_seams_at_n50():
         assert abs(whole[i] - one) <= 1e-12 * float(np.sum(np.abs(exp.values)))
 
 
-def test_expansion_rejects_indices_off_the_lattice():
+def _rows(ms, ns):
+    return "".join("%d %d %d\n" % (m, p, k + 1)
+                   for k, (m, p) in enumerate(zip(ms, ns)))
+
+
+def test_expansion_rejects_indices_off_the_lattice(tmp_path):
+    p = tmp_path / "off.txt"
+    # seven rows are the right count for triangular N=1, but (1, 0) has
+    # |m| > |n| and stands where (1, 1) belongs
+    ms, ns = index_lattice(IndexSetKind.TRIANGULAR, 1)
+    ns = ns.copy()
+    ns[-1] = 0
+    p.write_text("0.5 1 triangular\n" + _rows(ms, ns))
     with pytest.raises(ValueError, match="index_lattice"):
-        SincExpansion(d=0.5, kind=IndexSetKind.TRIANGULAR, n=1,
-                      ms=[5], ns=[-9], values=[1.0])
+        read_expansion(p)
     # the right set in the wrong order is rejected too
     ms, ns = index_lattice(IndexSetKind.SQUARE, 1)
+    p.write_text("0.5 1 square\n" + _rows(ms[::-1], ns[::-1]))
     with pytest.raises(ValueError, match="index_lattice"):
-        SincExpansion(d=0.5, kind=IndexSetKind.SQUARE, n=1, ms=ms[::-1],
-                      ns=ns[::-1], values=np.ones(ms.size))
+        read_expansion(p)
+
+
+def test_read_expansion_rejects_a_non_finite_coefficient(tmp_path):
+    p = tmp_path / "nan.txt"
+    ms, ns = index_lattice(IndexSetKind.SQUARE, 1)
+    rows = _rows(ms, ns).replace("0 1 6\n", "0 1 nan\n")
+    p.write_text("0.5 1 square\n" + rows)
+    with pytest.raises(ValueError,
+                       match=r"nan\.txt: non-finite .*\(m=0, n=1\)"):
+        read_expansion(p)
 
 
 def test_read_expansion_rejects_duplicate_indices(tmp_path):
     # nine rows are the right count for square N=1, but all name (0, 0):
-    # coeff(0, 0) and the series value at the origin would disagree
+    # the file would give one coefficient nine values
     p = tmp_path / "dup.txt"
     p.write_text("0.5 1 square\n"
                  + "".join("0 0 %d\n" % v for v in range(1, 10)))
@@ -261,25 +268,59 @@ def test_read_expansion_rejects_duplicate_indices(tmp_path):
 
 
 def test_coefficient_matrix_holds_the_index_set():
+    assert [f.name for f in dataclasses.fields(SincExpansion)] \
+        == ["d", "kind", "coeffs"]
     ms, ns = index_lattice(IndexSetKind.TRIANGULAR, 2)
-    vals = np.arange(1.0, ms.size + 1.0)
-    exp = SincExpansion(d=0.5, kind=IndexSetKind.TRIANGULAR, n=2,
-                        ms=ms, ns=ns, values=vals)
-    assert exp.coeffs.shape == (5, 5)
-    assert np.array_equal(exp.coeffs[ms + 2, ns + 2], vals)
-    # entries outside |m| <= |n| stay zero
+    full = np.arange(1.0, 26.0).reshape(5, 5)
+    exp = SincExpansion(0.5, IndexSetKind.TRIANGULAR, full)
+    assert exp.n == 2 and exp.coeffs.shape == (5, 5)
+    assert np.array_equal(exp.ms, ms) and np.array_equal(exp.ns, ns)
+    assert np.array_equal(exp.values, full[ms + 2, ns + 2])
+    assert np.array_equal(exp.coeffs[ms + 2, ns + 2], exp.values)
+    # entries outside |m| <= |n| are zeroed
     assert np.count_nonzero(exp.coeffs) == ms.size
     assert exp.coeffs[4, 2] == 0.0  # (m, n) = (2, 0)
+    # the series owns its arrays, and they and n are read-only
+    full[2, 2] = -1.0
+    assert exp.coeffs[2, 2] == 13.0
+    for arr in (exp.coeffs, exp.ms, exp.ns, exp.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        exp.n = 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(IndexSetKind)), st.integers(0, 6),
+       st.floats(0.05, 3.0), st.integers(0, 10 ** 6))
+def test_round_trip_reproduces_the_coefficient_matrix(tmp_path_factory, kind,
+                                                      n, d, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    ms, ns = index_lattice(kind, n)
+    inside = np.zeros((2 * n + 1, 2 * n + 1), dtype=bool)
+    inside[ms + n, ns + n] = True
+    full = rng.standard_normal(inside.shape) * 10.0 ** rng.integers(-5, 6)
+    # nonzero and non-finite entries outside the set are zeroed, not refused
+    full[~inside] = rng.choice([np.nan, np.inf, -np.inf, 7.0],
+                               size=np.count_nonzero(~inside))
+    exp = SincExpansion(d, kind, full)
+    assert np.array_equal(exp.coeffs, np.where(inside, full, 0.0))
+    assert exp.n == n
+    path = tmp_path_factory.mktemp("sinc") / "sinc.txt"
+    write_expansion(path, exp)
+    back = read_expansion(path)
+    assert back.d == d and back.kind is kind and back.n == n
+    assert np.array_equal(back.coeffs, exp.coeffs)
+    # the set's indices and coefficients come back in index_lattice order
+    assert np.array_equal(back.ms, ms) and np.array_equal(back.ns, ns)
+    assert np.array_equal(back.values, full[ms + n, ns + n])
 
 
 def test_expansions_compare_and_hash_by_identity():
     # ndarray fields make field-wise == ambiguous; identity semantics, as
     # for the field classes, keep ==, `in` and hashing well defined
-    ms, ns = index_lattice(IndexSetKind.SQUARE, 1)
-    a = SincExpansion(d=0.5, kind=IndexSetKind.SQUARE, n=1, ms=ms, ns=ns,
-                      values=np.ones(ms.size))
-    b = SincExpansion(d=0.5, kind=IndexSetKind.SQUARE, n=1, ms=ms, ns=ns,
-                      values=np.ones(ms.size))
+    a = SincExpansion(0.5, IndexSetKind.SQUARE, np.ones((3, 3)))
+    b = SincExpansion(0.5, IndexSetKind.SQUARE, np.ones((3, 3)))
     assert a == a and a != b
     assert a in [a, b] and b not in [a]
     assert len({a, b, a}) == 2
@@ -300,8 +341,7 @@ def _series_reference(exp, x, t):
 def test_eval_expansion_matches_the_literal_double_sum(kind, n, d, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     ms, ns = index_lattice(kind, n)
-    exp = SincExpansion(d=d, kind=kind, n=n, ms=ms, ns=ns,
-                        values=rng.standard_normal(ms.size))
+    exp = _series(d, kind, n, rng.standard_normal(ms.size))
     # |sinc| <= 1, so the l1 norm of the coefficients bounds the series
     tol = 1e-12 * float(np.sum(np.abs(exp.values)))
     span = (n + 2) * d
@@ -351,4 +391,4 @@ def test_grid_inverse_lattice_matches_the_point_inverse():
     assert tri.d == math.pi / a_eps
     assert np.array_equal(tri.values, grid_vals[mt + n, nt + n])
     with pytest.raises(ValueError, match="2N\\+1"):
-        lattice_expansion(grid_vals[:, :-1], a_eps)
+        SincExpansion(tri.d, IndexSetKind.SQUARE, grid_vals[:, :-1])

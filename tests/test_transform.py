@@ -164,7 +164,7 @@ def test_lattice_forms_only_the_window_bins():
     g = default_data_grid()
     f = RealField(g, np.random.Generator(np.random.Philox(5))
                   .standard_normal(g.shape))
-    window = region_for(RegParams(epsilon=0.02, gamma=1.0)).window
+    window = region_for(RegParams(epsilon=0.02, gamma=1.0))
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
