@@ -2,12 +2,18 @@
 
 Everything in this module is analytic. The rest of the package treats these
 values as ground truth: quadrature, transforms and the inversion pipeline
-are all validated against them.
+are all validated against them. Each closed form is written here once.
 
-The kernel family is k_c(x, t) = (1/t^2) exp(-(x^2+c)/(4t)) for t > 0 and 0
-otherwise. The two members are c=1 (call it S) and c=4 (call it R); the
-checks convolve with them, and their L1 norms, 4*pi/sqrt(c), set the bound
-constant C.
+Every kernel and every exact trace belongs to the heat family
+t^(-p) exp(-(x^2+c)/(4t)) for t > 0 and 0 otherwise, and one private
+evaluator computes it. The kernels k_c take p = 2: c=1 (call it S) and c=4
+(call it R); the checks convolve with them, and their L1 norms,
+4*pi/sqrt(c), set the bound constant C. The layer traces take p = 1.
+
+Under the transform the strip equation becomes u_yy = w^2 u with
+w = spectral_w(z, r) = sqrt(z^2 + i r), and every symbol is a function of
+that one w: s_hat = 2 e^{-w}, and the layer traces transform to
+e^{-sqrt(c) w}/w.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ __all__ = [
     "R_SPEC",
     "SINGULAR_OFFSET",
     "kernel_eval",
+    "spectral_w",
     "s_hat",
     "s_hat_abs",
     "kernel_l1_norm",
@@ -62,8 +69,10 @@ def _maybe_scalar(out, *inputs):
     return out
 
 
-def kernel_eval(spec: KernelSpec, x, t):
-    """k_c at (x, t); 0 for t <= 0 (causal extension, continuous at 0+).
+def _heat_family(power: float, c: float, x, t):
+    """t^(-power) exp(-(x^2+c)/(4t)) for t > 0 and 0 for t <= 0 (causal
+    extension, continuous at 0+), the one evaluator of every kernel and
+    every exact trace.
 
     The t-only factors are formed once per t node, so x as a column and t
     as a row (an open grid) cost one pass per axis plus three over the
@@ -72,46 +81,46 @@ def kernel_eval(spec: KernelSpec, x, t):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     pos = t > 0.0
-    # exp(-q/4t)/t^2 via a single exponent: t^2 underflows before exp does,
-    # which would turn the tiny-t limit into 0/0. The exponent of a node
-    # with t <= 0 is -inf (x^2 + c > 0), so it exponentiates to exactly 0.
-    neg_inv4t = np.divide(-0.25, t, out=np.full(t.shape, -np.inf), where=pos)
-    log_t2 = np.log(t, out=np.zeros(t.shape), where=pos)
-    log_t2 *= 2.0
-    out = np.multiply(x * x + spec.c, neg_inv4t,
+    # exp(-q/4t)/t^p via a single exponent: t^p underflows before exp does,
+    # which would turn the tiny-t limit into 0/0. A node with t <= 0 gets
+    # the exponent q*0 - inf = -inf, so it exponentiates to exactly 0 for
+    # every finite x, q = x^2 + c = 0 included.
+    neg_inv4t = np.divide(-0.25, t, out=np.zeros(t.shape), where=pos)
+    log_tp = np.log(t, out=np.full(t.shape, np.inf), where=pos)
+    log_tp *= power
+    out = np.multiply(x * x + c, neg_inv4t,
                       out=np.empty(np.broadcast_shapes(x.shape, t.shape)))
-    out -= log_t2
+    out -= log_tp
     np.exp(out, out=out)
     return _maybe_scalar(out, x, t)
 
 
-def _split_exponents(z, r):
-    # A = (1/sqrt2) sqrt(sqrt(z^4+r^2)+z^2), B likewise with -z^2.
-    z = np.asarray(z, dtype=float)
-    r = np.asarray(r, dtype=float)
-    s = np.hypot(z * z, r)  # sqrt(z^4 + r^2) without overflow
-    a = np.sqrt((s + z * z) / 2.0)
-    b = np.sqrt(np.maximum(s - z * z, 0.0) / 2.0)  # clip fp negatives
-    return a, b
+def kernel_eval(spec: KernelSpec, x, t):
+    """k_c at (x, t): the heat family with power 2; 0 for t <= 0."""
+    return _heat_family(2.0, spec.c, x, t)
+
+
+def spectral_w(z, r):
+    """w = principal sqrt(z^2 + i r), the variable of the transformed strip
+    equation u_yy = w^2 u. Re w > 0 everywhere but the origin, so e^{-w}
+    is the decaying solution."""
+    w = np.sqrt(np.asarray(z, dtype=float) ** 2
+                + 1j * np.asarray(r, dtype=float))
+    return _maybe_scalar(w, z, r)
 
 
 def s_hat(z, r):
     """Closed-form symbol of the c=1 kernel under the symmetric 1/(2 pi)
-    transform: 2 e^{-A} (cos B - i sgn(r) sin B), sgn(0) = 0.
+    transform: 2 e^{-w}, w = spectral_w(z, r).
 
     Real and positive on the axis r = 0 (where it equals 2 e^{-|z|}).
     """
-    a, b = _split_exponents(z, r)
-    sgn = np.sign(np.asarray(r, dtype=float))
-    out = 2.0 * np.exp(-a) * (np.cos(b) - 1j * sgn * np.sin(b))
-    return _maybe_scalar(np.asarray(out, dtype=complex), z, r)
+    return _maybe_scalar(2.0 * np.exp(-spectral_w(z, r)), z, r)
 
 
 def s_hat_abs(z, r):
-    """Modulus of s_hat: 2 e^{-A}. Maximal (=2) at the origin only."""
-    a, _ = _split_exponents(z, r)
-    out = 2.0 * np.exp(-a)
-    return _maybe_scalar(out, z, r)
+    """Modulus of s_hat: 2 e^{-Re w}. Maximal (=2) at the origin only."""
+    return _maybe_scalar(2.0 * np.exp(-np.real(spectral_w(z, r))), z, r)
 
 
 def _substituted_mass(c: float, n_u: int = 6000, dy: float = 0.05,
@@ -142,7 +151,8 @@ def kernel_l1_norm(spec: KernelSpec) -> float:
 
 
 def layer_trace(c: float) -> Callable:
-    """Evaluator (x, t) -> (1/t) exp(-(x^2+c)/(4t)), 0 for t <= 0.
+    """Evaluator (x, t) -> (1/t) exp(-(x^2+c)/(4t)), 0 for t <= 0: the
+    heat family with power 1.
 
     These are the traces of the half-plane heat layer at depth sqrt(c);
     the exact test-problem data and solutions all belong to this family
@@ -152,27 +162,21 @@ def layer_trace(c: float) -> Callable:
         raise ValueError("layer depth parameter must be nonnegative")
 
     def h(x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        pos = t > 0.0
-        ts = np.where(pos, t, 1.0)
-        logv = -(x * x + c) / (4.0 * ts) - np.log(ts)
-        out = np.where(pos, np.exp(logv), 0.0)
-        return _maybe_scalar(out, x, t)
+        return _heat_family(1.0, c, x, t)
 
     return h
 
 
 def layer_trace_hat(c: float) -> Callable:
     """Closed transform of layer_trace(c) under the 1/(2 pi) convention:
-    (z, r) -> e^{-sqrt(c) w}/w with w = principal sqrt(z^2 + i r).
+    (z, r) -> e^{-sqrt(c) w}/w with w = spectral_w(z, r).
 
     Singular (1/w) at the exact origin; callers avoid that node.
     """
     rc = float(np.sqrt(c))
 
     def hh(z, r):
-        w = np.sqrt(np.asarray(z, float) ** 2 + 1j * np.asarray(r, float))
+        w = spectral_w(z, r)
         out = np.asarray(np.exp(-rc * w) / w, dtype=complex)
         return _maybe_scalar(out, z, r)
 
@@ -200,12 +204,8 @@ class TestProblem:
     __test__ = False  # not a pytest collection target
 
 
-_P2_G0 = layer_trace(4.0)
-
-
 def _p2_v_exact(x, t):
-    out = -np.asarray(_P2_G0(x, t))
-    return _maybe_scalar(out, x, t)
+    return -_heat_family(1.0, 4.0, x, t)
 
 
 _PROBLEMS = {
@@ -218,7 +218,7 @@ _PROBLEMS = {
     "P2": TestProblem(
         id="P2",
         f0=_zero_evaluator,
-        g0=_P2_G0,
+        g0=layer_trace(4.0),
         v_exact=_p2_v_exact,
     ),
 }

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .fields import ComplexField, GridSpec, RealField, sample
-from .kernels import R_SPEC, S_SPEC, kernel_l1_norm
-from .transform import SpectralWindow, dft2_lattice, idft2_windowed
+from .kernels import R_SPEC, S_SPEC, kernel_l1_norm, spectral_w
+from .transform import TWO_PI, SpectralWindow, dft2_lattice, idft2_windowed
 
 __all__ = [
     "RegMode",
@@ -138,7 +138,7 @@ def region_for(params: RegParams) -> SpectralWindow:
 
 def continue_sideways(f_hat: ComplexField,
                       g_hat: ComplexField) -> ComplexField:
-    """v_hat_eps = 2 cosh(w) f_hat - g_hat, w = sqrt(z^2 + i r), on every
+    """v_hat_eps = 2 cosh(w) f_hat - g_hat, w = spectral_w(z, r), on every
     node of the shared spectral grid, which dft2_lattice has cropped to
     the cutoff window.
 
@@ -148,7 +148,7 @@ def continue_sideways(f_hat: ComplexField,
     rectangle) bounds the noise gain.
     """
     sg = f_hat.grid
-    w = np.sqrt(sg.x_nodes()[:, None] ** 2 + 1j * sg.t_nodes()[None, :])
+    w = spectral_w(sg.x_nodes()[:, None], sg.t_nodes()[None, :])
     return ComplexField(sg, 2.0 * np.cosh(w) * f_hat.values - g_hat.values)
 
 
@@ -252,6 +252,31 @@ class Reconstruction:
     window: SpectralWindow
 
 
+def _extents(g: GridSpec):
+    return (("x", g.x0, g.x0 + (g.nx - 1) * g.dx),
+            ("t", g.t0, g.t0 + (g.nt - 1) * g.dt))
+
+
+def _refuse_aliased_window(data: GridSpec, out: GridSpec,
+                           lattice: GridSpec) -> None:
+    """v_eps is a trigonometric sum on the spectral lattice, so on each axis
+    it repeats with the alias period P = 2 pi/step = L*d (the padded FFT
+    length times the data step). Once the output window and the data
+    interval together span P or more, some output node reads a periodic
+    copy of another node's value instead of its own: a ValueError."""
+    periods = (TWO_PI / lattice.dx, TWO_PI / lattice.dt)
+    for (axis, d0, d1), (_, o0, o1), period in zip(_extents(data),
+                                                    _extents(out), periods):
+        span = max(o1, d1) - min(o0, d0)
+        if span >= period:
+            raise ValueError(
+                "output window %s in [%.6g, %.6g] and data interval "
+                "[%.6g, %.6g] together span %.6g, at least the alias period "
+                "P = %.6g of the reconstruction on that axis; use a shorter "
+                "output window or a longer data grid"
+                % (axis, o0, o1, d0, d1, span, period))
+
+
 def reconstruct(f: RealField, g: RealField, params: RegParams,
                 out_grid: GridSpec, v_exact=None,
                 c1: Optional[float] = None) -> Reconstruction:
@@ -260,9 +285,11 @@ def reconstruct(f: RealField, g: RealField, params: RegParams,
     v_exact, when given, is an evaluator used for validation only: it is
     sampled on the data grid, and its spectral tail outside the cutoff
     becomes eta_hat in the report. c1 likewise only feeds the HM-mode
-    bound.
+    bound. An out_grid that spans an alias period together with the data
+    on either axis would read periodic copies, and is a ValueError.
     """
     v_hat, window = reconstruct_spectrum(f, g, params)
+    _refuse_aliased_window(f.grid, out_grid, v_hat.grid)
     v_eps = idft2_windowed(v_hat, out_grid)
     eta = None
     if v_exact is not None:

@@ -70,6 +70,16 @@ def index_lattice(kind: IndexSetKind, n: int):
     raise ValueError("unknown index set kind %r" % (kind,))
 
 
+def _index_count(kind: IndexSetKind, n: int) -> int:
+    """The number of pairs index_lattice(kind, n) holds, in closed form, so
+    that a file's rows can be counted before the lattice is formed."""
+    if n < 0:
+        raise ValueError("index radius N must be >= 0, got %r" % (n,))
+    if kind is IndexSetKind.SQUARE:
+        return (2 * n + 1) ** 2
+    return 2 * n * n + 4 * n + 1
+
+
 @dataclass(frozen=True, eq=False)
 class SincExpansion:
     """Truncated cardinal series: the sum of c_mn S_m(x) S_n(t) over kind's
@@ -197,7 +207,11 @@ def write_expansion(path, exp: SincExpansion) -> None:
 
 
 def read_expansion(path) -> SincExpansion:
-    """Inverse of write_expansion; round-trips losslessly at 17 digits."""
+    """Inverse of write_expansion; round-trips losslessly at 17 digits.
+
+    The rows are counted against the header's N before index_lattice is
+    formed, so a header N far beyond the file's rows is a ValueError, not a
+    lattice of (2N+1)^2 indices."""
     path = str(path)
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
@@ -216,7 +230,7 @@ def read_expansion(path) -> SincExpansion:
                 d = float(toks[0])
                 n = int(toks[1])
                 kind = IndexSetKind(toks[2])
-                want_m, want_n = index_lattice(kind, n)
+                want = _index_count(kind, n)
             except (ValueError, KeyError) as exc:
                 raise ValueError("%s:%d: bad header: %s"
                                  % (path, lineno, exc)) from exc
@@ -234,10 +248,10 @@ def read_expansion(path) -> SincExpansion:
     if header is None:
         raise ValueError("%s: no header line found" % path)
     d, n, kind = header
-    if len(vals) != want_m.size:
+    if len(vals) != want:
         raise ValueError("%s: expected %d coefficient rows for %s N=%d, "
-                         "found %d" % (path, want_m.size, kind.value, n,
-                                       len(vals)))
+                         "found %d" % (path, want, kind.value, n, len(vals)))
+    want_m, want_n = index_lattice(kind, n)
     if not (np.array_equal(ms, want_m) and np.array_equal(ns, want_n)):
         raise ValueError("%s: rows must list the indices (m, n) of "
                          "index_lattice(%s, %d) in order"

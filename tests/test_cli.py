@@ -247,6 +247,21 @@ class TestUsageExits:
         assert "Nyquist" in err and "pi/dt = 157.08" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["5,65,0,0.25,0.5,2.5",
+                                      "5,5,0,0.25,-79.5,10"])
+    def test_output_window_an_alias_period_wide(self, tmp_path, capsys,
+                                                grid):
+        # the default data grid's lattice repeats every 80 in t: both
+        # windows would read the values of t nodes 80 away
+        out = tmp_path / "periodic"
+        rc = main(["reconstruct", "--problem", "p2", "--epsilon", "0.02",
+                   "--grid", grid, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "output window t in" in err and "P = 80 " in err
+        assert "use a shorter output window or a longer data grid" in err
+        assert not out.exists()
+
     def test_window_narrower_than_one_lattice_step(self, tmp_path, capsys):
         # 9 x nodes at dx = 0.125 pad to 18: the lattice step 2.79 in z
         # exceeds b_eps = 2.41 at eps = 0.02, so only z = 0 would be kept

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from sidecast.kernels import (KernelSpec, R_SPEC, S_SPEC, SINGULAR_OFFSET,
                               kernel_eval, kernel_l1_norm, layer_trace,
-                              layer_trace_hat, s_hat, s_hat_abs, test_problem)
+                              layer_trace_hat, s_hat, s_hat_abs, spectral_w,
+                              test_problem)
 
 
 def test_kernel_spec_rejects_nonpositive_c():
@@ -103,6 +104,30 @@ def test_symbol_frozen_point():
     assert v.imag == pytest.approx(-0.4802848623501525, rel=1e-14)
 
 
+def test_symbol_keeps_its_imaginary_part_where_r_is_small():
+    # Im w ~ r/(2z) where |r| << z^2; a real split of w into
+    # sqrt((sqrt(z^4 + r^2) +- z^2)/2) would cancel there and lose it
+    v = s_hat(6.0, 1e-8)
+    assert v.imag == pytest.approx(
+        -2.0 * math.exp(-6.0) * math.sin(1e-8 / 12.0), rel=1e-12)
+    # values frozen from 50-digit evaluation
+    for (z, r), want in (((6.0, 1e-4), (0.004957504353131892,
+                                        -4.1312536277015565e-8)),
+                         ((1.0, 1e-6), (0.7357588823427007,
+                                        -3.6787944117133501e-7))):
+        v = s_hat(z, r)
+        assert v.real == pytest.approx(want[0], rel=1e-14)
+        assert v.imag == pytest.approx(want[1], rel=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-20, 20, allow_nan=False), st.floats(-50, 50, allow_nan=False))
+def test_spectral_w_is_the_principal_root(z, r):
+    w = spectral_w(z, r)
+    assert w.real >= 0.0
+    assert w * w == pytest.approx(complex(z * z, r), rel=1e-14, abs=1e-300)
+
+
 def test_symbol_modulus_matches_and_peaks_at_origin():
     pts = [(0.3, -1.2), (2.0, 5.0), (-1.0, 0.7)]
     for z, r in pts:
@@ -156,6 +181,31 @@ def test_layer_traces():
     assert h1(3.0, -1.0) == 0.0
     with pytest.raises(ValueError):
         layer_trace(-0.5)
+
+
+def test_surface_trace_vanishes_at_the_origin_for_t_at_most_zero():
+    # c = 0 at x = 0 leaves q = x^2 + c = 0, which must not meet an
+    # infinite exponent factor and turn into NaN
+    h0 = layer_trace(0.0)
+    for t in (-1.0, 0.0):
+        assert h0(0.0, t) == 0.0
+    xs = np.array([[-0.5], [0.0], [0.5]])
+    got = h0(xs, np.array([[-1.0, 0.0, 1.0]]))
+    assert np.array_equal(got[:, :2], np.zeros((3, 2)))
+    assert got[1, 2] == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-20.0, 20.0), st.floats(1e-3, 50.0), st.floats(1e-3, 1e3))
+def test_layer_trace_is_t_times_the_kernel(x, c, t):
+    # both come from one heat-family evaluator, at powers 1 and 2; they
+    # differ only in the rounding of the exponent, which exp turns into a
+    # relative error of a few ulps per unit of exponent
+    got = layer_trace(c)(x, t)
+    want = t * kernel_eval(KernelSpec(c), x, t)
+    exponent = (x * x + c) / (4.0 * t) + 2.0 * abs(math.log(t))
+    tol = 4.0 * np.finfo(float).eps * (1.0 + exponent)
+    assert got == pytest.approx(want, rel=tol, abs=1e-300)
 
 
 def test_problem_p1_fields():

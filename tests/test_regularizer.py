@@ -413,3 +413,31 @@ def test_reconstruct_carries_the_divided_spectrum():
     v_hat, window = reconstruct_spectrum(f, g, params)
     assert rec.window == window
     np.testing.assert_array_equal(rec.v_hat.values, v_hat.values)
+
+
+@pytest.mark.parametrize("out_grid,axis,span", [
+    # t in [0.5, 160.5]: two periods past the data
+    (GridSpec(0.0, 0.25, 5, 0.5, 2.5, 65), "t", "160.494"),
+    # t in [-79.5, -39.5]: shorter than a period, but a period from the data
+    (GridSpec(0.0, 0.25, 5, -79.5, 10.0, 5), "t", "119.486"),
+    # x in [-30, 30] around the data's [-10, 10]
+    (GridSpec(-30.0, 15.0, 5, 0.5, 0.5, 5), "x", "60"),
+])
+def test_output_window_an_alias_period_wide_is_refused(out_grid, axis, span):
+    # the default data grid's lattice repeats every L dx = 1080 * 20/512 =
+    # 42.1875 in x and L dt = 4000 * 0.02 = 80 in t
+    prob = test_problem("P2")
+    dg = GridSpec(-10.0, 20.0 / 512, 513, 0.302721828598366 * 0.02, 0.02,
+                  2000)
+    f, g = sample(prob.f0, dg), sample(prob.g0, dg)
+    params = RegParams(epsilon=0.02, gamma=1.0)
+    period = "42.1875" if axis == "x" else "80"
+    with pytest.raises(ValueError, match=re.escape(
+            "output window %s in" % axis)) as exc:
+        reconstruct(f, g, params, out_grid)
+    msg = str(exc.value)
+    assert "together span %s" % span in msg
+    assert "P = %s" % period in msg and "longer data grid" in msg
+    # the same window shifted to the data is reconstructed
+    near = GridSpec(0.0, 0.25, 5, 0.5, 1.0, 5)
+    assert np.all(np.isfinite(reconstruct(f, g, params, near).v_eps.values))

@@ -211,6 +211,18 @@ def test_read_expansion_error_paths(tmp_path):
         read_expansion(p)
 
 
+def test_read_expansion_counts_rows_before_forming_the_lattice(tmp_path):
+    # the index lattice of N = 10^6 would be two arrays of (2N+1)^2 int64
+    # entries; the header is refused on its row count instead
+    p = tmp_path / "huge.txt"
+    for kind, want in (("square", 4000004000001), ("triangular",
+                                                   2000004000001)):
+        p.write_text("0.5 1000000 %s\n0 0 1.0\n" % kind)
+        with pytest.raises(ValueError,
+                           match="expected %d coefficient rows" % want):
+            read_expansion(p)
+
+
 def test_eval_expansion_block_seams_at_n50():
     # blocks hold 2^22 / (2N+1) points, 41 527 at N=50, so 100 003 points
     # span three blocks; every point must match its own evaluation
