@@ -257,6 +257,14 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------- reconstruct
 
+def _note_missing_hm_bound(params, report) -> None:
+    from .regularizer import RegMode
+
+    if params.mode is RegMode.HM and report.bound_hm is None:
+        print("no HM bound written: it needs C1, the Sobolev seminorm of "
+              "the exact solution, which is not supplied")
+
+
 def cmd_reconstruct(args) -> int:
     from . import harness
     from .fields import read_field
@@ -285,6 +293,7 @@ def cmd_reconstruct(args) -> int:
         if rec.report.bound_l2 is not None:
             print("bound_l2 (tail-free part): %s"
                   % _fmt(rec.report.bound_l2))
+        _note_missing_hm_bound(params, rec.report)
         print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % out_dir)
         return 0
 
@@ -303,6 +312,7 @@ def cmd_reconstruct(args) -> int:
     if res.report.bound_l2 is not None:
         print("bound_l2=%s" % _fmt(res.report.bound_l2))
     print("eta_hat=%s" % _fmt(res.report.eta_hat))
+    _note_missing_hm_bound(params, res.report)
     print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % out_dir)
     return 0
 
@@ -315,7 +325,7 @@ def cmd_sinc(args) -> int:
     from . import harness
     from .fields import sample, write_csv
     from .kernels import test_problem
-    from .regularizer import reconstruct_spectrum
+    from .regularizer import _refuse_aliased_window, reconstruct_spectrum
     from .sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                        eval_expansion, spectral_expansion, write_expansion)
 
@@ -343,6 +353,8 @@ def cmd_sinc(args) -> int:
     f, g = harness.noisy_histories(prob, data_grid, params.epsilon,
                                    args.seed or 0)
     v_hat, _ = reconstruct_spectrum(f, g, params)
+    # the reference inverse repeats with the alias period, as v_eps does
+    _refuse_aliased_window(data_grid, eval_grid, v_hat.grid)
     square = spectral_expansion(v_hat, a_eps, args.n)
     # the square samples also give the triangular set and its dropped energy
     exp = SincExpansion(square.d, kind, square.coeffs)

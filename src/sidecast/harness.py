@@ -220,13 +220,20 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
                  t_max: float = 400.0, dt: float = 0.005, closed_form=None):
     """Brute-force transform of the c=1 kernel at the probe points.
 
-    One pass over the (x, t) box. Per block of t nodes, one real matrix
-    product kv @ [cos(r t) | sin(r t)] takes the t sums for every unique
-    probe r at once; the box sum over t is then acc_cos - i acc_sin. The
-    origin is the exception: the t tail of the box integral decays only
-    like 1/sqrt(T) there, so no reachable T suffices; it is instead
-    evaluated by the substituted-variables mass quadrature, which converges
-    fast.
+    One pass over the (x, t) box |x| <= x_half, 0 < t < t_max. The kernel
+    is even in x and the box is symmetric, so the x sum folds onto the
+    nodes x = k dx, 0 <= k <= x_half/dx:
+    sum_x e^{-izx} T(x) = T(0) + 2 sum_{x>0} cos(zx) T(x). That needs
+    x_half to be a whole number of steps dx, so that x = 0 is a node and
+    every other node has its mirror; any other box is a ValueError.
+
+    Per block of t nodes, one real matrix product kv @ [cos(r t) | sin(r t)]
+    takes the t sums for every unique probe r at once; the box sum over t
+    is then acc_cos - i acc_sin, and the folded x sum weighs it with
+    w_x cos(z x). The origin is the exception: the t tail of the box
+    integral decays only like 1/sqrt(T) there, so no reachable T suffices;
+    it is instead evaluated by the substituted-variables mass quadrature,
+    which converges fast.
 
     closed_form replaces the symbol being checked; the verify command uses
     it to prove the check can fail.
@@ -235,12 +242,20 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
         points = DEFAULT_SYMBOL_POINTS
     closed_fn = closed_form if closed_form is not None else s_hat
     pts = [(float(z), float(r)) for z, r in points]
-    nx = int(round(2.0 * x_half / dx)) + 1
-    xs = -x_half + dx * np.arange(nx)
+    n_half = int(round(x_half / dx))
+    if n_half < 0 or abs(x_half - n_half * dx) > 1e-9 * dx:
+        raise ValueError(
+            "symbol box half-width x_half = %g is not a whole number of "
+            "steps dx = %g, so the box is not symmetric about x = 0"
+            % (x_half, dx))
+    xs = dx * np.arange(n_half + 1)
+    # x = 0 once, every x > 0 for itself and its mirror -x
+    wx = np.full(xs.size, 2.0)
+    wx[0] = 1.0
     nt = int(round(t_max / dt))
     rs = np.array(sorted({r for z, r in pts if not (z == 0.0 and r == 0.0)}))
-    acc = np.zeros((nx, 2 * rs.size))
-    # 256 t nodes keep a 1601-row kernel block (3.3 MB) in cache
+    acc = np.zeros((xs.size, 2 * rs.size))
+    # 256 t nodes keep an 801-row kernel block (1.6 MB) in cache
     chunk = 256
     # a panel of the origin alone needs no box sum
     for j0 in range(0, nt if rs.size else 0, chunk):
@@ -258,7 +273,7 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
         if z == 0.0 and r == 0.0:
             numeric = complex(_substituted_mass(1.0) / (2.0 * math.pi))
         else:
-            numeric = complex(np.exp(-1j * z * xs) @ t_sums[r] * scale)
+            numeric = complex(wx * np.cos(z * xs) @ t_sums[r] * scale)
         mag = abs(closed)
         if mag == 0.0:
             warnings.warn("closed form vanished at (z=%g, r=%g); point "

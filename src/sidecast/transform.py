@@ -11,7 +11,8 @@ The reconstruction takes its spectra from dft2_lattice: the bins of the
 zero-padded data's FFT that fall in the cutoff window, computed by a pruned
 transform (one real matrix product over x for the z >= 0 bins, then one FFT
 along t of those rows only); dft2_forward evaluates the same sum on any grid
-by matrix products and is the independent transform of the checks.
+by matrix products, the t sum first in real arithmetic, and is the
+independent transform of the checks.
 """
 
 from __future__ import annotations
@@ -126,14 +127,18 @@ def dft2_forward(field: RealField, spectral_grid: GridSpec) -> ComplexField:
     """Rectangle-rule transform onto the spectral grid.
 
     out[k, l] = (1/2pi) * sum_{i,j} field[i,j] e^{-i(x_i z_k + t_j r_l)} dx dt,
-    evaluated as two matrix products (identical sum, reassociated).
+    evaluated as matrix products (identical sum, reassociated). The t sum
+    comes first, in real arithmetic for real data:
+    V @ cos(t r) - i V @ sin(t r), two real products over t; the complex
+    x factor then meets only the nx x nr result. The same formula holds
+    for complex values.
     """
     g = field.grid
-    zs = spectral_grid.x_nodes()
-    rs = spectral_grid.t_nodes()
-    ez = np.exp(-1j * np.outer(zs, g.x_nodes()))   # (nz, nx)
-    et = np.exp(-1j * np.outer(g.t_nodes(), rs))   # (nt, nr)
-    vals = (ez @ field.values @ et) * (g.cell_area / TWO_PI)
+    v = field.values
+    tr = np.outer(g.t_nodes(), spectral_grid.t_nodes())          # (nt, nr)
+    right = v @ np.cos(tr) - 1j * (v @ np.sin(tr))               # (nx, nr)
+    ez = np.exp(-1j * np.outer(spectral_grid.x_nodes(), g.x_nodes()))
+    vals = (ez @ right) * (g.cell_area / TWO_PI)
     return ComplexField(spectral_grid, vals)
 
 

@@ -370,7 +370,7 @@ class TestFileModeManifest:
         assert main(["reconstruct", "--f", fp, "--g", gp,
                      "--grid", "9,9,0.2,0.1,0.5,0.3", "--mode", "hm",
                      "--m", "0.5", "--epsilon", "1e-4", "--out", out]) == 0
-        capsys.readouterr()
+        assert "no HM bound written" in capsys.readouterr().out
         with open(os.path.join(out, "manifest.txt")) as fh:
             lines = fh.read().splitlines()
         # HM mode's window is the square |z|, |r| <= a_eps
@@ -379,6 +379,24 @@ class TestFileModeManifest:
 
 
 class TestSincCommand:
+    @pytest.mark.parametrize("grid,rc", [("5,65,0,0.25,0.5,2.5", 2),
+                                         ("5,65,0,0.25,0.5,0.625", 0)])
+    def test_evaluation_box_an_alias_period_wide(self, tmp_path, capsys,
+                                                 grid, rc):
+        # t in [0.5, 160.5] spans two alias periods of the default data
+        # grid's lattice, t in [0.5, 40.5] stays inside one
+        out = tmp_path / "sinc"
+        assert main(["sinc", "--problem", "p2", "--epsilon", "0.02",
+                     "--N", "50", "--grid", grid, "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        if rc:
+            assert "output window t in" in captured.err
+            assert "P = 80 " in captured.err
+            assert not out.exists()
+        else:
+            assert "deviation from the windowed inverse" in captured.out
+            assert (out / "sinc.txt").is_file()
+
     def test_zero_radius_rejected(self, tmp_path, capsys):
         # the radius is refused before any output directory is made
         out = tmp_path / "zr"
@@ -438,6 +456,18 @@ class TestSyntheticReconstruct:
     def test_artifacts_and_stdout(self, synthetic_run, capsys):
         for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
             assert (synthetic_run / name).is_file()
+
+    def test_hm_run_says_why_it_writes_no_bound(self, tmp_path, capsys):
+        out = tmp_path / "hm"
+        assert main(["reconstruct", "--problem", "p1", "--mode", "hm",
+                     "--m", "0.5", "--epsilon", "1e-4",
+                     "--data-grid", _DATA_GRID, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "measured_error=" in text
+        assert ("no HM bound written: it needs C1, the Sobolev seminorm of "
+                "the exact solution, which is not supplied") in text
+        with open(out / "manifest.txt") as fh:
+            assert not any(ln.startswith("bound_") for ln in fh)
 
     def test_manifest_reproduces_the_run(self, synthetic_run, tmp_path,
                                          capsys):

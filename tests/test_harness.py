@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sidecast.harness as harness
 from sidecast.fields import GridSpec, RealField, l2_norm, l2_distance, \
@@ -279,6 +281,43 @@ class TestSymbolValidation:
             direct = np.sum(kv * phase) * 0.25 * 0.01 / (2.0 * math.pi)
             assert (row.z, row.r) == (z, r)
             assert abs(row.numeric - direct) <= 1e-12 * abs(direct)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 12), st.floats(0.05, 0.5), st.integers(1, 400),
+           st.floats(0.005, 0.1),
+           st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                    min_size=1, max_size=3),
+           st.floats(0.1, 3.0))
+    def test_folded_sum_is_the_full_box_sum(self, n_half, dx, nt, dt, pts,
+                                            z_axis):
+        # the fold onto x >= 0 is the full symmetric double sum, and on the
+        # r = 0 axis its imaginary part is exactly zero
+        pts = pts + [(z_axis, 0.0), (-z_axis, 0.0)]
+        rows = _symbol_rows(points=pts, x_half=n_half * dx, dx=dx,
+                            t_max=nt * dt, dt=dt)
+        xs = dx * np.arange(-n_half, n_half + 1)
+        ts = (np.arange(nt) + SINGULAR_OFFSET) * dt
+        kv = kernel_eval(S_SPEC, xs[:, None], ts[None, :])
+        for row, (z, r) in zip(rows, pts):
+            assert (row.z, row.r) == (z, r)
+            if z == 0.0 and r == 0.0:
+                continue
+            phase = np.exp(-1j * (z * xs[:, None] + r * ts[None, :]))
+            direct = np.sum(kv * phase) * dx * dt / (2.0 * math.pi)
+            assert abs(row.numeric - direct) <= 1e-12 * abs(direct)
+            if r == 0.0:
+                assert row.numeric.imag == 0.0
+
+    @pytest.mark.parametrize("x_half,dx", [(1.0, 0.3), (1.0, 0.4),
+                                           (-1.0, 0.5)])
+    def test_box_off_the_step_lattice_is_refused(self, x_half, dx):
+        # the fold onto x >= 0 needs x = 0 as a node and a mirror for every
+        # other node; 1/0.4 = 2.5 steps would give a symmetric box without
+        # x = 0, 1/0.3 an asymmetric one
+        with pytest.raises(ValueError, match=r"x_half = %g .* dx = %g"
+                           % (x_half, dx)):
+            _symbol_rows(points=[(1.0, 0.0)], x_half=x_half, dx=dx,
+                         t_max=0.02, dt=0.01)
 
     def test_shorthand_modulus_agrees_at_unit_z_only(self):
         rows = _symbol_rows(points=[(1.0, 0.0), (2.0, 0.0)], **_TINY_BOX)

@@ -61,6 +61,23 @@ def test_forward_transform_matches_direct_sum():
     assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_forward_transform_matches_direct_sum_on_a_long_t_axis(dtype):
+    # the check shapes of kappa_calibration: many more t nodes than r
+    # nodes, and more x nodes than z nodes
+    g = GridSpec(-1.3, 0.29, 9, 0.02, 0.05, 90)
+    rng = np.random.Generator(np.random.Philox(5))
+    vals = rng.standard_normal(g.shape)
+    if dtype is complex:
+        f = ComplexField(g, vals + 1j * rng.standard_normal(g.shape))
+    else:
+        f = RealField(g, vals)
+    sg = GridSpec(-1.2, 0.9, 4, -2.0, 1.7, 3)
+    a = dft2_forward(f, sg).values
+    b = dft2_direct(f, sg).values
+    assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 20), st.integers(2, 20), st.floats(0.05, 1.0),
        st.floats(0.05, 1.0), st.floats(-3.0, 3.0), st.floats(0.01, 2.0),
