@@ -325,9 +325,10 @@ def cmd_sinc(args) -> int:
     from . import harness
     from .fields import sample, write_csv
     from .kernels import test_problem
-    from .regularizer import _refuse_aliased_window, reconstruct_spectrum
+    from .regularizer import reconstruct
     from .sinc import (IndexSetKind, SincExpansion, band_halfwidth,
-                       eval_expansion, spectral_expansion, write_expansion)
+                       build_expansion, eval_expansion, write_expansion)
+    from .transform import idft2_windowed_at
 
     _merge_config(args)
     params = _params_from(args)
@@ -352,10 +353,11 @@ def cmd_sinc(args) -> int:
         else harness.default_out_grid(args.problem)
     f, g = harness.noisy_histories(prob, data_grid, params.epsilon,
                                    args.seed or 0)
-    v_hat, _ = reconstruct_spectrum(f, g, params)
-    # the reference inverse repeats with the alias period, as v_eps does
-    _refuse_aliased_window(data_grid, eval_grid, v_hat.grid)
-    square = spectral_expansion(v_hat, a_eps, args.n)
+    # the reference inverse repeats with the alias period, as v_eps does,
+    # so reconstruct refuses an evaluation box that spans one
+    v_hat = reconstruct(f, g, params, eval_grid).v_hat
+    square = build_expansion(lambda x, t: idft2_windowed_at(v_hat, x, t),
+                             a_eps, args.n)
     # the square samples also give the triangular set and its dropped energy
     exp = SincExpansion(square.d, kind, square.coeffs)
     dev = harness.sinc_deviation(exp, v_hat, eval_grid)

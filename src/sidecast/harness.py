@@ -17,8 +17,8 @@ import numpy as np
 
 from .fields import (GridSpec, RealField, l2_distance, sample, write_csv,
                      write_field)
-from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, _substituted_mass,
-                      kernel_eval, s_hat, test_problem)
+from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, kernel_eval,
+                      kernel_l1_norm, s_hat, test_problem)
 from .regularizer import RegMode, RegParams, reconstruct, region_for
 from .sinc import eval_expansion
 from .transform import (_lattice_offsets, convolve2_causal, dft2_forward,
@@ -36,7 +36,6 @@ __all__ = [
     "assemble_rhs",
     "identity_residual",
     "refined_window_grid",
-    "validate_s_hat",
     "kappa_calibration",
     "sinc_deviation",
     "run_experiment",
@@ -55,15 +54,15 @@ CONVOLUTION_FACTOR = 2.0 * math.pi
 _G_SEED_OFFSET = 1000003
 
 
-def default_data_grid(nx: int = 513, x_half: float = 10.0,
-                      nt: int = 2000, dt: float = 0.02) -> GridSpec:
-    """Measurement grid for the synthetic problems.
+def default_data_grid(nx: int = 513, nt: int = 2000,
+                      dt: float = 0.02) -> GridSpec:
+    """Measurement grid for the synthetic problems, |x| <= 10.
 
     t nodes sit at (j + theta)*dt with theta the zeta-zero offset, which
     makes the rectangle rule in t behave like an endpoint-corrected rule
     for integrands with a sqrt singularity at 0.
     """
-    return GridSpec(x0=-x_half, dx=2.0 * x_half / (nx - 1), nx=nx,
+    return GridSpec(x0=-10.0, dx=20.0 / (nx - 1), nx=nx,
                     t0=SINGULAR_OFFSET * dt, dt=dt, nt=nt)
 
 
@@ -165,22 +164,21 @@ def identity_residual(v: RealField, f: RealField, g: RealField,
     return num / max(den, np.finfo(float).tiny)
 
 
-def refined_window_grid(window_grid: GridSpec, pad_x: float = 10.0,
-                        k_lo: int = 4, k_hi: int = 48):
+def refined_window_grid(window_grid: GridSpec):
     """Quadrature lattice for identity checks over a target window.
 
     Returns (in_grid, out_grid): in_grid refines the window's t step by the
-    factor K in [k_lo, k_hi] whose lattice phase frac(t0/dt) lands nearest
-    the zeta-zero offset (the same endpoint trick as the mass quadrature),
-    starts at the first positive lattice node, and pads x by pad_x so the
-    convolutions see the data's spatial tails. out_grid is the window on
-    that refined lattice.
+    factor K in [4, 48] whose lattice phase frac(t0/dt) lands nearest the
+    zeta-zero offset (the same endpoint trick as the mass quadrature),
+    starts at the first positive lattice node, and pads x by 10 on each
+    side so the convolutions see the data's spatial tails. out_grid is the
+    window on that refined lattice.
     """
     g = window_grid
     if g.t0 <= 0:
         raise ValueError("window must start at positive t")
     best = None
-    for k in range(k_lo, k_hi + 1):
+    for k in range(4, 49):
         dtf = g.dt / k
         theta = (g.t0 / dtf) % 1.0
         score = abs(theta - SINGULAR_OFFSET)
@@ -190,7 +188,7 @@ def refined_window_grid(window_grid: GridSpec, pad_x: float = 10.0,
     t_first = theta * dtf
     t_end = g.t0 + (g.nt - 1) * g.dt
     nt_in = int(round((t_end - t_first) / dtf)) + 1
-    npad = int(math.ceil(pad_x / g.dx))
+    npad = int(math.ceil(10.0 / g.dx))
     in_grid = GridSpec(x0=g.x0 - npad * g.dx, dx=g.dx, nx=g.nx + 2 * npad,
                        t0=t_first, dt=dtf, nt=nt_in)
     out_grid = GridSpec(x0=g.x0, dx=g.dx, nx=g.nx,
@@ -232,8 +230,8 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     is then acc_cos - i acc_sin, and the folded x sum weighs it with
     w_x cos(z x). The origin is the exception: the t tail of the box
     integral decays only like 1/sqrt(T) there, so no reachable T suffices;
-    it is instead evaluated by the substituted-variables mass quadrature,
-    which converges fast.
+    it is instead kernel_l1_norm/(2 pi), the substituted-variables mass
+    quadrature, which converges fast.
 
     closed_form replaces the symbol being checked; the verify command uses
     it to prove the check can fail.
@@ -271,7 +269,7 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     for z, r in pts:
         closed = complex(closed_fn(z, r))
         if z == 0.0 and r == 0.0:
-            numeric = complex(_substituted_mass(1.0) / (2.0 * math.pi))
+            numeric = complex(kernel_l1_norm(S_SPEC) / (2.0 * math.pi))
         else:
             numeric = complex(wx * np.cos(z * xs) @ t_sums[r] * scale)
         mag = abs(closed)
@@ -289,28 +287,18 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     return rows
 
 
-def validate_s_hat(points=None, x_half: float = 40.0, dx: float = 0.05,
-                   t_max: float = 400.0, dt: float = 0.005,
-                   closed_form=None) -> float:
-    """Max relative error of the closed-form symbol against brute-force
-    quadrature over the probe points. An empty point list is vacuous: 0."""
-    rows = _symbol_rows(points, x_half=x_half, dx=dx, t_max=t_max, dt=dt,
-                        closed_form=closed_form)
-    return max((row.rel_err for row in rows), default=0.0)
-
-
-def kappa_calibration(epsilon: float = 0.01, gamma: float = 1.0,
-                      data_grid: Optional[GridSpec] = None):
-    """Residuals of kappa * S_hat * v0_hat = F_hat over the cutoff region
-    for kappa = 2*pi (the symmetric-transform convolution factor) and
-    kappa = 1 (the competing reading). Returns (res_2pi, res_1); the first
-    should sit at quadrature level, the second should be order one. The
-    spectra are taken by the matrix DFT on a fixed 205-node grid over the
-    window, independently of the reconstruction's FFT lattice.
+def kappa_calibration(data_grid: Optional[GridSpec] = None):
+    """Residuals of kappa * S_hat * v0_hat = F_hat over the L2 cutoff
+    region at epsilon = 0.01, gamma = 1, for kappa = 2*pi (the
+    symmetric-transform convolution factor) and kappa = 1 (the competing
+    reading). Returns (res_2pi, res_1); the first should sit at quadrature
+    level, the second should be order one. The spectra are taken by the
+    matrix DFT on a fixed 205-node grid over the window, independently of
+    the reconstruction's FFT lattice.
     """
     prob = test_problem("P1")
     dg = data_grid if data_grid is not None else default_data_grid()
-    window = region_for(RegParams(epsilon=epsilon, gamma=gamma))
+    window = region_for(RegParams(epsilon=0.01, gamma=1.0))
     sg = GridSpec.centered(window.zmax, 205, window.rmax, 205)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
@@ -325,16 +313,16 @@ def kappa_calibration(epsilon: float = 0.01, gamma: float = 1.0,
     return out[0], out[1]
 
 
-def sinc_deviation(exp, v_hat, box: GridSpec, n_points: int = 200,
-                   seed: int = 74257) -> float:
+def sinc_deviation(exp, v_hat, box: GridSpec) -> float:
     """Relative l2 deviation of the series from the direct inverse of v_hat
-    over points drawn uniformly from box's extent (box is a bounding box,
-    not a lattice; the draw avoids lattice nodes almost surely)."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    over 200 points drawn uniformly from box's extent, seeded 74257 (box
+    is a bounding box, not a lattice; the draw avoids lattice nodes almost
+    surely)."""
+    rng = np.random.Generator(np.random.Philox(74257))
     xr = box.x0 + (box.nx - 1) * box.dx
     tr = box.t0 + (box.nt - 1) * box.dt
-    xs = rng.uniform(box.x0, xr, size=n_points)
-    ts = rng.uniform(box.t0, tr, size=n_points)
+    xs = rng.uniform(box.x0, xr, size=200)
+    ts = rng.uniform(box.t0, tr, size=200)
     direct = idft2_windowed_at(v_hat, xs, ts)
     series = eval_expansion(exp, xs, ts)
     den = max(float(np.linalg.norm(direct)), np.finfo(float).tiny)

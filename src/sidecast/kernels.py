@@ -1,8 +1,10 @@
 """Closed-form kernels, their Fourier symbols, and exact test problems.
 
-Everything in this module is analytic. The rest of the package treats these
-values as ground truth: quadrature, transforms and the inversion pipeline
-are all validated against them. Each closed form is written here once.
+Everything in this module is analytic but kernel_l1_norm, a quadrature of
+the kernels' mass that only the checks use. The rest of the package treats
+the closed forms as ground truth: quadrature, transforms and the inversion
+pipeline are all validated against them. Each closed form is written here
+once.
 
 Every kernel and every exact trace belongs to the heat family
 t^(-p) exp(-(x^2+c)/(4t)) for t > 0 and 0 otherwise, and one private
@@ -123,17 +125,23 @@ def s_hat_abs(z, r):
     return _maybe_scalar(2.0 * np.exp(-np.real(spectral_w(z, r))), z, r)
 
 
-def _substituted_mass(c: float, n_u: int = 6000, dy: float = 0.05,
-                      y_half: float = 12.0) -> float:
-    """Rectangle quadrature of the kernel's total integral in substituted
-    variables (x, t) -> (y, u) = (x/sqrt(t), 1/t), where the integrand
-    becomes u^(-1/2) e^{-y^2/4} e^{-cu/4} on a finite-mass rectangle.
+def kernel_l1_norm(spec: KernelSpec) -> float:
+    """Quadrature L1 norm of k_c over the plane, the one quadrature in this
+    module; the analytic value 4*pi/sqrt(c) is what the checks compare it
+    with, not a constant baked in here.
+
+    The rectangle rule runs in substituted variables (x, t) -> (y, u) =
+    (x/sqrt(t), 1/t), where the integrand becomes
+    u^(-1/2) e^{-y^2/4} e^{-cu/4} on a finite-mass rectangle: 6000 u nodes
+    and y-step 0.05 over |y| <= 12.
 
     A plain (x, t) box cannot do this: the t-tail of the integral decays
     like T^(-1/2), so even t <= 400 leaves a ~3% deficit. The u-nodes sit
     at (j + SINGULAR_OFFSET)*du, cancelling the u^(-1/2) endpoint error of
     the rectangle rule.
     """
+    c = spec.c
+    n_u, dy, y_half = 6000, 0.05, 12.0
     u_max = 75.0 / c  # e^{-c u/4} tail below 1e-8 of the mass
     du = u_max / n_u
     us = (np.arange(n_u) + SINGULAR_OFFSET) * du
@@ -141,13 +149,6 @@ def _substituted_mass(c: float, n_u: int = 6000, dy: float = 0.05,
     y_sum = float(np.sum(np.exp(-ys * ys / 4.0))) * dy
     u_sum = float(np.sum(np.exp(-c * us / 4.0) / np.sqrt(us))) * du
     return y_sum * u_sum
-
-
-def kernel_l1_norm(spec: KernelSpec) -> float:
-    """Quadrature L1 norm of k_c over the plane; the analytic value is
-    4*pi/sqrt(c) and serves as a cross-check in the tests, not a constant
-    baked in here."""
-    return _substituted_mass(spec.c)
 
 
 def layer_trace(c: float) -> Callable:

@@ -18,14 +18,14 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .fields import ComplexField, GridSpec, RealField, sample
-from .kernels import R_SPEC, S_SPEC, kernel_l1_norm, spectral_w
-from .transform import TWO_PI, SpectralWindow, dft2_lattice, idft2_windowed
+from .kernels import spectral_w
+from .transform import (TWO_PI, SpectralWindow, dft2_lattice,
+                        idft2_windowed_at)
 
 __all__ = [
     "RegMode",
@@ -164,15 +164,15 @@ def tail_energy(v0: RealField, window: SpectralWindow) -> float:
     return max(total - inside, 0.0)
 
 
-@lru_cache(maxsize=1)
 def _c_constant() -> float:
-    # (4 + 2||R||_1 + ||S||_1)^2 with the norms by quadrature; the analytic
-    # values 2 pi and 4 pi are asserted against these in the tests
-    return (4.0 + 2.0 * kernel_l1_norm(R_SPEC) + kernel_l1_norm(S_SPEC)) ** 2
+    # (4 + 2||R||_1 + ||S||_1)^2 with the exact norms ||k_c||_1 =
+    # 4 pi/sqrt(c), 2 pi and 4 pi; verify checks them by quadrature
+    return (4.0 + 8.0 * math.pi) ** 2
 
 
 def error_bound_l2(epsilon: float, gamma: float, eta_hat: float) -> float:
-    """sqrt(C eps^(2-gamma) + eta_hat), C = (4 + 2||R||_1 + ||S||_1)^2."""
+    """sqrt(C eps^(2-gamma) + eta_hat), C = (4 + 2||R||_1 + ||S||_1)^2
+    = (4 + 8 pi)^2."""
     _check_l2(epsilon, gamma)
     if eta_hat < 0:
         raise ValueError("tail energy must be nonnegative")
@@ -290,7 +290,8 @@ def reconstruct(f: RealField, g: RealField, params: RegParams,
     """
     v_hat, window = reconstruct_spectrum(f, g, params)
     _refuse_aliased_window(f.grid, out_grid, v_hat.grid)
-    v_eps = idft2_windowed(v_hat, out_grid)
+    v_eps = RealField(out_grid, idft2_windowed_at(
+        v_hat, out_grid.x_nodes()[:, None], out_grid.t_nodes()[None, :]))
     eta = None
     if v_exact is not None:
         eta = tail_energy(sample(v_exact, f.grid), window)

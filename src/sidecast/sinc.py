@@ -18,7 +18,6 @@ import numpy as np
 
 from .fields import GridSpec
 from .regularizer import RegParams, region_for
-from .transform import idft2_windowed
 
 __all__ = [
     "IndexSetKind",
@@ -27,7 +26,6 @@ __all__ = [
     "index_lattice",
     "sinc_lattice",
     "build_expansion",
-    "spectral_expansion",
     "eval_expansion",
     "write_expansion",
     "read_expansion",
@@ -140,31 +138,21 @@ def build_expansion(v_eval, a_eps: float, n: int,
     band half-width the evaluator was truncated to, so the mesh is exactly
     the Nyquist spacing for it.
 
-    v_eval maps equal-shape point arrays (x, t) to values; it is called
-    once, on the (2N+1) x (2N+1) node arrays. A windowed spectrum is
-    sampled faster as a grid by spectral_expansion. Time nodes with n < 0
-    are legitimate: the band-limited extension exists on the whole plane
-    even though the data live on t > 0.
+    v_eval is called once, on the open grid of lattice nodes: x a column
+    (2N+1, 1) and t a row (1, 2N+1). A result that depends on one axis
+    only is broadcast to the (2N+1) x (2N+1) lattice. The windowed inverse
+    of a spectrum, lambda x, t: idft2_windowed_at(spec, x, t), samples it
+    by two matrix products. Time nodes with n < 0 are legitimate: the
+    band-limited extension exists on the whole plane even though the data
+    live on t > 0.
     """
     grid = sinc_lattice(a_eps, n)
-    nodes = np.arange(-n, n + 1) * grid.dx
-    xs, ts = np.meshgrid(nodes, nodes, indexing="ij")
-    samples = np.asarray(v_eval(xs, ts), dtype=float)
-    if samples.shape != xs.shape:
+    samples = np.asarray(v_eval(grid.x_nodes()[:, None],
+                                grid.t_nodes()[None, :]), dtype=float)
+    if samples.ndim not in (0, 2) or not set(samples.shape) <= {1, grid.nx}:
         raise ValueError("evaluator returned shape %r for %d nodes"
-                         % (samples.shape, xs.size))
-    return SincExpansion(grid.dx, kind, samples)
-
-
-def spectral_expansion(spec, a_eps: float, n: int,
-                       kind: IndexSetKind = IndexSetKind.SQUARE
-                       ) -> SincExpansion:
-    """Series of the inverse of spec, truncated to the band a_eps. The
-    lattice is a grid, so one grid inverse (two matrix products) samples
-    all of it; kind's index set is kept."""
-    lattice = sinc_lattice(a_eps, n)
-    return SincExpansion(lattice.dx, kind,
-                         idft2_windowed(spec, lattice).values)
+                         % (samples.shape, grid.nx * grid.nt))
+    return SincExpansion(grid.dx, kind, np.broadcast_to(samples, grid.shape))
 
 
 def eval_expansion(exp: SincExpansion, x, t):
@@ -184,8 +172,7 @@ def eval_expansion(exp: SincExpansion, x, t):
     if xs.ndim == ts.ndim == 2 and xs.shape[1] == 1 and ts.shape[0] == 1:
         return (np.sinc(xs / exp.d - idx) @ exp.coeffs
                 @ np.sinc(ts.T / exp.d - idx).T)
-    scalar = np.isscalar(x) and np.isscalar(t)
-    xs, ts = np.broadcast_arrays(np.atleast_1d(xs), np.atleast_1d(ts))
+    xs, ts = np.broadcast_arrays(xs, ts)
     shape = xs.shape
     xf, tf = xs.ravel(), ts.ravel()
     out = np.empty(xf.shape)
@@ -196,7 +183,9 @@ def eval_expansion(exp: SincExpansion, x, t):
         card_t = np.sinc(tf[sl, None] / exp.d - idx)
         out[sl] = np.einsum("pj,pj->p", card_x @ exp.coeffs, card_t)
     out = out.reshape(shape)
-    return float(out.reshape(-1)[0]) if scalar else out
+    if np.ndim(x) == 0 and np.ndim(t) == 0:
+        return float(out)
+    return out
 
 
 def write_expansion(path, exp: SincExpansion) -> None:

@@ -21,7 +21,7 @@ from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET, _symbol_rows,
                               convergence_table, default_data_grid,
                               default_out_grid, identity_residual,
                               noisy_histories, perturb, refined_window_grid,
-                              run_experiment, validate_s_hat,
+                              run_experiment,
                               write_convergence_csv)
 from sidecast.kernels import (S_SPEC, SINGULAR_OFFSET, KernelSpec,
                               kernel_eval, s_hat, test_problem)
@@ -248,24 +248,25 @@ class TestIdentityResidual:
 
 class TestSymbolValidation:
     def test_empty_point_list_is_vacuous(self):
-        assert validate_s_hat(points=[], **_TINY_BOX) == 0.0
+        assert _symbol_rows(points=[], **_TINY_BOX) == []
 
     def test_origin_uses_the_substituted_mass_quadrature(self):
         # the origin bypasses the (here uselessly small) box integral, so
         # the error is the mass quadrature's, a few parts in 1e6
-        assert validate_s_hat(points=[(0.0, 0.0)], **_TINY_BOX) < 1e-4
+        [row] = _symbol_rows(points=[(0.0, 0.0)], **_TINY_BOX)
+        assert row.rel_err < 1e-4
 
     def test_injected_wrong_symbol_is_caught(self):
         wrong = lambda z, r: 1.05 * s_hat(z, r)
-        dev = validate_s_hat(points=[(0.0, 0.0)], closed_form=wrong,
+        [row] = _symbol_rows(points=[(0.0, 0.0)], closed_form=wrong,
                              **_TINY_BOX)
-        assert dev > 0.04
+        assert row.rel_err > 0.04
 
     def test_vanishing_closed_form_warns_and_skips(self):
         with pytest.warns(UserWarning, match="vanished"):
-            dev = validate_s_hat(points=[(0.0, 0.0)],
+            [row] = _symbol_rows(points=[(0.0, 0.0)],
                                  closed_form=lambda z, r: 0.0, **_TINY_BOX)
-        assert dev == 0.0
+        assert row.rel_err == 0.0
 
     def test_box_sums_match_a_direct_double_sum_per_point(self):
         # 4101 t nodes span 17 t blocks, the last one partial; r repeats,

@@ -20,7 +20,7 @@ from sidecast.regularizer import (BoundReport, RegMode, RegParams,
                                   reconstruct, reconstruct_spectrum,
                                   region_for, tail_energy)
 from sidecast.transform import (SpectralWindow, convolve2_causal,
-                                dft2_forward, dft2_lattice, idft2_windowed)
+                                dft2_forward, dft2_lattice, idft2_windowed_at)
 
 from direct_reference import window_contains
 
@@ -129,15 +129,16 @@ def test_region_shapes():
 
 def test_c_constant_value():
     rep = build_report(RegParams(epsilon=0.01, gamma=1.0))
-    # (4 + 2||R||_1 + ||S||_1)^2 by quadrature; the published rounding
-    # is 848.71 and the closed form with exact norms is (4 + 8 pi)^2
-    assert rep.C == pytest.approx(848.70313304926333, rel=1e-12)
+    # (4 + 2||R||_1 + ||S||_1)^2 with the exact norms 2 pi and 4 pi; the
+    # published rounding is 848.71
+    assert rep.C == pytest.approx(848.71661149946567, rel=1e-12)
     assert abs(rep.C - 848.71) < 1e-2
     assert rep.C == pytest.approx((4.0 + 8.0 * math.pi) ** 2, rel=5e-5)
 
 
 def test_error_bound_l2_values_and_checks():
-    assert error_bound_l2(0.01, 1.0, 0.0) == pytest.approx(2.9132509899582346,
+    # sqrt(C eps) = (4 + 8 pi)/10 at eps = 0.01, gamma = 1
+    assert error_bound_l2(0.01, 1.0, 0.0) == pytest.approx(2.913274122871835,
                                                            rel=1e-12)
     # adding tail energy grows the bound monotonically
     assert error_bound_l2(0.01, 1.0, 1.0) > error_bound_l2(0.01, 1.0, 0.0)
@@ -254,9 +255,10 @@ def test_closed_form_agrees_with_the_convolution_route(pid, out_grid):
     Z, R = np.meshgrid(v_hat.grid.x_nodes(), v_hat.grid.t_nodes(),
                        indexing="ij")
     divided = rhs_hat.values / (CONVOLUTION_FACTOR * s_hat(Z, R))
-    old = idft2_windowed(ComplexField(v_hat.grid, divided), out_grid)
-    new = idft2_windowed(v_hat, out_grid)
-    gap = l2_norm(RealField(out_grid, old.values - new.values)) / l2_norm(new)
+    xs, ts = out_grid.x_nodes()[:, None], out_grid.t_nodes()[None, :]
+    old = idft2_windowed_at(ComplexField(v_hat.grid, divided), xs, ts)
+    new = RealField(out_grid, idft2_windowed_at(v_hat, xs, ts))
+    gap = l2_norm(RealField(out_grid, old - new.values)) / l2_norm(new)
     assert gap < 2e-2
 
 

@@ -13,10 +13,8 @@ from sidecast.fields import GridSpec, sample
 from sidecast.regularizer import RegMode, RegParams, cutoff_hm, cutoff_l2
 from sidecast.sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                            build_expansion, eval_expansion, index_lattice,
-                           read_expansion, sinc_lattice, spectral_expansion,
-                           write_expansion)
-from sidecast.transform import (SpectralWindow, dft2_forward, idft2_windowed,
-                                idft2_windowed_at)
+                           read_expansion, sinc_lattice, write_expansion)
+from sidecast.transform import SpectralWindow, dft2_forward, idft2_windowed_at
 
 
 def _series(d, kind, n, values):
@@ -112,6 +110,34 @@ def test_build_expansion_stores_node_samples():
         # every node is bad; the error names the first lattice entry
         build_expansion(lambda x, t: np.full(np.shape(x), np.nan),
                         a_eps=1.0, n=1)
+
+
+def test_build_expansion_calls_its_evaluator_once_on_the_open_grid():
+    # one call, x a column and t a row of the 2N+1 lattice nodes; a result
+    # that depends on x only is broadcast along t
+    calls = []
+
+    def ev(x, t):
+        calls.append((np.shape(x), np.shape(t)))
+        return np.cos(x)
+
+    exp = build_expansion(ev, a_eps=math.pi / 0.5, n=3)
+    assert calls == [((7, 1), (1, 7))]
+    want = np.cos(0.5 * np.arange(-3, 4))
+    assert np.array_equal(exp.coeffs, np.repeat(want[:, None], 7, axis=1))
+    # a scalar is a constant series; a flat or mis-sized result is refused
+    assert np.all(build_expansion(lambda x, t: 2.0, 1.0, 1).coeffs == 2.0)
+    for bad in (lambda x, t: (x + t).ravel(), lambda x, t: x[:-1] + t):
+        with pytest.raises(ValueError, match="evaluator returned shape"):
+            build_expansion(bad, a_eps=1.0, n=2)
+
+
+def test_eval_expansion_of_zero_dim_arrays_is_a_float():
+    # as for idft2_windowed_at, two 0-d inputs give a float, not shape (1,)
+    exp = _series(0.5, IndexSetKind.SQUARE, 1, np.arange(9.0))
+    one = eval_expansion(exp, np.array(0.1), np.array(0.2))
+    assert isinstance(one, float)
+    assert one == eval_expansion(exp, 0.1, 0.2)
 
 
 def test_series_is_exact_for_a_band_limited_member():
@@ -391,14 +417,17 @@ def test_grid_inverse_lattice_matches_the_point_inverse():
     assert lattice.shape == (2 * n + 1, 2 * n + 1)
     assert lattice.dx == lattice.dt == pytest.approx(math.pi / a_eps,
                                                      rel=1e-15)
-    grid_vals = idft2_windowed(spec, lattice).values
+    def inverse(x, t):
+        return idft2_windowed_at(spec, x, t)
+
+    grid_vals = build_expansion(inverse, a_eps, n).coeffs
     ms, ns = index_lattice(IndexSetKind.SQUARE, n)
     d = math.pi / a_eps
     direct = idft2_windowed_at(spec, ms * d, ns * d)
     scale = float(np.max(np.abs(direct)))
     assert np.max(np.abs(grid_vals.ravel() - direct)) <= 1e-12 * scale
-    # the spectral build keeps exactly the index-set entries of the grid
-    tri = spectral_expansion(spec, a_eps, n, IndexSetKind.TRIANGULAR)
+    # the build keeps exactly the index-set entries of the grid
+    tri = build_expansion(inverse, a_eps, n, IndexSetKind.TRIANGULAR)
     mt, nt = index_lattice(IndexSetKind.TRIANGULAR, n)
     assert tri.d == math.pi / a_eps
     assert np.array_equal(tri.values, grid_vals[mt + n, nt + n])

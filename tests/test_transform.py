@@ -16,7 +16,7 @@ from sidecast.kernels import R_SPEC, S_SPEC, KernelSpec
 from sidecast.regularizer import RegParams, region_for
 from sidecast.transform import (SpectralWindow, _fast_len, _lattice_offsets,
                                 convolve2_causal, dft2_forward, dft2_lattice,
-                                idft2_windowed, idft2_windowed_at)
+                                idft2_windowed_at)
 
 from direct_reference import convolve2_direct, dft2_direct, window_contains
 
@@ -233,16 +233,22 @@ def test_windowed_inverse_round_trips_a_smooth_field():
     f = _gaussian_field()
     sg = GridSpec.centered(10.0, 201, 10.0, 201)
     spec = dft2_forward(f, sg)
-    back = idft2_windowed(spec, f.grid)
-    assert np.max(np.abs(back.values - f.values)) < 1e-6
+    back = idft2_windowed_at(spec, f.grid.x_nodes()[:, None],
+                             f.grid.t_nodes()[None, :])
+    assert back.shape == f.grid.shape
+    assert np.max(np.abs(back - f.values)) < 1e-6
 
 
 def test_windowed_inverse_at_matches_grid_inverse():
+    # the open grid (two matrix products) against the same nodes passed
+    # as full arrays (the point path)
     f = _gaussian_field(6.0, 81)
     sg = GridSpec.centered(6.0, 73, 6.0, 73)
     spec = dft2_forward(f, sg)
-    out = GridSpec(-1.0, 0.5, 5, -1.0, 0.5, 5)
-    grid_vals = idft2_windowed(spec, out).values
+    out = GridSpec(-1.0, 0.5, 5, -1.0, 0.5, 7)
+    grid_vals = idft2_windowed_at(spec, out.x_nodes()[:, None],
+                                  out.t_nodes()[None, :])
+    assert grid_vals.shape == out.shape
     X, T = np.meshgrid(out.x_nodes(), out.t_nodes(), indexing="ij")
     pt_vals = idft2_windowed_at(spec, X, T)
     assert np.max(np.abs(grid_vals - pt_vals)) < 1e-9 * np.max(np.abs(grid_vals))
@@ -257,7 +263,8 @@ def test_asymmetric_spectrum_trips_the_imag_residue_check():
     spec = ComplexField(sg, vals)
     out = GridSpec(-1.0, 0.5, 5, -1.0, 0.5, 5)
     with pytest.raises(ValueError, match="imaginary residue"):
-        idft2_windowed(spec, out)
+        idft2_windowed_at(spec, out.x_nodes()[:, None],
+                          out.t_nodes()[None, :])
 
 
 def test_lattice_offsets_accept_aligned_and_reject_misaligned():
