@@ -25,6 +25,15 @@ __all__ = [
 _FMT = "%.17g"
 
 
+def _value_text(values) -> list[str]:
+    """_FMT text of each value of a block, in row-major order.
+
+    One % call formats the whole block from its .tolist() values, which
+    is faster than one % per value."""
+    flat = np.ravel(values).tolist()
+    return ("\n".join([_FMT] * len(flat)) % tuple(flat)).split("\n")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform rectangular grid; node (i, j) sits at (x0 + i*dx, t0 + j*dt).
@@ -152,18 +161,23 @@ class GrdParseError(ValueError):
     """Malformed GRD file; message carries the 1-based line number."""
 
 
-def write_field(field: RealField, path) -> None:
+def write_field(field: RealField, path, *, text=None) -> None:
     """GRD text format: header "nx nt x0 dx t0 dt", then nt lines of nx
     values (line j holds the fixed-t_j row). 17 significant digits, so the
-    round-trip is exact for float64."""
+    round-trip is exact for float64.
+
+    Each line is formatted as it is written, so memory holds one line of
+    text at a time. A caller that also writes the field's CSV passes the
+    value text it formatted once, ``text=_value_text(field.values)``."""
     if np.iscomplexobj(field.values):
         raise TypeError("GRD files hold real fields only")
     g = field.grid
     with open(path, "w") as fh:
-        fh.write("%d %d %s %s %s %s\n" % (g.nx, g.nt, _FMT % g.x0, _FMT % g.dx,
-                                          _FMT % g.t0, _FMT % g.dt))
-        for col in field.values.T:
-            fh.write(" ".join([_FMT % v for v in col.tolist()]) + "\n")
+        fh.write("%d %d %s\n" % (g.nx, g.nt, " ".join(
+            _value_text([g.x0, g.dx, g.t0, g.dt]))))
+        for j, col in enumerate(field.values.T):
+            fh.write(" ".join(_value_text(col) if text is None
+                              else text[j::g.nt]) + "\n")
 
 
 def read_field(path) -> RealField:
@@ -221,17 +235,22 @@ def read_field(path) -> RealField:
     return RealField(grid, values)
 
 
-def write_csv(field: RealField, path) -> None:
+def write_csv(field: RealField, path, *, text=None) -> None:
     """CSV surface dump: header "x,t,value", one row per node in row-major
-    node order (x outer, t inner). Meant for external plotting tools."""
+    node order (x outer, t inner). Meant for external plotting tools.
+
+    Values are formatted one x row at a time unless ``text`` holds them
+    all, as write_field takes it."""
     if np.iscomplexobj(field.values):
         raise TypeError("CSV dumps hold real fields only")
     g = field.grid
     # node coordinates are formatted once per axis
-    t_cols = [",%s," % (_FMT % t) for t in g.t_nodes().tolist()]
+    t_cols = [",%s," % t for t in _value_text(g.t_nodes())]
     with open(path, "w") as fh:
         fh.write("x,t,value\n")
-        for x, row in zip(g.x_nodes().tolist(), field.values.tolist()):
-            x_txt = _FMT % x
-            fh.write("".join([x_txt + tc + (_FMT % v) + "\n"
-                              for tc, v in zip(t_cols, row)]))
+        for i, (x_txt, row) in enumerate(zip(_value_text(g.x_nodes()),
+                                             field.values)):
+            row_txt = (_value_text(row) if text is None
+                       else text[i * g.nt:(i + 1) * g.nt])
+            fh.write("".join([f"{x_txt}{tc}{v}\n"
+                              for tc, v in zip(t_cols, row_txt)]))

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import (GridSpec, RealField, l2_distance, sample, write_csv,
-                     write_field)
+from .fields import (GridSpec, RealField, _value_text, l2_distance, sample,
+                     write_csv, write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, kernel_eval,
                       kernel_l1_norm, s_hat, test_problem)
 from .regularizer import RegMode, RegParams, reconstruct, region_for
@@ -111,8 +111,11 @@ def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
         draw = rng.standard_normal(field.values.shape)
         nrm = math.sqrt(field.grid.cell_area * float(np.sum(draw * draw)))
         if nrm > 0.0:
-            return RealField(field.grid,
-                             field.values + draw * (epsilon / nrm))
+            # in place, one array for the result; field.values + draw * s
+            # to the bit, since IEEE addition commutes
+            draw *= epsilon / nrm
+            draw += field.values
+            return RealField(field.grid, draw)
     raise RuntimeError("could not draw a nonzero noise field in 8 attempts")
 
 
@@ -374,10 +377,12 @@ def _manifest_lines(source, params: RegParams, noise_seed, data_grid,
 
 
 def _write_run(out_dir, v_eps: RealField, manifest_lines) -> None:
-    """v_eps.grd, v_eps.csv and manifest.txt into out_dir."""
+    """v_eps.grd, v_eps.csv and manifest.txt into out_dir. v_eps's values
+    are formatted once, for both files."""
     os.makedirs(out_dir, exist_ok=True)
-    write_field(v_eps, os.path.join(out_dir, "v_eps.grd"))
-    write_csv(v_eps, os.path.join(out_dir, "v_eps.csv"))
+    text = _value_text(v_eps.values)
+    write_field(v_eps, os.path.join(out_dir, "v_eps.grd"), text=text)
+    write_csv(v_eps, os.path.join(out_dir, "v_eps.csv"), text=text)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write("\n".join(manifest_lines) + "\n")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec
+from .fields import GridSpec, _value_text
 from .regularizer import RegParams, region_for
 
 __all__ = [
@@ -189,10 +189,13 @@ def eval_expansion(exp: SincExpansion, x, t):
 
 
 def write_expansion(path, exp: SincExpansion) -> None:
+    """Header "d N kind", then one "m n value" row per coefficient in
+    index_lattice order, d and the values at 17 significant digits."""
+    d_txt, *vals = _value_text(np.append(exp.d, exp.values))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("%.17g %d %s\n" % (exp.d, exp.n, exp.kind.value))
-        for m, p, v in zip(exp.ms, exp.ns, exp.values):
-            fh.write("%d %d %.17g\n" % (m, p, v))
+        fh.write("%s %d %s\n" % (d_txt, exp.n, exp.kind.value))
+        fh.write("".join([f"{m} {p} {v}\n" for m, p, v in zip(
+            exp.ms.tolist(), exp.ns.tolist(), vals)]))
 
 
 def read_expansion(path) -> SincExpansion:

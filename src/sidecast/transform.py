@@ -225,6 +225,9 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
     if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
         raise ValueError("output grid extends before the data grid's t0")
     ox, ot = _lattice_offsets(out_grid, gin)
+    # a zero field (P2's f) convolves to exact zeros without the FFTs
+    if not w.values.any():
+        return RealField(out_grid, np.zeros(out_grid.shape))
     dx, dt = gin.dx, gin.dt
 
     # forward time lags; lag 0 evaluates to 0 but keeps index bookkeeping flat

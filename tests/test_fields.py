@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sidecast.fields import (GridSpec, GrdParseError, RealField, l2_distance,
                              l2_norm, read_field, sample, write_csv,
                              write_field)
+from sidecast.harness import _write_run
 from sidecast.kernels import test_problem
 
 
@@ -196,19 +197,45 @@ def test_grd_missing_rows_and_missing_header(tmp_path):
         read_field(empty)
 
 
+def _written(tmp_path, field, name):
+    """The file `name` ("v_eps.grd" or "v_eps.csv") as its writer makes it
+    on its own, then as a run writes it, from text formatted once."""
+    alone = tmp_path / ("alone_" + name)
+    (write_field if name.endswith(".grd") else write_csv)(field, alone)
+    _write_run(tmp_path / "run", field, ["k=v"])
+    return alone, tmp_path / "run" / name
+
+
 def test_grd_bytes_match_a_literal_writer(tmp_path):
     rng = np.random.Generator(np.random.Philox(12))
     g = GridSpec(x0=-0.1, dx=1.0 / 3.0, nx=6, t0=1e-9, dt=0.7, nt=4)
     vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300,
                                                                g.shape)
     vals[0, :] = [0.0, -0.0, 1.0, 1e16]
-    path = tmp_path / "f.grd"
-    write_field(RealField(g, vals), path)
     want = "%d %d %.17g %.17g %.17g %.17g\n" % (g.nx, g.nt, g.x0, g.dx,
                                                g.t0, g.dt)
     for j in range(g.nt):
         want += " ".join("%.17g" % vals[i, j] for i in range(g.nx)) + "\n"
-    assert path.read_bytes() == want.encode()
+    for path in _written(tmp_path, RealField(g, vals), "v_eps.grd"):
+        assert path.read_bytes() == want.encode()
+
+
+def test_grd_write_holds_one_line_of_text_at_a_time(tmp_path):
+    g = GridSpec(0.0, 0.1, 200, 0.05, 0.1, 500)
+    field = RealField(g, np.random.Generator(np.random.Philox(14))
+                      .standard_normal(g.shape))
+    path = tmp_path / "big.grd"
+    tracemalloc.start()
+    try:
+        write_field(field, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000
+    # one 200-value line of text; the whole field as text or as Python
+    # floats would pass the file size
+    assert peak < size / 10
 
 
 def test_grd_read_holds_one_row_of_text_at_a_time(tmp_path):
@@ -246,13 +273,12 @@ def test_csv_bytes_match_a_per_node_writer(tmp_path):
     vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300,
                                                                g.shape)
     vals[0, :] = [0.0, -0.0, 1.0, -2.0, 1e16]
-    path = tmp_path / "f.csv"
-    write_csv(RealField(g, vals), path)
     want = ["x,t,value\n"]
     for i, x in enumerate(g.x_nodes()):
         for j, t in enumerate(g.t_nodes()):
             want.append("%.17g,%.17g,%.17g\n" % (x, t, vals[i, j]))
-    assert path.read_bytes() == "".join(want).encode()
+    for path in _written(tmp_path, RealField(g, vals), "v_eps.csv"):
+        assert path.read_bytes() == "".join(want).encode()
 
 
 def test_writers_reject_complex():

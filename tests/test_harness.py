@@ -109,6 +109,17 @@ class TestPerturb:
         b = perturb(f, 0.02, seed=10)
         assert not np.array_equal(a.values, b.values)
 
+    def test_matches_the_literal_sum_and_leaves_its_input(self):
+        f = self._field()
+        before = f.values.copy()
+        got = perturb(f, 0.02, seed=9)
+        draw = np.random.Generator(np.random.Philox(9)).standard_normal(
+            f.grid.shape)
+        nrm = math.sqrt(f.grid.cell_area * float(np.sum(draw * draw)))
+        want = f.values + draw * (0.02 / nrm)
+        assert got.values.tobytes() == want.tobytes()
+        assert np.array_equal(f.values, before)
+
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             perturb(self._field(), -0.01, seed=0)

@@ -212,6 +212,23 @@ def test_expansion_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.coeffs, exp.coeffs)
 
 
+@pytest.mark.parametrize("kind", list(IndexSetKind))
+def test_expansion_bytes_match_a_per_row_writer(tmp_path, kind):
+    rng = np.random.Generator(np.random.Philox(6))
+    n = 3
+    count = len(index_lattice(kind, n)[0])
+    values = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300,
+                                                               count)
+    values[:4] = [-0.0, 1e16, 5e-324, 1.0]
+    exp = _series(math.pi / 7.434646209170825, kind, n, values)
+    path = tmp_path / "sinc.txt"
+    write_expansion(path, exp)
+    want = "%.17g %d %s\n" % (exp.d, n, kind.value)
+    for m, p, v in zip(exp.ms, exp.ns, exp.values):
+        want += "%d %d %.17g\n" % (m, p, v)
+    assert path.read_bytes() == want.encode()
+
+
 def test_read_expansion_error_paths(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("0.5 1\n")  # header needs 3 tokens

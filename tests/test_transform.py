@@ -402,6 +402,19 @@ def test_convolution_far_output_beyond_cutoff_is_zero():
     assert np.all(got.values == 0.0)
 
 
+def test_convolution_of_a_zero_field_is_exact_zeros():
+    gin = GridSpec(-1.0, 0.5, 5, 0.3, 0.2, 6)
+    w = RealField(gin, np.zeros(gin.shape))
+    out = GridSpec(-0.5, 0.5, 3, 0.5, 0.2, 4)
+    got = convolve2_causal(S_SPEC, w, out)
+    assert got.grid == out
+    assert np.array_equal(got.values, np.zeros(out.shape))
+    # the lattice check still runs before the zero shortcut
+    off = GridSpec(-0.25, 0.5, 3, 0.5, 0.2, 4)
+    with pytest.raises(ValueError, match="lattice"):
+        convolve2_causal(S_SPEC, w, off)
+
+
 def test_outputs_past_the_lag_cutoff_are_exactly_zero():
     # t lags reach 0.2, so x lags stop at ceil(sqrt(0.8 ln 1e12)) = 5 nodes:
     # data at x = 0..2 reaches x = -5..7 and no further
