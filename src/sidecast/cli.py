@@ -65,9 +65,13 @@ def _parse_points(text: str):
         if len(toks) != 2:
             raise UsageError("points must be 'z,r;z,r;...', got %r" % (text,))
         try:
-            pts.append((float(toks[0]), float(toks[1])))
+            pt = (float(toks[0]), float(toks[1]))
         except ValueError as exc:
             raise UsageError("bad point %r: %s" % (part, exc)) from exc
+        if not all(math.isfinite(v) for v in pt):
+            raise UsageError("bad point %r: coordinates must be finite"
+                             % (part,))
+        pts.append(pt)
     if not pts:
         raise UsageError("empty point list %r" % (text,))
     return pts
@@ -150,18 +154,13 @@ def _params_from(args):
         raise UsageError(str(exc)) from exc
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
     import numpy as np
 
     from . import harness
-    from .kernels import (KernelSpec, R_SPEC, S_SPEC, kernel_l1_norm, s_hat,
-                          test_problem)
+    from .kernels import KernelSpec, R_SPEC, S_SPEC, s_hat, test_problem
     from .fields import GridSpec, sample
 
     quick = args.quick
@@ -212,7 +211,7 @@ def cmd_verify(args) -> int:
     worst_l1 = 0.0
     for spec, target in ((S_SPEC, 4 * math.pi), (R_SPEC, 2 * math.pi),
                          (KernelSpec(16.0), math.pi)):
-        rel = abs(kernel_l1_norm(spec) - target) / target
+        rel = abs(harness.kernel_l1_norm(spec) - target) / target
         worst_l1 = max(worst_l1, rel)
     checks.append(("kernel L1 norms vs 4*pi/sqrt(c)", worst_l1 <= 1e-3,
                    "max rel err %.3e (tol 1e-3)" % worst_l1))
@@ -267,10 +266,9 @@ def _note_missing_hm_bound(params, report) -> None:
 
 def cmd_reconstruct(args) -> int:
     from . import harness
-    from .fields import read_field
+    from .fields import _FMT, read_field
     from .regularizer import reconstruct
 
-    _merge_config(args)
     params = _params_from(args)
     out_dir = args.out
     file_mode = args.f is not None or args.g is not None
@@ -292,7 +290,7 @@ def cmd_reconstruct(args) -> int:
             f.grid, out_grid, rec))
         if rec.report.bound_l2 is not None:
             print("bound_l2 (tail-free part): %s"
-                  % _fmt(rec.report.bound_l2))
+                  % (_FMT % rec.report.bound_l2))
         _note_missing_hm_bound(params, rec.report)
         print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % out_dir)
         return 0
@@ -308,10 +306,10 @@ def cmd_reconstruct(args) -> int:
                                    out_grid=out_grid,
                                    noise_seed=args.seed or 0)
     res = harness.run_experiment(cfg, out_dir=out_dir)
-    print("measured_error=%s" % _fmt(res.measured_error))
+    print("measured_error=%s" % (_FMT % res.measured_error))
     if res.report.bound_l2 is not None:
-        print("bound_l2=%s" % _fmt(res.report.bound_l2))
-    print("eta_hat=%s" % _fmt(res.report.eta_hat))
+        print("bound_l2=%s" % (_FMT % res.report.bound_l2))
+    print("eta_hat=%s" % (_FMT % res.report.eta_hat))
     _note_missing_hm_bound(params, res.report)
     print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % out_dir)
     return 0
@@ -323,14 +321,13 @@ def cmd_sinc(args) -> int:
     import numpy as np
 
     from . import harness
-    from .fields import sample, write_csv
+    from .fields import _FMT, sample, write_csv
     from .kernels import test_problem
     from .regularizer import reconstruct
     from .sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                        build_expansion, eval_expansion, write_expansion)
     from .transform import idft2_windowed_at
 
-    _merge_config(args)
     params = _params_from(args)
     if args.n is None:
         raise UsageError("--N (index radius) is required")
@@ -368,15 +365,15 @@ def cmd_sinc(args) -> int:
               os.path.join(out_dir, "sinc_eval.csv"))
 
     print("mesh d=%s, %d coefficients (%s, N=%d)"
-          % (_fmt(exp.d), exp.values.size, kind.value, args.n))
+          % (_FMT % exp.d, exp.values.size, kind.value, args.n))
     print("relative l2 deviation from the windowed inverse over 200 "
-          "points: %s" % _fmt(dev))
+          "points: %s" % (_FMT % dev))
     if kind is IndexSetKind.TRIANGULAR:
         # how much series mass the triangular truncation discards
         dropped = np.abs(square.ms) > np.abs(square.ns)
         energy = exp.d * exp.d * float(np.sum(square.values[dropped] ** 2))
         print("dropped-index energy (square minus triangular): %s"
-              % _fmt(energy))
+              % (_FMT % energy))
     print("wrote sinc.txt, sinc_eval.csv to %s" % out_dir)
     return 0
 
@@ -386,7 +383,6 @@ def cmd_sinc(args) -> int:
 def cmd_convergence(args) -> int:
     from . import harness
 
-    _merge_config(args)
     if (args.mode or "l2").lower() != "l2" or args.m is not None:
         raise UsageError("convergence reports the L2-mode bound only; "
                          "--mode hm and --m do not apply")
@@ -475,6 +471,7 @@ def main(argv=None) -> int:
     _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     try:
+        _merge_config(args)
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print("sidecast: %s" % exc, file=sys.stderr)

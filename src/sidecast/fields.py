@@ -50,6 +50,10 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x0, self.dx, self.t0, self.dt])):
+            raise ValueError("grid origin and steps must be finite, got "
+                             "x0=%r dx=%r t0=%r dt=%r"
+                             % (self.x0, self.dx, self.t0, self.dt))
         if not (self.dx > 0.0 and self.dt > 0.0):
             raise ValueError("grid steps must be positive, got dx=%r dt=%r"
                              % (self.dx, self.dt))

@@ -1,8 +1,10 @@
 """Experiment orchestration: exact test problems with synthetic noise,
-end-to-end reconstruction runs, convergence tables, and the independent
-numerical checks (symbol quadrature, identity residual, transform-factor
-calibration) that pin the analytic ingredients; only the checks use the
-convolution identity, so they share no code with the reconstruction.
+end-to-end reconstruction runs, convergence tables, and the check path:
+the independent numerical checks (symbol quadrature, kernel mass, identity
+residual via causal convolution, transform-factor calibration) with the
+matrix DFT and convolution they sum by. The checks pin the analytic
+ingredients and share no code with the reconstruction, so that they can
+still catch it; a test in tests/test_harness.py states that rule.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import (GridSpec, RealField, _value_text, l2_distance, sample,
-                     write_csv, write_field)
-from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, kernel_eval,
-                      kernel_l1_norm, s_hat, test_problem)
+from .fields import (ComplexField, GridSpec, RealField, _FMT, _value_text,
+                     l2_distance, sample, write_csv, write_field)
+from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
+                      kernel_eval, s_hat, test_problem)
 from .regularizer import RegMode, RegParams, reconstruct, region_for
 from .sinc import eval_expansion
-from .transform import (_lattice_offsets, convolve2_causal, dft2_forward,
-                        idft2_windowed_at)
+from .transform import TWO_PI, idft2_windowed_at
 
 __all__ = [
     "CONVOLUTION_FACTOR",
@@ -33,6 +34,9 @@ __all__ = [
     "default_out_grid",
     "perturb",
     "noisy_histories",
+    "kernel_l1_norm",
+    "dft2_forward",
+    "convolve2_causal",
     "assemble_rhs",
     "identity_residual",
     "refined_window_grid",
@@ -42,8 +46,6 @@ __all__ = [
     "convergence_table",
     "write_convergence_csv",
 ]
-
-_FMT = "%.17g"
 
 # dft2(K*w) = CONVOLUTION_FACTOR * K_hat * w_hat under the symmetric 1/(2 pi)
 # transform pair. kappa_calibration pins this against the alternative
@@ -125,6 +127,141 @@ def noisy_histories(prob, data_grid: GridSpec, epsilon: float, seed: int):
     f = perturb(sample(prob.f0, data_grid), epsilon, seed)
     g = perturb(sample(prob.g0, data_grid), epsilon, seed + _G_SEED_OFFSET)
     return f, g
+
+
+def kernel_l1_norm(spec: KernelSpec) -> float:
+    """Quadrature L1 norm of k_c over the plane; the analytic value
+    4*pi/sqrt(c) is what the checks compare it with, not a constant baked
+    in here.
+
+    The rectangle rule runs in substituted variables (x, t) -> (y, u) =
+    (x/sqrt(t), 1/t), where the integrand becomes
+    u^(-1/2) e^{-y^2/4} e^{-cu/4} on a finite-mass rectangle: 6000 u nodes
+    and y-step 0.05 over |y| <= 12.
+
+    A plain (x, t) box cannot do this: the t-tail of the integral decays
+    like T^(-1/2), so even t <= 400 leaves a ~3% deficit. The u-nodes sit
+    at (j + SINGULAR_OFFSET)*du, cancelling the u^(-1/2) endpoint error of
+    the rectangle rule.
+    """
+    c = spec.c
+    n_u, dy, y_half = 6000, 0.05, 12.0
+    u_max = 75.0 / c  # e^{-c u/4} tail below 1e-8 of the mass
+    du = u_max / n_u
+    us = (np.arange(n_u) + SINGULAR_OFFSET) * du
+    ys = np.arange(-y_half, y_half + dy / 2, dy)
+    y_sum = float(np.sum(np.exp(-ys * ys / 4.0))) * dy
+    u_sum = float(np.sum(np.exp(-c * us / 4.0) / np.sqrt(us))) * du
+    return y_sum * u_sum
+
+
+def dft2_forward(field: RealField, spectral_grid: GridSpec) -> ComplexField:
+    """Rectangle-rule transform onto the spectral grid.
+
+    out[k, l] = (1/2pi) * sum_{i,j} field[i,j] e^{-i(x_i z_k + t_j r_l)} dx dt,
+    evaluated as matrix products (identical sum, reassociated). The t sum
+    comes first, in real arithmetic for real data:
+    V @ cos(t r) - i V @ sin(t r), two real products over t; the complex
+    x factor then meets only the nx x nr result. The same formula holds
+    for complex values.
+    """
+    g = field.grid
+    v = field.values
+    tr = np.outer(g.t_nodes(), spectral_grid.t_nodes())          # (nt, nr)
+    right = v @ np.cos(tr) - 1j * (v @ np.sin(tr))               # (nx, nr)
+    ez = np.exp(-1j * np.outer(spectral_grid.x_nodes(), g.x_nodes()))
+    vals = (ez @ right) * (g.cell_area / TWO_PI)
+    return ComplexField(spectral_grid, vals)
+
+
+def _lattice_offsets(out_grid: GridSpec, in_grid: GridSpec):
+    """Integer node offsets of out_grid on in_grid's lattice, or an error:
+    convolution output nodes must live on the input sampling lattice."""
+    if not math.isclose(out_grid.dx, in_grid.dx, rel_tol=1e-12) \
+            or not math.isclose(out_grid.dt, in_grid.dt, rel_tol=1e-12):
+        raise ValueError("output grid steps must match the input lattice")
+    ox = (out_grid.x0 - in_grid.x0) / in_grid.dx
+    ot = (out_grid.t0 - in_grid.t0) / in_grid.dt
+    if abs(ox - round(ox)) > 1e-6 or abs(ot - round(ot)) > 1e-6:
+        raise ValueError("output grid nodes do not lie on the input lattice")
+    return int(round(ox)), int(round(ot))
+
+
+def convolve2_causal(spec: KernelSpec, w: RealField,
+                     out_grid: GridSpec) -> RealField:
+    """(k_c * w)(x, t) = integral k_c(x-xi, t-tau) w(xi, tau) dxi dtau by the
+    rectangle rule on w's lattice.
+
+    The kernel vanishes for time lags <= 0, so only forward lags are
+    formed; space lags are truncated where the Gaussian factor drops below
+    1e-12 of its peak. Everything left of w's grid is treated as zero (w is
+    assumed to vanish for t <= 0), so w's grid should start near t = 0.
+    out_grid must be lattice-aligned with w's grid and start no earlier.
+
+    The sum is one real FFT product on a circular lattice just long enough,
+    per axis, that no wrapped term reaches a kept output; the kept outputs
+    then equal those of the linear convolution. Only the kept output rows
+    take the inverse transform along t.
+    """
+    # scipy's rfft2 runs this product about 1.4x faster than numpy's
+    import scipy.fft
+
+    gin = w.grid
+    if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
+        raise ValueError("output grid extends before the data grid's t0")
+    ox, ot = _lattice_offsets(out_grid, gin)
+    # a zero field (P2's f) convolves to exact zeros without the FFTs
+    if not w.values.any():
+        return RealField(out_grid, np.zeros(out_grid.shape))
+    dx, dt = gin.dx, gin.dt
+
+    # forward time lags; lag 0 evaluates to 0 but keeps index bookkeeping flat
+    n_lag_t = ot + out_grid.nt
+    lag_t = dt * np.arange(n_lag_t)
+    t_lag_max = lag_t[-1] if n_lag_t > 1 else dt
+
+    # space lag range: enough to map any input column onto any output column,
+    # clipped by the Gaussian cutoff  exp(-lag^2/(4 t)) >= 1e-12
+    lag_cut = math.sqrt(4.0 * t_lag_max * math.log(1e12))
+    lo = max(ox - (gin.nx - 1), -int(math.ceil(lag_cut / dx)))
+    hi = min(ox + out_grid.nx - 1, int(math.ceil(lag_cut / dx)))
+    if lo > hi:
+        # every needed lag is beyond the cutoff; the convolution vanishes
+        return RealField(out_grid, np.zeros(out_grid.shape))
+    lag_x = dx * np.arange(lo, hi + 1)
+
+    kv = kernel_eval(spec, lag_x[:, None], lag_t[None, :])
+    # linear output p of the lag box and the data sits at
+    # lag_x[0]+x_in[0] + p*dx on the x axis, t_in[0] + q*dt on the t axis;
+    # outputs past the linear range (lags clipped above) stay 0
+    ps = (ox - lo) + np.arange(out_grid.nx)
+    ok = (ps >= 0) & (ps <= kv.shape[0] + gin.nx - 2)
+    qs = ot + np.arange(out_grid.nt)
+    # data columns past the last kept output reach only later outputs
+    n_data_t = min(gin.nt, int(qs[-1]) + 1)
+    # rounded up to fast lengths: rfft2 transforms t as real data and x as
+    # complex data, which also has fast radix-7 and radix-11 lengths
+    shape = (scipy.fft.next_fast_len(
+                 _wrap_free_length(kv.shape[0], gin.nx, ps[ok])),
+             scipy.fft.next_fast_len(
+                 _wrap_free_length(kv.shape[1], n_data_t, qs), real=True))
+    prod = scipy.fft.rfft2(kv, shape)
+    del kv
+    prod *= scipy.fft.rfft2(w.values[:, :n_data_t], shape)
+    # the inverse along x in place, then along t for the kept rows only
+    rows = scipy.fft.ifft(prod, axis=0, overwrite_x=True)[ps[ok]]
+    del prod
+    vals = np.zeros(out_grid.shape)
+    vals[ok, :] = scipy.fft.irfft(rows, shape[1], axis=1)[:, qs] * (dx * dt)
+    return RealField(out_grid, vals)
+
+
+def _wrap_free_length(n_lag: int, n_data: int, kept: np.ndarray) -> int:
+    """Shortest circular length on one axis at which the kept linear
+    outputs (sorted, all inside the linear range) take no wrapped term:
+    output p sees the aliases p -+ L, so L must pass the last kept output
+    and the linear length must end before the first one plus L."""
+    return max(int(kept[-1]) + 1, n_lag + n_data - 1 - int(kept[0]))
 
 
 def assemble_rhs(f: RealField, g: RealField,

@@ -1,7 +1,6 @@
 """Closed-form kernels, their Fourier symbols, and exact test problems.
 
-Everything in this module is analytic but kernel_l1_norm, a quadrature of
-the kernels' mass that only the checks use. The rest of the package treats
+Everything in this module is analytic. The rest of the package treats
 the closed forms as ground truth: quadrature, transforms and the inversion
 pipeline are all validated against them. Each closed form is written here
 once.
@@ -9,8 +8,8 @@ once.
 Every kernel and every exact trace belongs to the heat family
 t^(-p) exp(-(x^2+c)/(4t)) for t > 0 and 0 otherwise, and one private
 evaluator computes it. The kernels k_c take p = 2: c=1 (call it S) and c=4
-(call it R); the checks convolve with them, and their L1 norms,
-4*pi/sqrt(c), set the bound constant C. The layer traces take p = 1.
+(call it R); the checks convolve with them and compare their L1 norms
+with 4*pi/sqrt(c). The layer traces take p = 1.
 
 Under the transform the strip equation becomes u_yy = w^2 u with
 w = spectral_w(z, r) = sqrt(z^2 + i r), and every symbol is a function of
@@ -34,7 +33,6 @@ __all__ = [
     "spectral_w",
     "s_hat",
     "s_hat_abs",
-    "kernel_l1_norm",
     "layer_trace",
     "layer_trace_hat",
     "TestProblem",
@@ -123,32 +121,6 @@ def s_hat(z, r):
 def s_hat_abs(z, r):
     """Modulus of s_hat: 2 e^{-Re w}. Maximal (=2) at the origin only."""
     return _maybe_scalar(2.0 * np.exp(-np.real(spectral_w(z, r))), z, r)
-
-
-def kernel_l1_norm(spec: KernelSpec) -> float:
-    """Quadrature L1 norm of k_c over the plane, the one quadrature in this
-    module; the analytic value 4*pi/sqrt(c) is what the checks compare it
-    with, not a constant baked in here.
-
-    The rectangle rule runs in substituted variables (x, t) -> (y, u) =
-    (x/sqrt(t), 1/t), where the integrand becomes
-    u^(-1/2) e^{-y^2/4} e^{-cu/4} on a finite-mass rectangle: 6000 u nodes
-    and y-step 0.05 over |y| <= 12.
-
-    A plain (x, t) box cannot do this: the t-tail of the integral decays
-    like T^(-1/2), so even t <= 400 leaves a ~3% deficit. The u-nodes sit
-    at (j + SINGULAR_OFFSET)*du, cancelling the u^(-1/2) endpoint error of
-    the rectangle rule.
-    """
-    c = spec.c
-    n_u, dy, y_half = 6000, 0.05, 12.0
-    u_max = 75.0 / c  # e^{-c u/4} tail below 1e-8 of the mass
-    du = u_max / n_u
-    us = (np.arange(n_u) + SINGULAR_OFFSET) * du
-    ys = np.arange(-y_half, y_half + dy / 2, dy)
-    y_sum = float(np.sum(np.exp(-ys * ys / 4.0))) * dy
-    u_sum = float(np.sum(np.exp(-c * us / 4.0) / np.sqrt(us))) * du
-    return y_sum * u_sum
 
 
 def layer_trace(c: float) -> Callable:

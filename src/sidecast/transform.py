@@ -1,18 +1,18 @@
-"""Continuous 2D Fourier transform and inverse by rectangle-rule quadrature
-under the symmetric 1/(2 pi) convention, plus causal 2D convolution with the
-closed-form kernel family.
+"""Continuous 2D Fourier transform pair by rectangle-rule quadrature under
+the symmetric 1/(2 pi) convention: the reconstruction's forward transform
+and its one inverse.
 
-The transform pair is fixed here once: forward kernel (1/2pi) e^{-i(xz+tr)},
-inverse kernel (1/2pi) e^{+i(xz+tr)}. No other module may rescale. Under
-this convention the transform of a convolution is 2*pi times the product of
+The convention is fixed here: forward kernel (1/2pi) e^{-i(xz+tr)}, inverse
+kernel (1/2pi) e^{+i(xz+tr)}. No other module may rescale. Under this
+convention the transform of a convolution is 2*pi times the product of
 transforms; harness.CONVOLUTION_FACTOR holds that constant.
 
 The reconstruction takes its spectra from dft2_lattice: the bins of the
 zero-padded data's FFT that fall in the cutoff window, computed by a pruned
 transform (one real matrix product over x for the z >= 0 bins, then one FFT
-along t of those rows only); dft2_forward evaluates the same sum on any grid
-by matrix products, the t sum first in real arithmetic, and is the
-independent transform of the checks.
+along t of those rows only). The checks' independent transform,
+harness.dft2_forward, evaluates the same sum on any grid; this module
+imports nothing from the checks, kernels or scipy.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, GridSpec, RealField
-from .kernels import KernelSpec, kernel_eval
 
 __all__ = [
     "SpectralWindow",
     "dft2_lattice",
-    "dft2_forward",
     "idft2_windowed_at",
-    "convolve2_causal",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -78,8 +75,8 @@ def _lattice_axis(n: int, step: float, half: float):
 
 
 def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
-    """The rectangle-rule transform of dft2_forward on the lattice of the
-    zero-padded FFT of the data, cropped to the window's nodes.
+    """The rectangle-rule transform of harness.dft2_forward on the lattice
+    of the zero-padded FFT of the data, cropped to the window's nodes.
 
     Each axis is padded to L >= 2n nodes, so the lattice step is
     2 pi/(L step) and the alias period L step is at least twice the data
@@ -120,25 +117,6 @@ def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
                      np.exp(-1j * g.t0 * grid.t_nodes()))
     vals = np.concatenate([np.conj(hat[:0:-1, ::-1]), hat], axis=0)
     return ComplexField(grid, vals * phase * (g.cell_area / TWO_PI))
-
-
-def dft2_forward(field: RealField, spectral_grid: GridSpec) -> ComplexField:
-    """Rectangle-rule transform onto the spectral grid.
-
-    out[k, l] = (1/2pi) * sum_{i,j} field[i,j] e^{-i(x_i z_k + t_j r_l)} dx dt,
-    evaluated as matrix products (identical sum, reassociated). The t sum
-    comes first, in real arithmetic for real data:
-    V @ cos(t r) - i V @ sin(t r), two real products over t; the complex
-    x factor then meets only the nx x nr result. The same formula holds
-    for complex values.
-    """
-    g = field.grid
-    v = field.values
-    tr = np.outer(g.t_nodes(), spectral_grid.t_nodes())          # (nt, nr)
-    right = v @ np.cos(tr) - 1j * (v @ np.sin(tr))               # (nx, nr)
-    ez = np.exp(-1j * np.outer(spectral_grid.x_nodes(), g.x_nodes()))
-    vals = (ez @ right) * (g.cell_area / TWO_PI)
-    return ComplexField(spectral_grid, vals)
 
 
 def _check_imag_residue(vals: np.ndarray):
@@ -187,93 +165,3 @@ def idft2_windowed_at(spec: ComplexField, x, t):
     if np.ndim(x) == 0 and np.ndim(t) == 0:
         return float(out)
     return out
-
-
-def _lattice_offsets(out_grid: GridSpec, in_grid: GridSpec):
-    """Integer node offsets of out_grid on in_grid's lattice, or an error:
-    convolution output nodes must live on the input sampling lattice."""
-    if not math.isclose(out_grid.dx, in_grid.dx, rel_tol=1e-12) \
-            or not math.isclose(out_grid.dt, in_grid.dt, rel_tol=1e-12):
-        raise ValueError("output grid steps must match the input lattice")
-    ox = (out_grid.x0 - in_grid.x0) / in_grid.dx
-    ot = (out_grid.t0 - in_grid.t0) / in_grid.dt
-    if abs(ox - round(ox)) > 1e-6 or abs(ot - round(ot)) > 1e-6:
-        raise ValueError("output grid nodes do not lie on the input lattice")
-    return int(round(ox)), int(round(ot))
-
-
-def convolve2_causal(spec: KernelSpec, w: RealField,
-                     out_grid: GridSpec) -> RealField:
-    """(k_c * w)(x, t) = integral k_c(x-xi, t-tau) w(xi, tau) dxi dtau by the
-    rectangle rule on w's lattice.
-
-    The kernel vanishes for time lags <= 0, so only forward lags are
-    formed; space lags are truncated where the Gaussian factor drops below
-    1e-12 of its peak. Everything left of w's grid is treated as zero (w is
-    assumed to vanish for t <= 0), so w's grid should start near t = 0.
-    out_grid must be lattice-aligned with w's grid and start no earlier.
-
-    The sum is one real FFT product on a circular lattice just long enough,
-    per axis, that no wrapped term reaches a kept output; the kept outputs
-    then equal those of the linear convolution. Only the kept output rows
-    take the inverse transform along t.
-    """
-    # scipy's rfft2 runs this product about 1.4x faster than numpy's
-    import scipy.fft
-
-    gin = w.grid
-    if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
-        raise ValueError("output grid extends before the data grid's t0")
-    ox, ot = _lattice_offsets(out_grid, gin)
-    # a zero field (P2's f) convolves to exact zeros without the FFTs
-    if not w.values.any():
-        return RealField(out_grid, np.zeros(out_grid.shape))
-    dx, dt = gin.dx, gin.dt
-
-    # forward time lags; lag 0 evaluates to 0 but keeps index bookkeeping flat
-    n_lag_t = ot + out_grid.nt
-    lag_t = dt * np.arange(n_lag_t)
-    t_lag_max = lag_t[-1] if n_lag_t > 1 else dt
-
-    # space lag range: enough to map any input column onto any output column,
-    # clipped by the Gaussian cutoff  exp(-lag^2/(4 t)) >= 1e-12
-    lag_cut = math.sqrt(4.0 * t_lag_max * math.log(1e12))
-    lo = max(ox - (gin.nx - 1), -int(math.ceil(lag_cut / dx)))
-    hi = min(ox + out_grid.nx - 1, int(math.ceil(lag_cut / dx)))
-    if lo > hi:
-        # every needed lag is beyond the cutoff; the convolution vanishes
-        return RealField(out_grid, np.zeros(out_grid.shape))
-    lag_x = dx * np.arange(lo, hi + 1)
-
-    kv = kernel_eval(spec, lag_x[:, None], lag_t[None, :])
-    # linear output p of the lag box and the data sits at
-    # lag_x[0]+x_in[0] + p*dx on the x axis, t_in[0] + q*dt on the t axis;
-    # outputs past the linear range (lags clipped above) stay 0
-    ps = (ox - lo) + np.arange(out_grid.nx)
-    ok = (ps >= 0) & (ps <= kv.shape[0] + gin.nx - 2)
-    qs = ot + np.arange(out_grid.nt)
-    # data columns past the last kept output reach only later outputs
-    n_data_t = min(gin.nt, int(qs[-1]) + 1)
-    # rounded up to fast lengths: rfft2 transforms t as real data and x as
-    # complex data, which also has fast radix-7 and radix-11 lengths
-    shape = (scipy.fft.next_fast_len(
-                 _wrap_free_length(kv.shape[0], gin.nx, ps[ok])),
-             scipy.fft.next_fast_len(
-                 _wrap_free_length(kv.shape[1], n_data_t, qs), real=True))
-    prod = scipy.fft.rfft2(kv, shape)
-    del kv
-    prod *= scipy.fft.rfft2(w.values[:, :n_data_t], shape)
-    # the inverse along x in place, then along t for the kept rows only
-    rows = scipy.fft.ifft(prod, axis=0, overwrite_x=True)[ps[ok]]
-    del prod
-    vals = np.zeros(out_grid.shape)
-    vals[ok, :] = scipy.fft.irfft(rows, shape[1], axis=1)[:, qs] * (dx * dt)
-    return RealField(out_grid, vals)
-
-
-def _wrap_free_length(n_lag: int, n_data: int, kept: np.ndarray) -> int:
-    """Shortest circular length on one axis at which the kept linear
-    outputs (sorted, all inside the linear range) take no wrapped term:
-    output p sees the aliases p -+ L, so L must pass the last kept output
-    and the linear length must end before the first one plus L."""
-    return max(int(kept[-1]) + 1, n_lag + n_data - 1 - int(kept[0]))

@@ -6,8 +6,8 @@ import numpy as np
 
 from sidecast.fields import ComplexField, GridSpec, RealField
 from sidecast.kernels import KernelSpec, kernel_eval
-from sidecast.transform import (TWO_PI, SpectralWindow, _lattice_offsets,
-                                _tol)
+from sidecast.harness import _lattice_offsets
+from sidecast.transform import TWO_PI, SpectralWindow, _tol
 
 
 def window_contains(window: SpectralWindow, z, r):

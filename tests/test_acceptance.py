@@ -21,11 +21,10 @@ from sidecast.cli import main
 from sidecast.fields import GridSpec, l2_norm, sample
 from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET,
                               convergence_table, default_data_grid,
-                              identity_residual, kappa_calibration, perturb,
-                              refined_window_grid, run_experiment,
-                              sinc_deviation)
-from sidecast.kernels import (KernelSpec, R_SPEC, S_SPEC, kernel_l1_norm,
-                              test_problem)
+                              identity_residual, kappa_calibration,
+                              kernel_l1_norm, perturb, refined_window_grid,
+                              run_experiment, sinc_deviation)
+from sidecast.kernels import KernelSpec, R_SPEC, S_SPEC, test_problem
 from sidecast.regularizer import RegParams, _c_constant, reconstruct_spectrum
 from sidecast.sinc import (IndexSetKind, band_halfwidth, build_expansion,
                            eval_expansion)

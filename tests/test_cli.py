@@ -64,6 +64,15 @@ class TestParsePoints:
         with pytest.raises(UsageError, match="empty point list"):
             _parse_points(" ; ")
 
+    @pytest.mark.parametrize("text,bad", [("1,0;nan,0", "nan,0"),
+                                          ("nan,0;1,0", "nan,0"),
+                                          ("1,0;1,nan", "1,nan"),
+                                          ("1,0;1,inf", "1,inf"),
+                                          ("-inf,2", "-inf,2")])
+    def test_non_finite(self, text, bad):
+        with pytest.raises(UsageError, match="bad point '%s'" % bad):
+            _parse_points(text)
+
 
 class TestConfigFile:
     def test_load_and_merge(self, tmp_path):
@@ -182,6 +191,10 @@ class TestUsageExits:
     def test_no_subcommand_is_an_argparse_exit(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_non_finite_probe_point(self, capsys):
+        assert main(["verify", "--quick", "--points", "1,0;nan,0"]) == 2
+        assert "bad point 'nan,0'" in capsys.readouterr().err
 
     def test_missing_epsilon(self, capsys):
         assert main(["reconstruct", "--problem", "p1"]) == 2

@@ -30,6 +30,10 @@ def test_grid_rejects_bad_steps_and_counts():
         GridSpec(0.0, 0.1, 4, 0.0, 0.0, 4)
     with pytest.raises(ValueError):
         GridSpec(0.0, 0.1, 1, 0.0, 0.1, 4)
+    with pytest.raises(ValueError, match="must be finite.*x0=nan"):
+        GridSpec(float("nan"), 0.1, 4, 0.0, 0.1, 4)
+    with pytest.raises(ValueError, match="must be finite.*dt=inf"):
+        GridSpec(0.0, 0.1, 4, 0.0, float("inf"), 4)
 
 
 def test_centered_grid_hits_origin_exactly():
@@ -175,6 +179,7 @@ def test_grd_comments_before_header_are_allowed(tmp_path):
 @pytest.mark.parametrize("body,lineno", [
     ("2 2 0 1 0 1 9\n1 2\n3 4\n", 1),      # 7 header tokens
     ("2 2 0 one 0 1\n1 2\n3 4\n", 1),      # unparseable header
+    ("2 2 nan 1 0 1\n1 2\n3 4\n", 1),      # non-finite header
     ("2 2 0 1 0 1\n1 2 5\n3 4\n", 2),      # wrong row width
     ("2 2 0 1 0 1\n1 2\n3 nan\n", 3),      # non-finite
     ("2 2 0 1 0 1\n1 2\n3 4\n5 6\n", 4),   # extra row

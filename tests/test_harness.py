@@ -6,6 +6,8 @@ The heavy pieces run on deliberately coarse grids; the acceptance suite
 exercises the published grid sizes.
 """
 
+import ast
+import inspect
 import math
 import os
 
@@ -15,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sidecast.harness as harness
+import sidecast.transform as transform
 from sidecast.fields import GridSpec, RealField, l2_norm, l2_distance, \
     read_field, sample
-from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET, _symbol_rows,
+from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET,
+                              _lattice_offsets, _symbol_rows,
                               convergence_table, default_data_grid,
                               default_out_grid, identity_residual,
                               noisy_histories, perturb, refined_window_grid,
@@ -26,7 +30,6 @@ from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET, _symbol_rows,
 from sidecast.kernels import (S_SPEC, SINGULAR_OFFSET, KernelSpec,
                               kernel_eval, s_hat, test_problem)
 from sidecast.regularizer import RegParams, reconstruct
-from sidecast.transform import _lattice_offsets
 
 # tiny box for symbol-row tests that never look at the box quadrature
 _TINY_BOX = dict(x_half=1.0, dx=0.5, t_max=0.02, dt=0.01)
@@ -338,6 +341,59 @@ class TestSymbolValidation:
         assert by_z[2.0].shorthand_dev > 0.8
         assert by_z[2.0].shorthand == pytest.approx(2.0 * math.exp(-4.0),
                                                     rel=1e-15)
+
+
+# the reconstruction's own stages; a check that reaches one can no longer
+# catch it
+_FAST_PATH = {"dft2_lattice", "continue_sideways", "reconstruct_spectrum",
+              "reconstruct", "idft2_windowed_at", "tail_energy"}
+
+
+def _names_reached(tree, roots):
+    """Every name the module-level functions in roots use, following calls
+    to the module's other functions and resolving import aliases."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    alias = {a.asname or a.name: a.name for n in tree.body
+             if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    names, todo, seen = set(), list(roots), set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(defs[fn]):
+            if isinstance(node, ast.Name):
+                names.add(alias.get(node.id, node.id))
+                if node.id in defs:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(a.name for a in node.names)
+    return names
+
+
+def test_check_path_shares_no_code_with_the_fast_path():
+    tree = ast.parse(inspect.getsource(harness))
+    reached = _names_reached(tree, ["_symbol_rows", "kappa_calibration",
+                                    "identity_residual",
+                                    "refined_window_grid", "kernel_l1_norm"])
+    assert {"convolve2_causal", "dft2_forward"} <= reached
+    assert reached & _FAST_PATH == set()
+
+
+def test_transform_imports_neither_scipy_nor_kernels():
+    for node in ast.walk(ast.parse(inspect.getsource(transform))):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = ([node.module] if node.module
+                    else [a.name for a in node.names])
+        else:
+            continue
+        for mod in mods:
+            assert mod.split(".")[0] != "scipy", mod
+            assert mod not in ("kernels", "sidecast.kernels"), mod
 
 
 @pytest.fixture(scope="module")

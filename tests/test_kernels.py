@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidecast.harness import kernel_l1_norm
 from sidecast.kernels import (KernelSpec, R_SPEC, S_SPEC, SINGULAR_OFFSET,
-                              kernel_eval, kernel_l1_norm, layer_trace,
-                              layer_trace_hat, s_hat, s_hat_abs, spectral_w,
-                              test_problem)
+                              kernel_eval, layer_trace, layer_trace_hat,
+                              s_hat, s_hat_abs, spectral_w, test_problem)
 
 
 def test_kernel_spec_rejects_nonpositive_c():

@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from sidecast.fields import ComplexField, GridSpec, RealField, l2_norm, sample
 from sidecast.harness import (CONVOLUTION_FACTOR, assemble_rhs,
-                              noisy_histories)
+                              convolve2_causal, dft2_forward, noisy_histories)
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
 from sidecast.regularizer import (BoundReport, RegMode, RegParams,
                                   build_report, continue_sideways, cutoff_hm,
                                   cutoff_l2, error_bound_hm, error_bound_l2,
                                   reconstruct, reconstruct_spectrum,
                                   region_for, tail_energy)
-from sidecast.transform import (SpectralWindow, convolve2_causal,
-                                dft2_forward, dft2_lattice, idft2_windowed_at)
+from sidecast.transform import SpectralWindow, dft2_lattice, idft2_windowed_at
 
 from direct_reference import window_contains
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidecast.fields import GridSpec, sample
+from sidecast.harness import dft2_forward
 from sidecast.regularizer import RegMode, RegParams, cutoff_hm, cutoff_l2
 from sidecast.sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                            build_expansion, eval_expansion, index_lattice,
                            read_expansion, sinc_lattice, write_expansion)
-from sidecast.transform import SpectralWindow, dft2_forward, idft2_windowed_at
+from sidecast.transform import SpectralWindow, idft2_windowed_at
 
 
 def _series(d, kind, n, values):

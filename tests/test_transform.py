@@ -11,11 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sidecast.fields import GridSpec, ComplexField, RealField, sample
-from sidecast.harness import default_data_grid
+from sidecast.harness import (_lattice_offsets, convolve2_causal,
+                              default_data_grid, dft2_forward)
 from sidecast.kernels import R_SPEC, S_SPEC, KernelSpec
 from sidecast.regularizer import RegParams, region_for
-from sidecast.transform import (SpectralWindow, _fast_len, _lattice_offsets,
-                                convolve2_causal, dft2_forward, dft2_lattice,
+from sidecast.transform import (SpectralWindow, _fast_len, dft2_lattice,
                                 idft2_windowed_at)
 
 from direct_reference import convolve2_direct, dft2_direct, window_contains
