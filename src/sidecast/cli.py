@@ -284,7 +284,7 @@ def cmd_reconstruct(args) -> int:
         out_grid = _parse_grid(args.grid)
         f = read_field(args.f)
         g = read_field(args.g)
-        rec = reconstruct(f, g, params, out_grid)
+        rec = reconstruct((f, g), params, out_grid)
         harness._write_run(out_dir, rec.v_eps, harness._manifest_lines(
             ["f_file=%s" % args.f, "g_file=%s" % args.g], params, None,
             f.grid, out_grid, rec))
@@ -323,7 +323,7 @@ def cmd_sinc(args) -> int:
     from . import harness
     from .fields import _FMT, sample, write_csv
     from .kernels import test_problem
-    from .regularizer import reconstruct
+    from .regularizer import reconstruct_spectrum
     from .sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                        build_expansion, eval_expansion, write_expansion)
     from .transform import idft2_windowed_at
@@ -348,11 +348,11 @@ def cmd_sinc(args) -> int:
         else harness.default_data_grid()
     eval_grid = _parse_grid(args.grid) if args.grid \
         else harness.default_out_grid(args.problem)
-    f, g = harness.noisy_histories(prob, data_grid, params.epsilon,
-                                   args.seed or 0)
+    histories = harness.noisy_histories(prob, data_grid, params.epsilon,
+                                        args.seed or 0)
     # the reference inverse repeats with the alias period, as v_eps does,
-    # so reconstruct refuses an evaluation box that spans one
-    v_hat = reconstruct(f, g, params, eval_grid).v_hat
+    # so the spectrum step refuses an evaluation box that spans one
+    v_hat, _, _ = reconstruct_spectrum(histories, params, eval_grid)
     square = build_expansion(lambda x, t: idft2_windowed_at(v_hat, x, t),
                              a_eps, args.n)
     # the square samples also give the triangular set and its dropped energy

@@ -139,13 +139,15 @@ def sample(fn, grid: GridSpec) -> RealField:
             grid.shape)
     except (TypeError, ValueError):
         vals = np.array([[float(fn(x, t)) for t in ts] for x in xs])
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
+    try:
+        return RealField(grid, vals)
+    except ValueError:
+        # vals has the grid's shape, so RealField's one finiteness scan
+        # refused it; only this error path looks for the node
+        i, j = map(int, np.argwhere(~np.isfinite(vals))[0])
         raise ValueError(
             "evaluator returned non-finite value at node (i=%d, j=%d), "
-            "x=%.17g, t=%.17g" % (i, j, xs[i], ts[j]))
-    return RealField(grid, vals)
+            "x=%.17g, t=%.17g" % (i, j, xs[i], ts[j])) from None
 
 
 def l2_norm(field) -> float:

@@ -97,36 +97,52 @@ class ExperimentConfig:
                    out_grid=default_out_grid(problem), noise_seed=noise_seed)
 
 
-def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
-    """Add white noise scaled to L2 size exactly epsilon.
+def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
+    """clean() plus white noise of L2 size exactly epsilon on grid, noise
+    first: the Philox draw is scaled in place to its norm, so the norm's
+    draw * draw temporary lives beside the draw alone, and only then is
+    clean() called and its values added into the draw. The sum is
+    clean().values + draw * (epsilon/norm) to the bit, since IEEE
+    addition commutes.
 
     Philox keyed by the seed, so runs are reproducible across platforms.
-    epsilon = 0 returns the field unchanged. A zero draw (possible only in
+    epsilon = 0 returns clean() unchanged. A zero draw (possible only in
     principle) retries with seed+1, up to 8 times.
     """
     if epsilon < 0:
         raise ValueError("noise level must be nonnegative, got %r" % (epsilon,))
     if epsilon == 0.0:
-        return field
+        return clean()
     for attempt in range(8):
         rng = np.random.Generator(np.random.Philox(seed + attempt))
-        draw = rng.standard_normal(field.values.shape)
-        nrm = math.sqrt(field.grid.cell_area * float(np.sum(draw * draw)))
+        draw = rng.standard_normal(grid.shape)
+        nrm = math.sqrt(grid.cell_area * float(np.sum(draw * draw)))
         if nrm > 0.0:
-            # in place, one array for the result; field.values + draw * s
-            # to the bit, since IEEE addition commutes
             draw *= epsilon / nrm
-            draw += field.values
-            return RealField(field.grid, draw)
+            draw += clean().values
+            return RealField(grid, draw)
     raise RuntimeError("could not draw a nonzero noise field in 8 attempts")
 
 
+def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
+    """Add white noise scaled to L2 size exactly epsilon; epsilon = 0
+    returns the field itself. The noise is _noisy's, so
+    noisy_histories draws the same bits. The caller holds the field, so
+    the norm's temporary sets this call's peak."""
+    return _noisy(lambda: field, field.grid, epsilon, seed)
+
+
 def noisy_histories(prob, data_grid: GridSpec, epsilon: float, seed: int):
-    """(f, g): the problem's two histories sampled on data_grid, each with
-    noise of L2 size epsilon; g's stream is seeded apart from f's."""
-    f = perturb(sample(prob.f0, data_grid), epsilon, seed)
-    g = perturb(sample(prob.g0, data_grid), epsilon, seed + _G_SEED_OFFSET)
-    return f, g
+    """Yield f, then g: the problem's two histories sampled on data_grid,
+    each with noise of L2 size epsilon; g's stream is seeded apart from
+    f's. Each is perturb(sample(...)) to the bit, drawn noise first (see
+    _noisy), and the generator keeps no reference to what it yields, so
+    a consumer that drops f before asking for g, as reconstruct_spectrum
+    does, holds one history at a time."""
+    yield _noisy(lambda: sample(prob.f0, data_grid), data_grid, epsilon,
+                 seed)
+    yield _noisy(lambda: sample(prob.g0, data_grid), data_grid, epsilon,
+                 seed + _G_SEED_OFFSET)
 
 
 def kernel_l1_norm(spec: KernelSpec) -> float:
@@ -526,16 +542,17 @@ def _write_run(out_dir, v_eps: RealField, manifest_lines) -> None:
 
 def run_experiment(config: ExperimentConfig,
                    out_dir=None) -> ExperimentResult:
-    """One full run: sample exact data, add noise, reconstruct, measure
-    against the exact solution, and optionally write v_eps.grd / v_eps.csv
-    / manifest.txt into out_dir. No wall-clock data goes into the files, so
-    outputs are byte-reproducible for a fixed config.
+    """One full run: stream the noisy histories into reconstruct, one at
+    a time, measure against the exact solution, and optionally write
+    v_eps.grd / v_eps.csv / manifest.txt into out_dir. No wall-clock data
+    goes into the files, so outputs are byte-reproducible for a fixed
+    config.
     """
     prob = test_problem(config.problem)
     params = config.params
-    f, g = noisy_histories(prob, config.data_grid, params.epsilon,
-                           config.noise_seed)
-    rec = reconstruct(f, g, params, config.out_grid, v_exact=prob.v_exact)
+    rec = reconstruct(noisy_histories(prob, config.data_grid,
+                                      params.epsilon, config.noise_seed),
+                      params, config.out_grid, v_exact=prob.v_exact)
     measured = l2_distance(rec.v_eps, sample(prob.v_exact, config.out_grid))
     if out_dir is not None:
         _write_run(out_dir, rec.v_eps, _manifest_lines(

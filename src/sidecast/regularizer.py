@@ -209,20 +209,44 @@ class BoundReport:
     bound_hm: Optional[float] = None
 
 
-def reconstruct_spectrum(f: RealField, g: RealField, params: RegParams):
-    """Transform both histories onto the data's FFT lattice and continue
-    them to the surface; returns (v_hat_eps, window).
+def _next_history(histories, name: str) -> RealField:
+    history = next(histories, None)
+    if history is None:
+        raise ValueError("the histories end before %s" % name)
+    return history
+
+
+def reconstruct_spectrum(histories, params: RegParams, out_grid: GridSpec):
+    """Transform the two histories onto the data's FFT lattice and continue
+    them to the surface; returns (v_hat_eps, window, data_grid).
+
+    histories is an iterable of two RealFields, f then g: a tuple, or a
+    generator such as harness.noisy_histories. f is transformed and its
+    reference dropped before g is asked for, so a generator that keeps
+    no reference to what it yields has one history alive at a time.
 
     v_hat_eps lives on the window's lattice nodes; the physical
-    reconstruction and the Sinc expansion both invert all of it.
-    dft2_lattice refuses a window past the data Nyquist limits, where the
-    data spectrum aliases, and one narrower than a lattice step.
+    reconstruction and the Sinc expansion both invert all of it, on
+    out_grid or in its box. dft2_lattice refuses a window past the data
+    Nyquist limits, where the data spectrum aliases, and one narrower
+    than a lattice step. An out_grid that spans an alias period together
+    with the data on either axis would read periodic copies, and is
+    refused once f's lattice is known; a g on another grid than f's, and
+    histories that end before g, are refused too. Each refusal is a
+    ValueError.
     """
-    if f.grid != g.grid:
-        raise ValueError("f and g grids differ")
     window = region_for(params)
-    return continue_sideways(dft2_lattice(f, window),
-                             dft2_lattice(g, window)), window
+    histories = iter(histories)
+    f = _next_history(histories, "f")
+    data_grid = f.grid
+    f_hat = dft2_lattice(f, window)
+    del f
+    _refuse_aliased_window(data_grid, out_grid, f_hat.grid)
+    g = _next_history(histories, "g")
+    if g.grid != data_grid:
+        raise ValueError("f and g grids differ")
+    v_hat = continue_sideways(f_hat, dft2_lattice(g, window))
+    return v_hat, window, data_grid
 
 
 def build_report(params: RegParams, eta_hat: Optional[float] = None,
@@ -277,24 +301,23 @@ def _refuse_aliased_window(data: GridSpec, out: GridSpec,
                 % (axis, o0, o1, d0, d1, span, period))
 
 
-def reconstruct(f: RealField, g: RealField, params: RegParams,
-                out_grid: GridSpec, v_exact=None,
-                c1: Optional[float] = None) -> Reconstruction:
-    """Full pipeline onto out_grid.
+def reconstruct(histories, params: RegParams, out_grid: GridSpec,
+                v_exact=None, c1: Optional[float] = None) -> Reconstruction:
+    """Full pipeline onto out_grid from the two histories, f then g, as
+    reconstruct_spectrum takes and refuses them.
 
     v_exact, when given, is an evaluator used for validation only: it is
-    sampled on the data grid, and its spectral tail outside the cutoff
-    becomes eta_hat in the report. c1 likewise only feeds the HM-mode
-    bound. An out_grid that spans an alias period together with the data
-    on either axis would read periodic copies, and is a ValueError.
+    sampled on the data grid once both histories are transformed, and
+    its spectral tail outside the cutoff becomes eta_hat in the report.
+    c1 likewise only feeds the HM-mode bound.
     """
-    v_hat, window = reconstruct_spectrum(f, g, params)
-    _refuse_aliased_window(f.grid, out_grid, v_hat.grid)
+    v_hat, window, data_grid = reconstruct_spectrum(histories, params,
+                                                    out_grid)
     v_eps = RealField(out_grid, idft2_windowed_at(
         v_hat, out_grid.x_nodes()[:, None], out_grid.t_nodes()[None, :]))
     eta = None
     if v_exact is not None:
-        eta = tail_energy(sample(v_exact, f.grid), window)
+        eta = tail_energy(sample(v_exact, data_grid), window)
     return Reconstruction(v_eps=v_eps,
                           report=build_report(params, eta_hat=eta, c1=c1),
                           v_hat=v_hat, window=window)

@@ -134,7 +134,7 @@ def test_criterion_7_sinc_expansion(verdict):
     prob = test_problem("P1")
     f = perturb(sample(prob.f0, dg), params.epsilon, 0)
     g = perturb(sample(prob.g0, dg), params.epsilon, _G_SEED_OFFSET)
-    v_hat, _ = reconstruct_spectrum(f, g, params)
+    v_hat, _, _ = reconstruct_spectrum((f, g), params, dg)
     a_eps = band_halfwidth(params)
 
     def ev(x, t):

@@ -10,6 +10,8 @@ import ast
 import inspect
 import math
 import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 import sidecast.harness as harness
 import sidecast.transform as transform
+from sidecast.cli import main
 from sidecast.fields import GridSpec, RealField, l2_norm, l2_distance, \
     read_field, sample
 from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET,
@@ -136,6 +139,66 @@ def test_noisy_histories_draw_f_and_g_from_separate_streams():
     want_g = perturb(sample(prob.g0, g), 0.02, 5 + _G_SEED_OFFSET)
     np.testing.assert_array_equal(f_n.values, want_f.values)
     np.testing.assert_array_equal(g_n.values, want_g.values)
+
+
+def test_noisy_histories_at_zero_noise_yield_the_clean_samples():
+    g = GridSpec(x0=-2.0, dx=0.125, nx=33, t0=0.1, dt=0.1, nt=40)
+    prob = test_problem("P1")
+    got = list(noisy_histories(prob, g, 0.0, seed=5))
+    assert len(got) == 2
+    for field, fn in zip(got, (prob.f0, prob.g0)):
+        np.testing.assert_array_equal(field.values, sample(fn, g).values)
+
+
+def test_noisy_histories_keep_no_yielded_history():
+    # the generator's frame holds no reference to f once it is yielded,
+    # so f's array dies with its last outside reference, before g is drawn
+    g = GridSpec(x0=-2.0, dx=0.125, nx=33, t0=0.1, dt=0.1, nt=40)
+    histories = noisy_histories(test_problem("P1"), g, 0.02, seed=5)
+    f = next(histories)
+    f_values = weakref.ref(f.values)
+    del f
+    assert f_values() is None
+    assert next(histories).grid == g
+
+
+def _warm_peak_bytes(run):
+    """Traced peak of a second call of run, above what was allocated
+    before it; the first call loads modules and FFT plan caches."""
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneHistoryAtATime:
+    # f is transformed and dropped before g is drawn, and each history's
+    # noise is scaled before its trace is sampled, so no more than about
+    # two data-grid arrays are alive at once: the draw beside its norm's
+    # temporary, or beside the clean trace. Holding both histories, as a
+    # (f, g) pair or a for-loop consumer's loop variable does, reads 3 to 4
+    _DATA = default_data_grid(nx=257, nt=1000, dt=0.04)
+    _LIMIT = 2.5 * 8 * _DATA.nx * _DATA.nt
+
+    def test_run_experiment(self):
+        cfg = ExperimentConfig(problem="P1",
+                               params=RegParams(epsilon=0.02, gamma=1.0),
+                               data_grid=self._DATA,
+                               out_grid=default_out_grid("P1"), noise_seed=3)
+        assert _warm_peak_bytes(lambda: run_experiment(cfg)) < self._LIMIT
+
+    def test_sinc_command(self, tmp_path):
+        argv = ["sinc", "--problem", "p1", "--epsilon", "0.02", "--N", "3",
+                "--data-grid", harness._grid_str(self._DATA),
+                "--out", str(tmp_path)]
+        rcs = []
+        peak = _warm_peak_bytes(lambda: rcs.append(main(argv)))
+        assert rcs == [0, 0]
+        assert peak < self._LIMIT
 
 
 class TestNoiseStreamFixture:
@@ -460,7 +523,7 @@ class TestRunExperiment:
         og = _coarse_out_grid_p1()
         f0 = sample(prob.f0, cfg.data_grid)
         g0 = sample(prob.g0, cfg.data_grid)
-        rec = reconstruct(f0, g0, cfg.params, og, v_exact=prob.v_exact)
+        rec = reconstruct((f0, g0), cfg.params, og, v_exact=prob.v_exact)
         v0, report = rec.v_eps, rec.report
         measured = l2_distance(v0, sample(prob.v_exact, og))
         assert report.eta_hat is not None
@@ -471,7 +534,7 @@ class TestRunExperiment:
         prob = test_problem(cfg.problem)
         f, g = noisy_histories(prob, cfg.data_grid, cfg.params.epsilon,
                                cfg.noise_seed)
-        rec = reconstruct(f, g, cfg.params, cfg.out_grid,
+        rec = reconstruct((f, g), cfg.params, cfg.out_grid,
                           v_exact=prob.v_exact)
         np.testing.assert_array_equal(rec.v_eps.values, res.v_eps.values)
         assert rec.report == res.report

@@ -249,7 +249,7 @@ def test_closed_form_agrees_with_the_convolution_route(pid, out_grid):
     params = RegParams(epsilon=0.02, gamma=1.0)
     f, g = noisy_histories(test_problem(pid), _COARSE_DATA, params.epsilon,
                            seed=11)
-    v_hat, _ = reconstruct_spectrum(f, g, params)
+    v_hat, _, _ = reconstruct_spectrum((f, g), params, out_grid)
     rhs_hat = dft2_forward(assemble_rhs(f, g), v_hat.grid)
     Z, R = np.meshgrid(v_hat.grid.x_nodes(), v_hat.grid.t_nodes(),
                        indexing="ij")
@@ -278,9 +278,9 @@ def test_window_past_the_data_nyquist_limit_is_rejected(axis, scale, past):
         limits = "Nyquist limits pi/dx = %.6g, pi/dt = %.6g" % (
             math.pi / dx, math.pi / dt)
         with pytest.raises(ValueError, match=re.escape(limits)):
-            reconstruct_spectrum(f, g, params)
+            reconstruct_spectrum((f, g), params, dg)
     else:
-        v_hat, _ = reconstruct_spectrum(f, g, params)
+        v_hat, _, _ = reconstruct_spectrum((f, g), params, dg)
         assert np.all(np.isfinite(v_hat.values))
 
 
@@ -356,7 +356,7 @@ def test_reconstruct_reports_the_full_band_tail():
     dg = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 80)
     params = RegParams(epsilon=0.02, gamma=1.0)
     f, g = sample(prob.f0, dg), sample(prob.g0, dg)
-    rec = reconstruct(f, g, params, GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9),
+    rec = reconstruct((f, g), params, GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9),
                       v_exact=prob.v_exact)
     v0 = sample(prob.v_exact, dg)
     lx, lt, lat = _lattice_bins(v0, rec.window)
@@ -375,7 +375,7 @@ def test_spectrum_lattice_is_set_by_the_data_grid():
     # nodes, so one more step on either side lies outside it
     params = RegParams(epsilon=0.01, gamma=1.0)
     f, g = noisy_histories(test_problem("P1"), _COARSE_DATA, 0.01, seed=0)
-    v_hat, w = reconstruct_spectrum(f, g, params)
+    v_hat, w, _ = reconstruct_spectrum((f, g), params, _COARSE_DATA)
     lat = v_hat.grid
     assert 2.0 * math.pi / lat.dx >= 2 * _COARSE_DATA.nx * _COARSE_DATA.dx
     assert 2.0 * math.pi / lat.dt >= 2 * _COARSE_DATA.nt * _COARSE_DATA.dt
@@ -392,7 +392,7 @@ def test_reconstruct_small_p2_end_to_end():
     params = RegParams(epsilon=0.02, gamma=1.0)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
-    rec = reconstruct(f, g, params, og, v_exact=prob.v_exact)
+    rec = reconstruct((f, g), params, og, v_exact=prob.v_exact)
     v_eps, report = rec.v_eps, rec.report
     exact = sample(prob.v_exact, og)
     rel = l2_norm(RealField(og, v_eps.values - exact.values)) / l2_norm(exact)
@@ -400,7 +400,7 @@ def test_reconstruct_small_p2_end_to_end():
     assert report.eta_hat is not None and report.eta_hat >= 0.0
     assert report.bound_l2 >= math.sqrt(report.C * 0.02)
     # without the exact solution no tail estimate is possible
-    rep2 = reconstruct(f, g, params, og).report
+    rep2 = reconstruct((f, g), params, og).report
     assert rep2.eta_hat is None and rep2.bound_l2 is not None
 
 
@@ -410,10 +410,46 @@ def test_reconstruct_carries_the_divided_spectrum():
     og = GridSpec(0.0, 1.0 / 8, 9, 0.5, 0.3, 9)
     params = RegParams(epsilon=0.02, gamma=1.0)
     f, g = sample(prob.f0, dg), sample(prob.g0, dg)
-    rec = reconstruct(f, g, params, og)
-    v_hat, window = reconstruct_spectrum(f, g, params)
+    rec = reconstruct((f, g), params, og)
+    v_hat, window, _ = reconstruct_spectrum((f, g), params, og)
     assert rec.window == window
     np.testing.assert_array_equal(rec.v_hat.values, v_hat.values)
+
+
+def test_streamed_and_tuple_histories_agree_to_the_bit():
+    prob = test_problem("P1")
+    og = GridSpec(0.25, 1.05 / 16, 17, 0.1, 3.9 / 16, 17)
+    params = RegParams(epsilon=0.02, gamma=1.0)
+    pair = tuple(noisy_histories(prob, _COARSE_DATA, 0.02, seed=4))
+    a = reconstruct(pair, params, og, v_exact=prob.v_exact)
+    b = reconstruct(noisy_histories(prob, _COARSE_DATA, 0.02, seed=4),
+                    params, og, v_exact=prob.v_exact)
+    assert a.v_eps.values.tobytes() == b.v_eps.values.tobytes()
+    assert a.v_hat.values.tobytes() == b.v_hat.values.tobytes()
+    assert a.report == b.report and a.window == b.window
+
+
+@pytest.mark.parametrize("n,missing", [(0, "f"), (1, "g")])
+def test_histories_that_end_early_are_refused(n, missing):
+    f = sample(test_problem("P2").f0, _COARSE_DATA)
+    with pytest.raises(ValueError,
+                       match="the histories end before %s" % missing):
+        reconstruct((f,) * n, RegParams(epsilon=0.02, gamma=1.0),
+                    GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9))
+
+
+def test_a_streamed_g_on_another_grid_is_refused():
+    prob = test_problem("P2")
+    dg = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 80)
+    other = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 81)
+
+    def histories():
+        yield sample(prob.f0, dg)
+        yield sample(prob.g0, other)
+
+    with pytest.raises(ValueError, match="f and g grids differ"):
+        reconstruct(histories(), RegParams(epsilon=0.02, gamma=1.0),
+                    GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9))
 
 
 @pytest.mark.parametrize("out_grid,axis,span", [
@@ -435,10 +471,10 @@ def test_output_window_an_alias_period_wide_is_refused(out_grid, axis, span):
     period = "42.1875" if axis == "x" else "80"
     with pytest.raises(ValueError, match=re.escape(
             "output window %s in" % axis)) as exc:
-        reconstruct(f, g, params, out_grid)
+        reconstruct((f, g), params, out_grid)
     msg = str(exc.value)
     assert "together span %s" % span in msg
     assert "P = %s" % period in msg and "longer data grid" in msg
     # the same window shifted to the data is reconstructed
     near = GridSpec(0.0, 0.25, 5, 0.5, 1.0, 5)
-    assert np.all(np.isfinite(reconstruct(f, g, params, near).v_eps.values))
+    assert np.all(np.isfinite(reconstruct((f, g), params, near).v_eps.values))
