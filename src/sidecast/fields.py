@@ -132,22 +132,35 @@ def sample(fn, grid: GridSpec) -> RealField:
     broadcast, falls back to a per node loop for scalar-only evaluators. A
     non-finite value anywhere is an error naming the offending node.
     """
+    return _finite_field(grid, _node_values(fn, grid))
+
+
+def _node_values(fn, grid: GridSpec) -> np.ndarray:
+    """fn(x, t) at every node as sample evaluates it, unchecked: an array
+    of the grid's shape, possibly a read-only broadcast view. A caller
+    that adds it into an array of its own passes the sum to
+    _finite_field, so the values are scanned once."""
     xs, ts = grid.x_nodes(), grid.t_nodes()
     try:
-        vals = np.broadcast_to(
+        return np.broadcast_to(
             np.asarray(fn(xs[:, None], ts[None, :]), dtype=np.float64),
             grid.shape)
     except (TypeError, ValueError):
-        vals = np.array([[float(fn(x, t)) for t in ts] for x in xs])
+        return np.array([[float(fn(x, t)) for t in ts] for x in xs])
+
+
+def _finite_field(grid: GridSpec, vals: np.ndarray) -> RealField:
+    """RealField(grid, vals) for vals of the grid's shape. Its one
+    finiteness scan is the only one; when it refuses vals, the error names
+    the first non-finite node."""
     try:
         return RealField(grid, vals)
     except ValueError:
-        # vals has the grid's shape, so RealField's one finiteness scan
-        # refused it; only this error path looks for the node
         i, j = map(int, np.argwhere(~np.isfinite(vals))[0])
         raise ValueError(
             "evaluator returned non-finite value at node (i=%d, j=%d), "
-            "x=%.17g, t=%.17g" % (i, j, xs[i], ts[j])) from None
+            "x=%.17g, t=%.17g"
+            % (i, j, grid.x_nodes()[i], grid.t_nodes()[j])) from None
 
 
 def l2_norm(field) -> float:

@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import (ComplexField, GridSpec, RealField, _FMT, _value_text,
-                     l2_distance, sample, write_csv, write_field)
+from .fields import (ComplexField, GridSpec, RealField, _FMT, _finite_field,
+                     _node_values, _value_text, l2_distance, sample,
+                     write_csv, write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                       kernel_eval, s_hat, test_problem)
 from .regularizer import RegMode, RegParams, reconstruct, region_for
@@ -101,26 +102,25 @@ def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
     """clean() plus white noise of L2 size exactly epsilon on grid, noise
     first: the Philox draw is scaled in place to its norm, so the norm's
     draw * draw temporary lives beside the draw alone, and only then is
-    clean() called and its values added into the draw. The sum is
-    clean().values + draw * (epsilon/norm) to the bit, since IEEE
-    addition commutes.
+    clean() called for the bare values of the trace and added into the
+    draw. The sum is clean() + draw * (epsilon/norm) to the bit, since
+    IEEE addition commutes, and it is the one array scanned for
+    non-finite values.
 
     Philox keyed by the seed, so runs are reproducible across platforms.
-    epsilon = 0 returns clean() unchanged. A zero draw (possible only in
-    principle) retries with seed+1, up to 8 times.
+    The callers return the clean trace for epsilon = 0. A zero draw
+    (possible only in principle) retries with seed+1, up to 8 times.
     """
     if epsilon < 0:
         raise ValueError("noise level must be nonnegative, got %r" % (epsilon,))
-    if epsilon == 0.0:
-        return clean()
     for attempt in range(8):
         rng = np.random.Generator(np.random.Philox(seed + attempt))
         draw = rng.standard_normal(grid.shape)
         nrm = math.sqrt(grid.cell_area * float(np.sum(draw * draw)))
         if nrm > 0.0:
             draw *= epsilon / nrm
-            draw += clean().values
-            return RealField(grid, draw)
+            draw += clean()
+            return _finite_field(grid, draw)
     raise RuntimeError("could not draw a nonzero noise field in 8 attempts")
 
 
@@ -129,20 +129,23 @@ def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
     returns the field itself. The noise is _noisy's, so
     noisy_histories draws the same bits. The caller holds the field, so
     the norm's temporary sets this call's peak."""
-    return _noisy(lambda: field, field.grid, epsilon, seed)
+    if epsilon == 0.0:
+        return field
+    return _noisy(lambda: field.values, field.grid, epsilon, seed)
 
 
 def noisy_histories(prob, data_grid: GridSpec, epsilon: float, seed: int):
     """Yield f, then g: the problem's two histories sampled on data_grid,
     each with noise of L2 size epsilon; g's stream is seeded apart from
-    f's. Each is perturb(sample(...)) to the bit, drawn noise first (see
-    _noisy), and the generator keeps no reference to what it yields, so
-    a consumer that drops f before asking for g, as reconstruct_spectrum
-    does, holds one history at a time."""
-    yield _noisy(lambda: sample(prob.f0, data_grid), data_grid, epsilon,
-                 seed)
-    yield _noisy(lambda: sample(prob.g0, data_grid), data_grid, epsilon,
-                 seed + _G_SEED_OFFSET)
+    f's. Each is perturb(sample(...)) to the bit, drawn noise first, with
+    the trace's bare values added into the draw (see _noisy), and the
+    generator keeps no reference to what it yields, so a consumer that
+    drops f before asking for g, as reconstruct_spectrum does, holds one
+    history at a time."""
+    for fn, s in ((prob.f0, seed), (prob.g0, seed + _G_SEED_OFFSET)):
+        yield (sample(fn, data_grid) if epsilon == 0.0 else
+               _noisy(lambda: _node_values(fn, data_grid), data_grid,
+                      epsilon, s))
 
 
 def kernel_l1_norm(spec: KernelSpec) -> float:
@@ -206,29 +209,42 @@ def _lattice_offsets(out_grid: GridSpec, in_grid: GridSpec):
 def convolve2_causal(spec: KernelSpec, w: RealField,
                      out_grid: GridSpec) -> RealField:
     """(k_c * w)(x, t) = integral k_c(x-xi, t-tau) w(xi, tau) dxi dtau by the
-    rectangle rule on w's lattice.
+    rectangle rule on w's lattice: _convolve2_causal_each's one-field case.
 
     The kernel vanishes for time lags <= 0, so only forward lags are
     formed; space lags are truncated where the Gaussian factor drops below
     1e-12 of its peak. Everything left of w's grid is treated as zero (w is
     assumed to vanish for t <= 0), so w's grid should start near t = 0.
     out_grid must be lattice-aligned with w's grid and start no earlier.
+    """
+    [vals] = _convolve2_causal_each(spec, [w], out_grid)
+    return RealField(out_grid, vals)
 
-    The sum is one real FFT product on a circular lattice just long enough,
-    per axis, that no wrapped term reaches a kept output; the kept outputs
-    then equal those of the linear convolution. Only the kept output rows
-    take the inverse transform along t.
+
+def _convolve2_causal_each(spec: KernelSpec, ws, out_grid: GridSpec):
+    """Values of k_c * w on out_grid for each w of ws, which share one
+    grid: convolve2_causal for several fields, forming k_c's lag box and
+    its spectrum once, and only if some w is nonzero.
+
+    Each sum is one real FFT product on a circular lattice just long
+    enough, per axis, that no wrapped term reaches a kept output; the kept
+    outputs then equal those of the linear convolution. Only the kept
+    output rows take the inverse transform along t. The kernel's spectrum
+    is dropped after the last product, and each product after its
+    inverse, so no more than two spectra are alive at once.
     """
     # scipy's rfft2 runs this product about 1.4x faster than numpy's
     import scipy.fft
 
-    gin = w.grid
+    gin = ws[0].grid
     if out_grid.t0 < gin.t0 - 1e-12 * gin.dt:
         raise ValueError("output grid extends before the data grid's t0")
     ox, ot = _lattice_offsets(out_grid, gin)
+    out = [np.zeros(out_grid.shape) for _ in ws]
     # a zero field (P2's f) convolves to exact zeros without the FFTs
-    if not w.values.any():
-        return RealField(out_grid, np.zeros(out_grid.shape))
+    live = [n for n, w in enumerate(ws) if w.values.any()]
+    if not live:
+        return out
     dx, dt = gin.dx, gin.dt
 
     # forward time lags; lag 0 evaluates to 0 but keeps index bookkeeping flat
@@ -243,7 +259,7 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
     hi = min(ox + out_grid.nx - 1, int(math.ceil(lag_cut / dx)))
     if lo > hi:
         # every needed lag is beyond the cutoff; the convolution vanishes
-        return RealField(out_grid, np.zeros(out_grid.shape))
+        return out
     lag_x = dx * np.arange(lo, hi + 1)
 
     kv = kernel_eval(spec, lag_x[:, None], lag_t[None, :])
@@ -261,15 +277,19 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
                  _wrap_free_length(kv.shape[0], gin.nx, ps[ok])),
              scipy.fft.next_fast_len(
                  _wrap_free_length(kv.shape[1], n_data_t, qs), real=True))
-    prod = scipy.fft.rfft2(kv, shape)
+    k_hat = scipy.fft.rfft2(kv, shape)
     del kv
-    prod *= scipy.fft.rfft2(w.values[:, :n_data_t], shape)
-    # the inverse along x in place, then along t for the kept rows only
-    rows = scipy.fft.ifft(prod, axis=0, overwrite_x=True)[ps[ok]]
-    del prod
-    vals = np.zeros(out_grid.shape)
-    vals[ok, :] = scipy.fft.irfft(rows, shape[1], axis=1)[:, qs] * (dx * dt)
-    return RealField(out_grid, vals)
+    for n in live:
+        prod = scipy.fft.rfft2(ws[n].values[:, :n_data_t], shape)
+        np.multiply(k_hat, prod, out=prod)
+        if n == live[-1]:
+            del k_hat
+        # the inverse along x in place, then along t for the kept rows only
+        rows = scipy.fft.ifft(prod, axis=0, overwrite_x=True)[ps[ok]]
+        del prod
+        out[n][ok, :] = scipy.fft.irfft(rows, shape[1], axis=1)[:, qs] \
+            * (dx * dt)
+    return out
 
 
 def _wrap_free_length(n_lag: int, n_data: int, kept: np.ndarray) -> int:
@@ -288,14 +308,26 @@ def assemble_rhs(f: RealField, g: RealField,
     f and g share a grid; out_grid defaults to it and must be a sub-lattice
     of it (the pointwise f term is read off by slicing, not interpolation).
     """
+    og = _rhs_grid(f, g, out_grid)
+    return _rhs_from(f, convolve2_causal(S_SPEC, g, og).values, og)
+
+
+def _rhs_grid(f: RealField, g: RealField,
+              out_grid: Optional[GridSpec]) -> GridSpec:
+    """The grid assemble_rhs writes F on, or the error it refuses with."""
     if f.grid != g.grid:
         raise ValueError("f and g must share a grid")
     og = out_grid if out_grid is not None else f.grid
     ox, ot = _lattice_offsets(og, f.grid)
     if ox < 0 or ot < 0 or ox + og.nx > f.grid.nx or ot + og.nt > f.grid.nt:
         raise ValueError("output grid must lie inside the data grid")
+    return og
+
+
+def _rhs_from(f: RealField, sg: np.ndarray, og: GridSpec) -> RealField:
+    """F = 2(R*f) - (S*g) + 4*pi*f on og, given S*g's values there."""
+    ox, ot = _lattice_offsets(og, f.grid)
     rf = convolve2_causal(R_SPEC, f, og).values
-    sg = convolve2_causal(S_SPEC, g, og).values
     fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
     return RealField(og, 2.0 * rf - sg + (4.0 * math.pi) * fw)
 
@@ -305,18 +337,20 @@ def identity_residual(v: RealField, f: RealField, g: RealField,
     """Relative L2 defect of S*v = 2(R*f) - (S*g) + 4*pi*f on out_grid.
 
     v, f, g share a grid; out_grid defaults to it and must be a sub-lattice
-    of it (see assemble_rhs). Only a problem with f != 0 tests the kernels:
+    of it (see assemble_rhs). S*v and S*g come from one call that forms
+    S's lag box and spectrum once; R*f from another, which forms none for
+    a zero f. Only a problem with f != 0 tests the kernels:
     P2 has f = 0 and v = -g, so both sides are the same S*g up to sign and
     its residual is 0 by linearity for any kernel; P1's row is the one
     that can fail.
     """
     if not (v.grid == f.grid == g.grid):
         raise ValueError("v, f, g must share a grid")
-    rhs = assemble_rhs(f, g, out_grid)
-    og = rhs.grid
-    lhs = convolve2_causal(S_SPEC, v, og).values
-    num = math.sqrt(og.cell_area * float(np.sum((lhs - rhs.values) ** 2)))
-    den = math.sqrt(og.cell_area * float(np.sum(rhs.values ** 2)))
+    og = _rhs_grid(f, g, out_grid)
+    lhs, sg = _convolve2_causal_each(S_SPEC, [v, g], og)
+    rhs = _rhs_from(f, sg, og).values
+    num = math.sqrt(og.cell_area * float(np.sum((lhs - rhs) ** 2)))
+    den = math.sqrt(og.cell_area * float(np.sum(rhs ** 2)))
     return num / max(den, np.finfo(float).tiny)
 
 

@@ -12,6 +12,8 @@ import math
 import os
 import tracemalloc
 import weakref
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,13 +26,14 @@ from sidecast.cli import main
 from sidecast.fields import GridSpec, RealField, l2_norm, l2_distance, \
     read_field, sample
 from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET,
-                              _lattice_offsets, _symbol_rows,
-                              convergence_table, default_data_grid,
-                              default_out_grid, identity_residual,
+                              _lattice_offsets, _symbol_rows, assemble_rhs,
+                              convergence_table, convolve2_causal,
+                              default_data_grid, default_out_grid,
+                              identity_residual,
                               noisy_histories, perturb, refined_window_grid,
                               run_experiment,
                               write_convergence_csv)
-from sidecast.kernels import (S_SPEC, SINGULAR_OFFSET, KernelSpec,
+from sidecast.kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                               kernel_eval, s_hat, test_problem)
 from sidecast.regularizer import RegParams, reconstruct
 
@@ -160,6 +163,35 @@ def test_noisy_histories_keep_no_yielded_history():
     del f
     assert f_values() is None
     assert next(histories).grid == g
+
+
+def test_noisy_histories_scan_each_history_once(monkeypatch):
+    # the trace's bare values go into the draw and only the noisy sum
+    # becomes a RealField, so its finiteness scan is the only one
+    g = GridSpec(x0=-2.0, dx=0.125, nx=33, t0=0.1, dt=0.1, nt=40)
+    made = []
+    post_init = RealField.__post_init__
+
+    def counting(self):
+        made.append(self.grid == g)
+        post_init(self)
+
+    monkeypatch.setattr(RealField, "__post_init__", counting)
+    for history in noisy_histories(test_problem("P1"), g, 0.02, seed=5):
+        assert history.grid == g
+        assert made.count(True) == 1
+        made.clear()
+
+
+def test_noisy_histories_name_a_nonfinite_node():
+    g = GridSpec(x0=-2.0, dx=0.125, nx=33, t0=0.1, dt=0.1, nt=40)
+    x, t = g.x_nodes()[3], g.t_nodes()[5]
+    prob = SimpleNamespace(
+        f0=lambda xs, ts: np.where((xs >= x) & (ts >= t), np.nan, xs * ts),
+        g0=test_problem("P1").g0)
+    with pytest.raises(ValueError, match=r"\(i=3, j=5\), x=%s, t=%s$"
+                       % ("%.17g" % x, "%.17g" % t)):
+        next(noisy_histories(prob, g, 0.02, seed=5))
 
 
 def _warm_peak_bytes(run):
@@ -303,6 +335,55 @@ class TestIdentityResidual:
         monkeypatch.setattr(harness, "S_SPEC", KernelSpec(c))
         assert identity_residual(*fields["P1"], out_grid) > 1e-2
         assert identity_residual(*fields["P2"], out_grid) == 0.0
+
+    @pytest.mark.parametrize("pid,want", [
+        ("P1", {S_SPEC: 1, R_SPEC: 1}),
+        # P2's f is 0, so R's lag box is never formed
+        ("P2", {S_SPEC: 1}),
+    ])
+    def test_each_kernel_is_evaluated_once(self, identity_fields,
+                                           monkeypatch, pid, want):
+        # S*v and S*g share S's lag box and its spectrum
+        _, out_grid, fields = identity_fields
+        calls = Counter()
+
+        def counting(spec, x, t):
+            calls[spec] += 1
+            return kernel_eval(spec, x, t)
+
+        monkeypatch.setattr(harness, "kernel_eval", counting)
+        identity_residual(*fields[pid], out_grid)
+        assert calls == want
+
+    @pytest.mark.parametrize("pid", ["P1", "P2"])
+    def test_is_the_defect_of_the_one_field_convolutions(self,
+                                                         identity_fields,
+                                                         pid):
+        _, out_grid, fields = identity_fields
+        v, f, g = fields[pid]
+        rhs = assemble_rhs(f, g, out_grid).values
+        lhs = convolve2_causal(S_SPEC, v, out_grid).values
+        num = math.sqrt(out_grid.cell_area * float(np.sum((lhs - rhs) ** 2)))
+        den = math.sqrt(out_grid.cell_area * float(np.sum(rhs ** 2)))
+        want = num / max(den, np.finfo(float).tiny)
+        assert identity_residual(v, f, g, out_grid) == want
+
+    def test_holds_no_spectrum_past_its_use(self):
+        # verify --quick's P1 window: an FFT lattice of 675 x 1000, so one
+        # spectrum is 675 x 501 complex values. The peak is about 3.1 of
+        # them: the kernel's spectrum, beside a field's and rfft2's padded
+        # copy of that field. Keeping a product past its inverse, the lag
+        # box past its transform, or another spectrum across R*f reads 3.6
+        # or more
+        n = 33
+        window = GridSpec(x0=0.25, dx=1.05 / (n - 1), nx=n,
+                          t0=0.1, dt=3.9 / (n - 1), nt=n)
+        in_grid, out_grid = refined_window_grid(window)
+        prob = test_problem("P1")
+        fields = [sample(fn, in_grid)
+                  for fn in (prob.v_exact, prob.f0, prob.g0)]
+        peak = _warm_peak_bytes(lambda: identity_residual(*fields, out_grid))
+        assert peak < 3.4 * 16 * 675 * 501
 
     def test_rejects_mismatched_grids(self, identity_fields):
         in_grid, out_grid, fields = identity_fields
