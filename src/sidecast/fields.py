@@ -185,23 +185,43 @@ def write_field(field: RealField, path, *, text=None) -> None:
     values (line j holds the fixed-t_j row). 17 significant digits, so the
     round-trip is exact for float64.
 
-    Each line is formatted as it is written, so memory holds one line of
-    text at a time. A caller that also writes the field's CSV passes the
-    value text it formatted once, ``text=_value_text(field.values)``."""
+    Each line is formatted by one % of a line format built once per file
+    and written at once, so memory holds one line of text at a time. A
+    caller that also writes the field's CSV passes the value text it
+    formatted once, ``text=_value_text(field.values)``."""
     if np.iscomplexobj(field.values):
         raise TypeError("GRD files hold real fields only")
     g = field.grid
+    line = " ".join([_FMT] * g.nx) + "\n"
     with open(path, "w") as fh:
         fh.write("%d %d %s\n" % (g.nx, g.nt, " ".join(
             _value_text([g.x0, g.dx, g.t0, g.dt]))))
         for j, col in enumerate(field.values.T):
-            fh.write(" ".join(_value_text(col) if text is None
-                              else text[j::g.nt]) + "\n")
+            fh.write(line % tuple(col.tolist()) if text is None
+                     else " ".join(text[j::g.nt]) + "\n")
+
+
+# Data lines per np.loadtxt call in read_field. Longer blocks parse no
+# faster and hold more text: reading a 200x500 file (1968 KB) peaked at
+# 913 KB with 16-line blocks and at 2300 KB with 256-line ones.
+_BLOCK_LINES = 16
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """Values of GRD data lines, one array row per line, by numpy's C text
+    reader: whitespace-separated tokens, each read by the same strtod as
+    float() on ASCII text. Raises ValueError on a token it cannot read or
+    on lines of different widths."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
 
 
 def read_field(path) -> RealField:
-    """Parse a GRD file line by line, so memory holds one text row at a
-    time besides the values."""
+    """Parse a GRD file a block of _BLOCK_LINES non-blank data lines at a
+    time, so memory holds one block of text besides the values.
+
+    A block that fails to parse, or parses to the wrong width, is parsed
+    again one line at a time to name its first offending line. Every
+    refusal names the first offending line in file order."""
 
     def err(lineno, msg):
         raise GrdParseError("%s:%d: %s" % (os.fspath(path), lineno, msg))
@@ -231,27 +251,60 @@ def read_field(path) -> RealField:
             err(lineno, "invalid grid: %s" % exc)
 
         values = np.empty((nx, nt))
-        j = 0
+        row_line = []  # file line of each row read so far
+
+        def fail(lineno, msg):
+            # a non-finite value in a row read so far is earlier in the file
+            bad = np.flatnonzero(
+                ~np.isfinite(values[:, :len(row_line)]).all(axis=0))
+            if bad.size:
+                lineno, msg = row_line[bad[0]], "non-finite value in row"
+            err(lineno, msg)
+
+        def put_rows(lines, at):
+            """Parse data lines `lines`, at file lines `at`, into the next
+            rows of values."""
+            j = len(row_line)
+            n = min(len(lines), nt - j)
+            try:
+                rows = _parse_rows(lines[:n]) if n else None
+            except ValueError:
+                rows = None
+            if rows is not None and rows.shape[1] == nx:
+                values[:, j:j + n] = rows.T
+                row_line.extend(at[:n])
+            else:
+                for line, line_no in zip(lines[:n], at):
+                    width = len(line.split())
+                    if width != nx:
+                        fail(line_no, "expected %d values, got %d"
+                             % (nx, width))
+                    try:
+                        values[:, len(row_line)] = _parse_rows([line])[0]
+                    except ValueError:
+                        fail(line_no, "unparseable value in row")
+                    row_line.append(line_no)
+            if n < len(lines):
+                fail(at[n], "unexpected extra data row (grid has nt=%d)" % nt)
+
+        lines, at = [], []
         for line in fh:
             lineno += 1
-            toks = line.split()
-            if not toks:
+            if line.isspace():
                 continue
-            if j >= nt:
-                err(lineno, "unexpected extra data row (grid has nt=%d)" % nt)
-            if len(toks) != nx:
-                err(lineno, "expected %d values, got %d" % (nx, len(toks)))
-            try:
-                row = np.array([float(tok) for tok in toks])
-            except ValueError:
-                err(lineno, "unparseable value in row")
-            if not np.all(np.isfinite(row)):
-                err(lineno, "non-finite value in row")
-            values[:, j] = row
-            j += 1
-    if j != nt:
-        err(lineno, "expected %d data rows, got %d" % (nt, j))
-    return RealField(grid, values)
+            lines.append(line)
+            at.append(lineno)
+            if len(lines) == _BLOCK_LINES:
+                put_rows(lines, at)
+                lines, at = [], []
+        put_rows(lines, at)
+    if len(row_line) != nt:
+        fail(lineno, "expected %d data rows, got %d" % (nt, len(row_line)))
+    # RealField's finiteness scan is the only one on a good file
+    try:
+        return RealField(grid, values)
+    except ValueError as exc:
+        fail(lineno, str(exc))
 
 
 def write_csv(field: RealField, path, *, text=None) -> None:

@@ -1,16 +1,19 @@
 """Grid containers, discrete L2 norms, and GRD/CSV round trips."""
 
 import math
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidecast.fields import (GridSpec, GrdParseError, RealField, l2_distance,
-                             l2_norm, read_field, sample, write_csv,
-                             write_field)
+from sidecast.fields import (_BLOCK_LINES, GridSpec, GrdParseError, RealField,
+                             l2_distance, l2_norm, read_field, sample,
+                             write_csv, write_field)
 from sidecast.harness import _write_run
 from sidecast.kernels import test_problem
 
@@ -259,6 +262,190 @@ def test_grd_read_holds_one_row_of_text_at_a_time(tmp_path):
     assert field.values.shape == (200, 500)
     # the values take 0.8 MB; a whole-file read would hold 2x the text
     assert peak < size
+
+
+# A data body of _NT rows of 3 values, over three read blocks, with a
+# blank line before every fifth row and a blank header gap.
+_NT = 2 * _BLOCK_LINES + 8
+
+
+def _grd_body(rows):
+    """GRD text of `rows` (lists of value tokens) under a 3 x _NT header,
+    and the file line of each row."""
+    out, at = ["3 %d 0 1 0 1\n" % _NT, "\n"], []
+    for j, row in enumerate(rows):
+        if j % 5 == 0:
+            out.append(" \t\n")
+        out.append(" ".join(row) + "\n")
+        at.append(len(out))
+    return "".join(out), at
+
+
+def _good_rows(n=_NT):
+    return [["%d.5" % j, "-1e-3", "7"] for j in range(n)]
+
+
+def _refusal(tmp_path, rows, lineno, msg):
+    """Assert that the file of `rows` is refused at `lineno` with `msg`."""
+    path = tmp_path / "bad.grd"
+    body, _ = _grd_body(rows)
+    path.write_text(body)
+    with pytest.raises(GrdParseError) as exc:
+        read_field(path)
+    assert str(exc.value) == "%s:%d: %s" % (path, lineno, msg)
+
+
+_B = _BLOCK_LINES
+
+
+@pytest.mark.parametrize("row", [0, _B - 1, _B, 2 * _B - 1, _B + 5])
+@pytest.mark.parametrize("bad,msg", [
+    (["1", "2x", "3"], "unparseable value in row"),
+    (["1", "2", "3", "4"], "expected 3 values, got 4"),
+    (["1", "2"], "expected 3 values, got 2"),
+    (["1", "nan", "3"], "non-finite value in row"),
+    (["-inf", "2", "3"], "non-finite value in row"),
+])
+def test_block_reader_names_the_bad_line(tmp_path, row, bad, msg):
+    # rows 0 and _B - 1 open and close the first block, _B and 2*_B - 1
+    # the second; row _B + 5 follows a blank line
+    rows = _good_rows()
+    rows[row] = bad
+    _refusal(tmp_path, rows, _grd_body(rows)[1][row], msg)
+
+
+@pytest.mark.parametrize("first", [0, _B])
+@pytest.mark.parametrize("width", [2, 4])
+def test_a_whole_block_of_one_wrong_width_is_refused_at_its_first_line(
+        tmp_path, first, width):
+    rows = _good_rows()
+    for j in range(first, first + _B):
+        rows[j] = ["1"] * width
+    _refusal(tmp_path, rows, _grd_body(rows)[1][first],
+             "expected 3 values, got %d" % width)
+
+
+@pytest.mark.parametrize("widths", [(2, 4), (4, 2), (4, 5), (1, 1)])
+def test_ragged_widths_in_a_block_are_refused_at_the_first(tmp_path, widths):
+    rows = _good_rows()
+    rows[_B + 3] = ["1"] * widths[0]
+    rows[_B + 9] = ["1"] * widths[1]
+    _refusal(tmp_path, rows, _grd_body(rows)[1][_B + 3],
+             "expected 3 values, got %d" % widths[0])
+
+
+@pytest.mark.parametrize("short", [3, _NT - 2])
+def test_a_short_row_and_an_extra_row_name_the_short_row(tmp_path, short):
+    # row _NT - 2 shares the last block with the extra row
+    rows = _good_rows(_NT + 1)
+    rows[short] = ["1", "2"]
+    _refusal(tmp_path, rows, _grd_body(rows)[1][short],
+             "expected 3 values, got 2")
+
+
+def test_the_extra_row_is_named_after_nt_good_rows(tmp_path):
+    rows = _good_rows(_NT + 2)
+    _refusal(tmp_path, rows, _grd_body(rows)[1][_NT],
+             "unexpected extra data row (grid has nt=%d)" % _NT)
+
+
+@pytest.mark.parametrize("fault", ["short", "unparseable", "missing",
+                                   "extra"])
+def test_a_non_finite_value_before_another_fault_is_named_first(tmp_path,
+                                                                fault):
+    rows = _good_rows()
+    rows[_B + 2] = ["1", "2", "inf"]
+    if fault == "short":            # in a later block
+        rows[2 * _B + 1] = ["1", "2"]
+    elif fault == "unparseable":    # in the same block
+        rows[_B + 7] = ["1", "x", "3"]
+    elif fault == "missing":        # rows missing at the end
+        del rows[-3:]
+    else:
+        rows.append(["1", "2", "3"])
+    _refusal(tmp_path, rows, _grd_body(rows)[1][_B + 2],
+             "non-finite value in row")
+
+
+def test_nan_and_inf_in_the_second_block_name_their_own_line(tmp_path):
+    rows = _good_rows()
+    rows[_B + 4] = ["1", "2", "nan"]
+    rows[_B + 6] = ["inf", "2", "3"]
+    at = _grd_body(rows)[1]
+    _refusal(tmp_path, rows, at[_B + 4], "non-finite value in row")
+    rows[_B + 4] = ["1", "2", "3"]
+    _refusal(tmp_path, rows, at[_B + 6], "non-finite value in row")
+
+
+def test_rows_missing_at_the_end_name_the_last_line(tmp_path):
+    path = tmp_path / "short.grd"
+    body, _ = _grd_body(_good_rows(_NT - 3))
+    path.write_text(body + "\n\n")
+    with pytest.raises(GrdParseError) as exc:
+        read_field(path)
+    assert str(exc.value) == "%s:%d: expected %d data rows, got %d" % (
+        path, body.count("\n") + 2, _NT, _NT - 3)
+
+
+@pytest.mark.parametrize("tok,msg", [
+    # float() reads these two; the reader takes ASCII decimal text only
+    ("1_0", "unparseable value in row"),
+    ("\u0661\u0662", "unparseable value in row"),
+    ("0x10", "unparseable value in row"),
+    ("nan", "non-finite value in row"),
+    ("-Infinity", "non-finite value in row"),
+    ("1e400", "non-finite value in row"),   # overflows to inf
+])
+def test_parse_domain_is_ascii_float_text(tmp_path, tok, msg):
+    rows = _good_rows()
+    rows[_B + 1] = ["1", tok, "3"]
+    _refusal(tmp_path, rows, _grd_body(rows)[1][_B + 1], msg)
+
+
+def test_grd_read_scans_the_values_for_finiteness_once(tmp_path,
+                                                       monkeypatch):
+    path = tmp_path / "f.grd"
+    path.write_text(_grd_body(_good_rows())[0])
+    sizes = []
+    isfinite = np.isfinite
+
+    def counted(a, *args, **kw):
+        sizes.append(np.size(a))
+        return isfinite(a, *args, **kw)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    read_field(path)
+    # the grid's four scalars, then RealField's one scan of the values
+    assert sizes == [4, 3 * _NT]
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7, 1e300,
+            -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 1.0 / 3.0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 50), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=8))
+def test_grd_round_trip_is_bit_exact_and_rewrites_the_same_bytes(nx, nt, seed,
+                                                                 drawn):
+    rng = np.random.Generator(np.random.Philox(seed))
+    vals = (rng.standard_normal(nx * nt)
+            * 10.0 ** rng.integers(-300, 300, nx * nt))
+    picks = rng.random(nx * nt) < 0.3
+    vals[picks] = rng.choice(_SPECIAL, int(picks.sum()))
+    k = min(len(drawn), vals.size)
+    vals[:k] = drawn[:k]
+    g = GridSpec(x0=-0.1, dx=1.0 / 3.0, nx=nx, t0=1e-9, dt=0.7, nt=nt)
+    field = RealField(g, vals.reshape(g.shape))
+    with tempfile.TemporaryDirectory() as tmp:
+        alone, run = _written(Path(tmp), field, "v_eps.grd")
+        back = read_field(alone)
+        assert back.grid == g
+        assert back.values.tobytes() == field.values.tobytes()
+        again = Path(tmp) / "again.grd"
+        write_field(back, again)
+        assert again.read_bytes() == alone.read_bytes() == run.read_bytes()
 
 
 def test_csv_layout(tmp_path):
