@@ -256,62 +256,56 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------- reconstruct
 
-def _note_missing_hm_bound(params, report) -> None:
-    from .regularizer import RegMode
-
-    if params.mode is RegMode.HM and report.bound_hm is None:
-        print("no HM bound written: it needs C1, the Sobolev seminorm of "
-              "the exact solution, which is not supplied")
-
-
 def cmd_reconstruct(args) -> int:
     from . import harness
     from .fields import _FMT, read_field
-    from .regularizer import reconstruct
+    from .regularizer import RegMode, reconstruct
 
     params = _params_from(args)
-    out_dir = args.out
     file_mode = args.f is not None or args.g is not None
     if file_mode and args.problem:
         raise UsageError("give either --problem or --f/--g, not both")
+    data_grid = _parse_grid(args.data_grid) if args.data_grid else None
+    out_grid = _parse_grid(args.grid) if args.grid else None
 
     if file_mode:
         if not (args.f and args.g):
             raise UsageError("file input needs both --f and --g")
-        if args.grid is None:
+        if out_grid is None:
             raise UsageError("--grid (output grid) is required with file "
                              "input")
-        out_grid = _parse_grid(args.grid)
+        if args.seed is not None:
+            raise UsageError("--seed does not apply to file input, whose "
+                             "noise is in the files")
         f = read_field(args.f)
-        g = read_field(args.g)
-        rec = reconstruct((f, g), params, out_grid)
-        harness._write_run(out_dir, rec.v_eps, harness._manifest_lines(
-            ["f_file=%s" % args.f, "g_file=%s" % args.g], params, None,
-            f.grid, out_grid, rec))
-        if rec.report.bound_l2 is not None:
-            print("bound_l2 (tail-free part): %s"
-                  % (_FMT % rec.report.bound_l2))
-        _note_missing_hm_bound(params, rec.report)
-        print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % out_dir)
-        return 0
+        if data_grid is not None and data_grid != f.grid:
+            raise UsageError("--data-grid %s differs from the files' grid "
+                             "%s" % (harness._grid_str(data_grid),
+                                     harness._grid_str(f.grid)))
+        rec = reconstruct((f, read_field(args.g)), params, out_grid)
+        source, noise_seed = ["f_file=%s" % args.f, "g_file=%s" % args.g], None
+    else:
+        if args.problem is None:
+            raise UsageError("need a data source: --problem p1|p2 or --f/--g")
+        noise_seed = args.seed or 0
+        rec = harness.run_experiment(args.problem, params, data_grid,
+                                     out_grid, noise_seed)
+        source = ["problem=%s" % args.problem.upper()]
+    harness.write_run(args.out, rec, params, source, noise_seed)
 
-    if args.problem is None:
-        raise UsageError("need a data source: --problem p1|p2 or --f/--g")
-    data_grid = _parse_grid(args.data_grid) if args.data_grid \
-        else harness.default_data_grid()
-    out_grid = _parse_grid(args.grid) if args.grid \
-        else harness.default_out_grid(args.problem)
-    cfg = harness.ExperimentConfig(problem=args.problem.upper(),
-                                   params=params, data_grid=data_grid,
-                                   out_grid=out_grid,
-                                   noise_seed=args.seed or 0)
-    res = harness.run_experiment(cfg, out_dir=out_dir)
-    print("measured_error=%s" % (_FMT % res.measured_error))
-    if res.report.bound_l2 is not None:
-        print("bound_l2=%s" % (_FMT % res.report.bound_l2))
-    print("eta_hat=%s" % (_FMT % res.report.eta_hat))
-    _note_missing_hm_bound(params, res.report)
-    print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % out_dir)
+    report = rec.report
+    if rec.measured_error is not None:
+        print("measured_error=%s" % (_FMT % rec.measured_error))
+    if report.bound_l2 is not None:
+        # without the exact solution there is no tail term eta_hat
+        print(("bound_l2=%s" if report.eta_hat is not None else
+               "bound_l2 (tail-free part): %s") % (_FMT % report.bound_l2))
+    if report.eta_hat is not None:
+        print("eta_hat=%s" % (_FMT % report.eta_hat))
+    if params.mode is RegMode.HM and report.bound_hm is None:
+        print("no HM bound written: it needs C1, the Sobolev seminorm of "
+              "the exact solution, which is not supplied")
+    print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % args.out)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Experiment orchestration: exact test problems with synthetic noise,
-end-to-end reconstruction runs, convergence tables, and the check path:
+end-to-end reconstruction runs and the one writer of a run's files,
+convergence tables, and the check path:
 the independent numerical checks (symbol quadrature, kernel mass, identity
 residual via causal convolution, transform-factor calibration) with the
 matrix DFT and convolution they sum by. The checks pin the analytic
@@ -18,18 +19,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import (ComplexField, GridSpec, RealField, _FMT, _finite_field,
-                     _node_values, _value_text, l2_distance, sample,
-                     write_csv, write_field)
+                     _node_values, _value_text, sample, write_csv,
+                     write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                       kernel_eval, s_hat, test_problem)
-from .regularizer import RegMode, RegParams, reconstruct, region_for
+from .regularizer import (Reconstruction, RegMode, RegParams, reconstruct,
+                          region_for)
 from .sinc import eval_expansion
 from .transform import TWO_PI, idft2_windowed_at
 
 __all__ = [
     "CONVOLUTION_FACTOR",
-    "ExperimentConfig",
-    "ExperimentResult",
     "ConvergenceRow",
     "default_data_grid",
     "default_out_grid",
@@ -44,6 +44,7 @@ __all__ = [
     "kappa_calibration",
     "sinc_deviation",
     "run_experiment",
+    "write_run",
     "convergence_table",
     "write_convergence_csv",
 ]
@@ -80,22 +81,6 @@ def default_out_grid(problem: str) -> GridSpec:
         return GridSpec(x0=0.0, dx=1.0 / 128, nx=129,
                         t0=0.1, dt=(4.0 - 0.1) / 128, nt=129)
     raise ValueError("no default output grid for problem %r" % (problem,))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: str
-    params: RegParams
-    data_grid: GridSpec
-    out_grid: GridSpec
-    noise_seed: int = 0
-
-    @classmethod
-    def default(cls, problem: str, params: RegParams,
-                noise_seed: int = 0) -> "ExperimentConfig":
-        return cls(problem=problem, params=params,
-                   data_grid=default_data_grid(),
-                   out_grid=default_out_grid(problem), noise_seed=noise_seed)
 
 
 def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
@@ -519,82 +504,61 @@ def sinc_deviation(exp, v_hat, box: GridSpec) -> float:
     return float(np.linalg.norm(series - direct)) / den
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    config: ExperimentConfig
-    v_eps: RealField
-    report: object
-    measured_error: float
-
-
 def _grid_str(g: GridSpec) -> str:
     return "%d,%d,%s,%s,%s,%s" % (g.nx, g.nt, _FMT % g.x0, _FMT % g.dx,
                                   _FMT % g.t0, _FMT % g.dt)
 
 
-def _manifest_lines(source, params: RegParams, noise_seed, data_grid,
-                    out_grid, rec, measured=None) -> list:
-    """Manifest of one run. source holds the lines naming the data (the
-    problem, or the two GRD files); noise_seed is None for file data."""
-    lines = list(source) + [
-        "mode=%s" % params.mode.value,
-        "epsilon=%s" % (_FMT % params.epsilon),
-    ]
-    if params.gamma is not None:
-        lines.append("gamma=%s" % (_FMT % params.gamma))
-    if params.m is not None:
-        lines.append("m=%s" % (_FMT % params.m))
-    if noise_seed is not None:
-        lines.append("noise_seed=%d" % noise_seed)
-    lines.append("data_grid=%s" % _grid_str(data_grid))
-    lines.append("out_grid=%s" % _grid_str(out_grid))
-    report = rec.report
-    lines.append("%s=%s" % ("b_eps" if params.mode is RegMode.L2 else "a_eps",
-                            _FMT % rec.window.zmax))
-    lines.append("C=%s" % (_FMT % report.C))
-    if report.eta_hat is not None:
-        lines.append("eta_hat=%s" % (_FMT % report.eta_hat))
-    if report.bound_l2 is not None:
-        lines.append("bound_l2=%s" % (_FMT % report.bound_l2))
-    if report.bound_hm is not None:
-        lines.append("bound_hm=%s" % (_FMT % report.bound_hm))
-    if measured is not None:
-        lines.append("measured_error=%s" % (_FMT % measured))
-    return lines
-
-
-def _write_run(out_dir, v_eps: RealField, manifest_lines) -> None:
-    """v_eps.grd, v_eps.csv and manifest.txt into out_dir. v_eps's values
-    are formatted once, for both files."""
-    os.makedirs(out_dir, exist_ok=True)
-    text = _value_text(v_eps.values)
-    write_field(v_eps, os.path.join(out_dir, "v_eps.grd"), text=text)
-    write_csv(v_eps, os.path.join(out_dir, "v_eps.csv"), text=text)
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(manifest_lines) + "\n")
-
-
-def run_experiment(config: ExperimentConfig,
-                   out_dir=None) -> ExperimentResult:
-    """One full run: stream the noisy histories into reconstruct, one at
-    a time, measure against the exact solution, and optionally write
-    v_eps.grd / v_eps.csv / manifest.txt into out_dir. No wall-clock data
-    goes into the files, so outputs are byte-reproducible for a fixed
-    config.
+def run_experiment(problem: str, params: RegParams,
+                   data_grid: Optional[GridSpec] = None,
+                   out_grid: Optional[GridSpec] = None,
+                   noise_seed: int = 0) -> Reconstruction:
+    """One run on a built-in problem: stream its noisy histories on
+    data_grid (default_data_grid() if None) into reconstruct, one at a
+    time, with the exact solution for validation, onto out_grid
+    (default_out_grid(problem) if None). Returns the Reconstruction, which
+    carries the data grid and the measured error; writes nothing (see
+    write_run).
     """
-    prob = test_problem(config.problem)
-    params = config.params
-    rec = reconstruct(noisy_histories(prob, config.data_grid,
-                                      params.epsilon, config.noise_seed),
-                      params, config.out_grid, v_exact=prob.v_exact)
-    measured = l2_distance(rec.v_eps, sample(prob.v_exact, config.out_grid))
-    if out_dir is not None:
-        _write_run(out_dir, rec.v_eps, _manifest_lines(
-            ["problem=%s" % config.problem.upper()], params,
-            config.noise_seed, config.data_grid, config.out_grid, rec,
-            measured))
-    return ExperimentResult(config=config, v_eps=rec.v_eps,
-                            report=rec.report, measured_error=measured)
+    dg = data_grid if data_grid is not None else default_data_grid()
+    og = out_grid if out_grid is not None else default_out_grid(problem)
+    prob = test_problem(problem)
+    return reconstruct(noisy_histories(prob, dg, params.epsilon, noise_seed),
+                       params, og, v_exact=prob.v_exact)
+
+
+def write_run(out_dir, rec: Reconstruction, params: RegParams, source,
+              noise_seed: Optional[int] = None) -> None:
+    """v_eps.grd, v_eps.csv and manifest.txt of one run into out_dir.
+
+    The manifest holds source, the lines naming the data (the problem, or
+    the two GRD files), then one key=value line per value below that is
+    not None, floats at 17 digits: params, noise_seed (None for file
+    data), and the data grid, output grid, cutoff half-width, bound
+    report and measured error of rec. v_eps's values are formatted once,
+    for both files. No wall-clock data goes into the files, so a rerun
+    writes the same bytes.
+    """
+    report = rec.report
+    values = [("mode", params.mode.value), ("epsilon", params.epsilon),
+              ("gamma", params.gamma), ("m", params.m),
+              ("noise_seed", noise_seed),
+              ("data_grid", _grid_str(rec.data_grid)),
+              ("out_grid", _grid_str(rec.v_eps.grid)),
+              ("b_eps" if params.mode is RegMode.L2 else "a_eps",
+               rec.window.zmax),
+              ("C", report.C), ("eta_hat", report.eta_hat),
+              ("bound_l2", report.bound_l2), ("bound_hm", report.bound_hm),
+              ("measured_error", rec.measured_error)]
+    lines = list(source) + [
+        "%s=%s" % (key, _FMT % value if isinstance(value, float) else value)
+        for key, value in values if value is not None]
+    os.makedirs(out_dir, exist_ok=True)
+    text = _value_text(rec.v_eps.values)
+    write_field(rec.v_eps, os.path.join(out_dir, "v_eps.grd"), text=text)
+    write_csv(rec.v_eps, os.path.join(out_dir, "v_eps.csv"), text=text)
+    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -615,18 +579,14 @@ def convergence_table(problem: str, gamma: float,
     seed+i so no two levels share a noise draw.
     """
     rows = []
-    eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
-    dg = data_grid if data_grid is not None else default_data_grid()
-    og = out_grid if out_grid is not None else default_out_grid(problem)
-    for i, eps in enumerate(eps_sorted):
+    for i, eps in enumerate(sorted((float(e) for e in eps_list),
+                                   reverse=True)):
         params = RegParams(epsilon=eps, gamma=gamma, mode=RegMode.L2)
-        cfg = ExperimentConfig(problem=problem, params=params, data_grid=dg,
-                               out_grid=og, noise_seed=seed + i)
-        res = run_experiment(cfg)
+        rec = run_experiment(problem, params, data_grid, out_grid, seed + i)
         rows.append(ConvergenceRow(epsilon=eps,
-                                   measured_error=res.measured_error,
-                                   bound=res.report.bound_l2,
-                                   eta_hat=res.report.eta_hat))
+                                   measured_error=rec.measured_error,
+                                   bound=rec.report.bound_l2,
+                                   eta_hat=rec.report.eta_hat))
     return rows
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ComplexField, GridSpec, RealField, sample
+from .fields import ComplexField, GridSpec, RealField, l2_distance, sample
 from .kernels import spectral_w
 from .transform import (TWO_PI, SpectralWindow, dft2_lattice,
                         idft2_windowed_at)
@@ -266,14 +266,20 @@ def build_report(params: RegParams, eta_hat: Optional[float] = None,
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """One run of the pipeline: v_eps on the output grid, its bound
-    report, the cutoff window, and the spectrum v_hat on the window's
-    lattice nodes (the Sinc series samples the same spectrum)."""
+    """The record of one run of the pipeline: v_eps on the output grid,
+    its bound report, the cutoff window, the spectrum v_hat on the
+    window's lattice nodes (the Sinc series samples the same spectrum),
+    the grid the histories were sampled on, and measured_error, the L2
+    distance of v_eps from the exact solution on the output grid, which
+    is None when no exact solution was supplied. harness.write_run writes
+    a run from this record."""
 
     v_eps: RealField
     report: BoundReport
     v_hat: ComplexField
     window: SpectralWindow
+    data_grid: GridSpec
+    measured_error: Optional[float] = None
 
 
 def _extents(g: GridSpec):
@@ -304,20 +310,24 @@ def _refuse_aliased_window(data: GridSpec, out: GridSpec,
 def reconstruct(histories, params: RegParams, out_grid: GridSpec,
                 v_exact=None, c1: Optional[float] = None) -> Reconstruction:
     """Full pipeline onto out_grid from the two histories, f then g, as
-    reconstruct_spectrum takes and refuses them.
+    reconstruct_spectrum takes and refuses them; returns the run's record.
 
-    v_exact, when given, is an evaluator used for validation only: it is
-    sampled on the data grid once both histories are transformed, and
-    its spectral tail outside the cutoff becomes eta_hat in the report.
+    v_exact, when given, is an evaluator used for validation only, and
+    this is the one place that samples it. On the data grid, once both
+    histories are transformed, its spectral tail outside the cutoff
+    becomes eta_hat in the report; on out_grid it gives the record's
+    measured_error, l2_distance(v_eps, sample(v_exact, out_grid)).
     c1 likewise only feeds the HM-mode bound.
     """
     v_hat, window, data_grid = reconstruct_spectrum(histories, params,
                                                     out_grid)
     v_eps = RealField(out_grid, idft2_windowed_at(
         v_hat, out_grid.x_nodes()[:, None], out_grid.t_nodes()[None, :]))
-    eta = None
+    eta = measured = None
     if v_exact is not None:
         eta = tail_energy(sample(v_exact, data_grid), window)
+        measured = l2_distance(v_eps, sample(v_exact, out_grid))
     return Reconstruction(v_eps=v_eps,
                           report=build_report(params, eta_hat=eta, c1=c1),
-                          v_hat=v_hat, window=window)
+                          v_hat=v_hat, window=window, data_grid=data_grid,
+                          measured_error=measured)

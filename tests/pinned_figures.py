@@ -49,12 +49,13 @@ REL_TOL = 1e-12
 ABS_FLOOR = 1e-15
 
 # a number not glued to a name on its left, so that "P1" or "L2" stay text
-_NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_NUMBER = re.compile(
+    r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _SLOT = "<n>"
 _WHOLE = 16
 
 
-def _data_grid_files(base):
+def _noisy_p2_files(base):
     """Noisy P2 histories at epsilon 0.02, seed 3, on a 129x500 data grid,
     as base/f.grd and base/g.grd."""
     from sidecast import fields, harness, kernels
@@ -74,7 +75,7 @@ def _p2_out_grid() -> str:
 
 
 def _file_mode(base):
-    f, g = _data_grid_files(base)
+    f, g = _noisy_p2_files(base)
     return ["reconstruct", "--f", f, "--g", g, "--grid", _p2_out_grid(),
             "--epsilon", "0.02"]
 

@@ -19,7 +19,7 @@ import pytest
 
 from sidecast.cli import main
 from sidecast.fields import GridSpec, l2_norm, sample
-from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET,
+from sidecast.harness import (_G_SEED_OFFSET,
                               convergence_table, default_data_grid,
                               identity_residual, kappa_calibration,
                               kernel_l1_norm, perturb, refined_window_grid,
@@ -119,9 +119,8 @@ def test_criterion_5_l2_mode_bound(verdict):
 
 def test_criterion_6_p2_sign_identity(verdict):
     params = RegParams(epsilon=1.0 / 50.0, gamma=1.0)
-    cfg = ExperimentConfig.default("P2", params, noise_seed=0)
-    res = run_experiment(cfg)
-    exact = sample(test_problem("P2").v_exact, cfg.out_grid)
+    res = run_experiment("P2", params, noise_seed=0)
+    exact = sample(test_problem("P2").v_exact, res.v_eps.grid)
     rel = res.measured_error / l2_norm(exact)
     ok = rel <= 0.2
     verdict(6, ok, "relative L2 distance to -g0 on [0,1]x[0.1,4]: %.4f "

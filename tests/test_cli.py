@@ -16,6 +16,7 @@ from sidecast.cli import (UsageError, _apply_thread_cap, _load_config,
                           _merge_config, _params_from, _parse_grid,
                           _parse_points, main)
 from sidecast.fields import GridSpec, sample, write_field
+from sidecast.harness import _grid_str
 from sidecast.kernels import test_problem
 from sidecast.regularizer import RegMode, cutoff_hm
 
@@ -330,6 +331,25 @@ class TestFileModeReconstruct:
         assert rc == 2
         assert "grids differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--data-grid", "9,9,0,1,0,1"),
+                                            ("--seed", "5")])
+    def test_flags_the_files_decide_are_refused(self, small_grd, tmp_path,
+                                                capsys, flag, value):
+        # the files carry their own grid and noise; a --data-grid equal
+        # to the files' grid is accepted, as a manifest replay gives it
+        g, paths = small_grd
+        out = tmp_path / "refused"
+        rc = main(["reconstruct", "--epsilon", "0.01",
+                   "--f", paths["f"], "--g", paths["g"],
+                   "--grid", "9,9,0.2,0.1,0.5,0.3", flag, value,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        if flag == "--data-grid":
+            assert value in err and _grid_str(g) in err
+        assert not out.exists()
+
     def test_happy_path_writes_artifacts(self, small_grd, tmp_path, capsys):
         _, paths = small_grd
         out = str(tmp_path / "filemode")
@@ -469,6 +489,15 @@ class TestSyntheticReconstruct:
     def test_artifacts_and_stdout(self, synthetic_run, capsys):
         for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
             assert (synthetic_run / name).is_file()
+
+    def test_manifest_key_order(self, synthetic_run):
+        # file mode's keys (see _FILE_MODE_KEYS), with the problem in place
+        # of the files, the noise seed, and the exact solution's figures
+        lines = (synthetic_run / "manifest.txt").read_text().splitlines()
+        assert [ln.partition("=")[0] for ln in lines] == [
+            "problem", "mode", "epsilon", "gamma", "noise_seed",
+            "data_grid", "out_grid", "b_eps", "C", "eta_hat", "bound_l2",
+            "measured_error"]
 
     def test_hm_run_says_why_it_writes_no_bound(self, tmp_path, capsys):
         out = tmp_path / "hm"

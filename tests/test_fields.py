@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from sidecast.fields import (_BLOCK_LINES, GridSpec, GrdParseError, RealField,
                              l2_distance, l2_norm, read_field, sample,
                              write_csv, write_field)
-from sidecast.harness import _write_run
+from sidecast.harness import write_run
 from sidecast.kernels import test_problem
+from sidecast.regularizer import (Reconstruction, RegParams, build_report,
+                                  region_for)
 
 
 def test_grid_nodes_and_area():
@@ -210,7 +212,11 @@ def _written(tmp_path, field, name):
     on its own, then as a run writes it, from text formatted once."""
     alone = tmp_path / ("alone_" + name)
     (write_field if name.endswith(".grd") else write_csv)(field, alone)
-    _write_run(tmp_path / "run", field, ["k=v"])
+    params = RegParams(epsilon=0.02, gamma=1.0)
+    rec = Reconstruction(v_eps=field, report=build_report(params),
+                         v_hat=None, window=region_for(params),
+                         data_grid=field.grid)
+    write_run(tmp_path / "run", rec, params, ["k=v"])
     return alone, tmp_path / "run" / name
 
 

@@ -25,14 +25,14 @@ import sidecast.transform as transform
 from sidecast.cli import main
 from sidecast.fields import GridSpec, RealField, l2_norm, l2_distance, \
     read_field, sample
-from sidecast.harness import (ExperimentConfig, _G_SEED_OFFSET,
+from sidecast.harness import (_G_SEED_OFFSET,
                               _lattice_offsets, _symbol_rows, assemble_rhs,
                               convergence_table, convolve2_causal,
                               default_data_grid, default_out_grid,
                               identity_residual,
                               noisy_histories, perturb, refined_window_grid,
                               run_experiment,
-                              write_convergence_csv)
+                              write_convergence_csv, write_run)
 from sidecast.kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                               kernel_eval, s_hat, test_problem)
 from sidecast.regularizer import RegParams, reconstruct
@@ -82,12 +82,11 @@ class TestDefaultGrids:
         with pytest.raises(ValueError, match="no default output grid"):
             default_out_grid("P9")
 
-    def test_config_default_builds_default_grids(self):
+    def test_run_experiment_defaults_to_the_default_grids(self):
         params = RegParams(epsilon=0.01, gamma=1.0)
-        cfg = ExperimentConfig.default("P1", params, noise_seed=5)
-        assert cfg.data_grid == default_data_grid()
-        assert cfg.out_grid == default_out_grid("P1")
-        assert cfg.noise_seed == 5
+        rec = run_experiment("P1", params, noise_seed=5)
+        assert rec.data_grid == default_data_grid()
+        assert rec.v_eps.grid == default_out_grid("P1")
 
 
 class TestPerturb:
@@ -217,11 +216,10 @@ class TestOneHistoryAtATime:
     _LIMIT = 2.5 * 8 * _DATA.nx * _DATA.nt
 
     def test_run_experiment(self):
-        cfg = ExperimentConfig(problem="P1",
-                               params=RegParams(epsilon=0.02, gamma=1.0),
-                               data_grid=self._DATA,
-                               out_grid=default_out_grid("P1"), noise_seed=3)
-        assert _warm_peak_bytes(lambda: run_experiment(cfg)) < self._LIMIT
+        params = RegParams(epsilon=0.02, gamma=1.0)
+        assert _warm_peak_bytes(lambda: run_experiment(
+            "P1", params, self._DATA, default_out_grid("P1"),
+            noise_seed=3)) < self._LIMIT
 
     def test_sinc_command(self, tmp_path):
         argv = ["sinc", "--problem", "p1", "--epsilon", "0.02", "--N", "3",
@@ -542,7 +540,7 @@ def test_transform_imports_neither_scipy_nor_kernels():
 
 @pytest.fixture(scope="module")
 def p2_run(tmp_path_factory):
-    cfg = ExperimentConfig(
+    cfg = SimpleNamespace(
         problem="P2",
         params=RegParams(epsilon=0.02, gamma=1.0),
         data_grid=_coarse_data_grid(),
@@ -551,8 +549,11 @@ def p2_run(tmp_path_factory):
     )
     dir_a = tmp_path_factory.mktemp("run_a")
     dir_b = tmp_path_factory.mktemp("run_b")
-    res_a = run_experiment(cfg, out_dir=str(dir_a))
-    res_b = run_experiment(cfg, out_dir=str(dir_b))
+    res_a, res_b = (run_experiment(cfg.problem, cfg.params, cfg.data_grid,
+                                   cfg.out_grid, cfg.noise_seed)
+                    for _ in range(2))
+    write_run(str(dir_a), res_a, cfg.params, ["problem=P2"], cfg.noise_seed)
+    write_run(str(dir_b), res_b, cfg.params, ["problem=P2"], cfg.noise_seed)
     return cfg, res_a, res_b, dir_a, dir_b
 
 
@@ -626,7 +627,7 @@ def test_p1_at_small_epsilon_stays_accurate():
     # period in t falls below the data's t-extent (40) folds shifted copies
     # of the data into the output window, and the error here is then ~3.5
     params = RegParams(epsilon=1e-8, gamma=1.0)
-    res = run_experiment(ExperimentConfig.default("P1", params, noise_seed=0))
+    res = run_experiment("P1", params, noise_seed=0)
     assert res.measured_error < 0.3
 
 

@@ -10,7 +10,8 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidecast.fields import ComplexField, GridSpec, RealField, l2_norm, sample
+from sidecast.fields import (ComplexField, GridSpec, RealField, l2_distance,
+                             l2_norm, sample)
 from sidecast.harness import (CONVOLUTION_FACTOR, assemble_rhs,
                               convolve2_causal, dft2_forward, noisy_histories)
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
@@ -427,6 +428,27 @@ def test_streamed_and_tuple_histories_agree_to_the_bit():
     assert a.v_eps.values.tobytes() == b.v_eps.values.tobytes()
     assert a.v_hat.values.tobytes() == b.v_hat.values.tobytes()
     assert a.report == b.report and a.window == b.window
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+def test_the_record_carries_its_data_grid_and_measured_error(streamed):
+    # the data grid is the histories', from a tuple or from a generator;
+    # measured_error is the L2 distance to the sampled exact solution to
+    # the bit, and None without one
+    prob = test_problem("P1")
+    og = GridSpec(0.25, 1.05 / 16, 17, 0.1, 3.9 / 16, 17)
+    params = RegParams(epsilon=0.02, gamma=1.0)
+
+    def histories():
+        stream = noisy_histories(prob, _COARSE_DATA, 0.02, seed=4)
+        return stream if streamed else tuple(stream)
+
+    rec = reconstruct(histories(), params, og, v_exact=prob.v_exact)
+    assert rec.data_grid == _COARSE_DATA
+    assert rec.measured_error == l2_distance(rec.v_eps,
+                                             sample(prob.v_exact, og))
+    bare = reconstruct(histories(), params, og)
+    assert bare.data_grid == _COARSE_DATA and bare.measured_error is None
 
 
 @pytest.mark.parametrize("n,missing", [(0, "f"), (1, "g")])
