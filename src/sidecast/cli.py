@@ -409,10 +409,11 @@ def cmd_convergence(args) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _add_common_model_flags(p):
+def _add_common_model_flags(p, epsilon=True):
     p.add_argument("--config", help="key=value file; flags take precedence")
     p.add_argument("--problem", help="built-in problem id (p1 or p2)")
-    p.add_argument("--epsilon", type=float, help="noise level")
+    if epsilon:  # convergence takes its noise levels from --eps-list
+        p.add_argument("--epsilon", type=float, help="noise level")
     p.add_argument("--gamma", type=float,
                    help="cutoff exponent in (0,2), l2 mode (default 1)")
     p.add_argument("--m", type=float, help="Sobolev order, hm mode")
@@ -454,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_sinc)
 
     pc = sub.add_parser("convergence", help="error-vs-noise table")
-    _add_common_model_flags(pc)
+    _add_common_model_flags(pc, epsilon=False)
     pc.add_argument("--eps-list", dest="eps_list",
                     help="comma-separated noise levels")
     pc.set_defaults(func=cmd_convergence)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -123,13 +124,11 @@ class ComplexField(RealField):
 
 
 def sample(fn, grid: GridSpec) -> RealField:
-    """Evaluate fn(x, t) at every node.
-
-    Tries one vectorized call on the open grid first: x as a column (nx, 1)
-    and t as a row (1, nt), so an elementwise evaluator does its x-only and
-    t-only work once per axis. The result is broadcast to the grid's shape.
-    A call that raises TypeError/ValueError, or whose result does not
-    broadcast, falls back to a per node loop for scalar-only evaluators. A
+    """Evaluate fn(x, t) at every node by one vectorized call on the open
+    grid: x as a column (nx, 1) and t as a row (1, nt), so an elementwise
+    evaluator does its x-only and t-only work once per axis. The result
+    is broadcast to the grid's shape; an evaluator that cannot take
+    arrays, or whose result does not broadcast, raises its own error. A
     non-finite value anywhere is an error naming the offending node.
     """
     return _finite_field(grid, _node_values(fn, grid))
@@ -140,13 +139,9 @@ def _node_values(fn, grid: GridSpec) -> np.ndarray:
     of the grid's shape, possibly a read-only broadcast view. A caller
     that adds it into an array of its own passes the sum to
     _finite_field, so the values are scanned once."""
-    xs, ts = grid.x_nodes(), grid.t_nodes()
-    try:
-        return np.broadcast_to(
-            np.asarray(fn(xs[:, None], ts[None, :]), dtype=np.float64),
-            grid.shape)
-    except (TypeError, ValueError):
-        return np.array([[float(fn(x, t)) for t in ts] for x in xs])
+    return np.broadcast_to(np.asarray(
+        fn(grid.x_nodes()[:, None], grid.t_nodes()[None, :]),
+        dtype=np.float64), grid.shape)
 
 
 def _finite_field(grid: GridSpec, vals: np.ndarray) -> RealField:
@@ -217,11 +212,12 @@ def _parse_rows(lines) -> np.ndarray:
 
 def read_field(path) -> RealField:
     """Parse a GRD file a block of _BLOCK_LINES non-blank data lines at a
-    time, so memory holds one block of text besides the values.
+    time into the values, so memory holds one block of text besides them.
+    This pass only asks whether the rows make a finite nx x nt field;
+    RealField's finiteness scan is the one scan of a good file's values.
 
-    A block that fails to parse, or parses to the wrong width, is parsed
-    again one line at a time to name its first offending line. Every
-    refusal names the first offending line in file order."""
+    A file it refuses is read again from the first data line, one line at
+    a time, to name its first offending line in file order."""
 
     def err(lineno, msg):
         raise GrdParseError("%s:%d: %s" % (os.fspath(path), lineno, msg))
@@ -249,62 +245,44 @@ def read_field(path) -> RealField:
             grid = GridSpec(x0, dx, nx, t0, dt, nt)
         except ValueError as exc:
             err(lineno, "invalid grid: %s" % exc)
+        header_line = lineno
 
+        data = (line for line in fh if not line.isspace())
+        blocks = iter(lambda: list(islice(data, _BLOCK_LINES)), [])
         values = np.empty((nx, nt))
-        row_line = []  # file line of each row read so far
+        j = 0
+        try:
+            # map drops each block's text once it is parsed, and its rows
+            # go before the next block is read
+            for rows in map(_parse_rows, blocks):
+                if rows.shape[1] != nx or j + len(rows) > nt:
+                    raise ValueError("the rows do not fit the grid")
+                values[:, j:j + len(rows)] = rows.T
+                j += len(rows)
+                del rows
+            if j == nt:
+                return RealField(grid, values)
+        except ValueError:
+            pass
 
-        def fail(lineno, msg):
-            # a non-finite value in a row read so far is earlier in the file
-            bad = np.flatnonzero(
-                ~np.isfinite(values[:, :len(row_line)]).all(axis=0))
-            if bad.size:
-                lineno, msg = row_line[bad[0]], "non-finite value in row"
-            err(lineno, msg)
-
-        def put_rows(lines, at):
-            """Parse data lines `lines`, at file lines `at`, into the next
-            rows of values."""
-            j = len(row_line)
-            n = min(len(lines), nt - j)
-            try:
-                rows = _parse_rows(lines[:n]) if n else None
-            except ValueError:
-                rows = None
-            if rows is not None and rows.shape[1] == nx:
-                values[:, j:j + n] = rows.T
-                row_line.extend(at[:n])
-            else:
-                for line, line_no in zip(lines[:n], at):
-                    width = len(line.split())
-                    if width != nx:
-                        fail(line_no, "expected %d values, got %d"
-                             % (nx, width))
-                    try:
-                        values[:, len(row_line)] = _parse_rows([line])[0]
-                    except ValueError:
-                        fail(line_no, "unparseable value in row")
-                    row_line.append(line_no)
-            if n < len(lines):
-                fail(at[n], "unexpected extra data row (grid has nt=%d)" % nt)
-
-        lines, at = [], []
-        for line in fh:
-            lineno += 1
-            if line.isspace():
+        fh.seek(0)
+        j = 0
+        for lineno, line in enumerate(fh, 1):
+            if lineno <= header_line or line.isspace():
                 continue
-            lines.append(line)
-            at.append(lineno)
-            if len(lines) == _BLOCK_LINES:
-                put_rows(lines, at)
-                lines, at = [], []
-        put_rows(lines, at)
-    if len(row_line) != nt:
-        fail(lineno, "expected %d data rows, got %d" % (nt, len(row_line)))
-    # RealField's finiteness scan is the only one on a good file
-    try:
-        return RealField(grid, values)
-    except ValueError as exc:
-        fail(lineno, str(exc))
+            if j == nt:
+                err(lineno, "unexpected extra data row (grid has nt=%d)" % nt)
+            width = len(line.split())
+            if width != nx:
+                err(lineno, "expected %d values, got %d" % (nx, width))
+            try:
+                row = _parse_rows([line])
+            except ValueError:
+                err(lineno, "unparseable value in row")
+            if not np.isfinite(row).all():
+                err(lineno, "non-finite value in row")
+            j += 1
+    err(lineno, "expected %d data rows, got %d" % (nt, j))
 
 
 def write_csv(field: RealField, path, *, text=None) -> None:

@@ -92,21 +92,18 @@ def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
     IEEE addition commutes, and it is the one array scanned for
     non-finite values.
 
-    Philox keyed by the seed, so runs are reproducible across platforms.
-    The callers return the clean trace for epsilon = 0. A zero draw
-    (possible only in principle) retries with seed+1, up to 8 times.
+    Philox keyed by the seed, so runs are reproducible across platforms;
+    one draw is taken, since a standard normal draw of the whole grid is
+    zero only in principle. The callers return the clean trace for
+    epsilon = 0.
     """
     if epsilon < 0:
         raise ValueError("noise level must be nonnegative, got %r" % (epsilon,))
-    for attempt in range(8):
-        rng = np.random.Generator(np.random.Philox(seed + attempt))
-        draw = rng.standard_normal(grid.shape)
-        nrm = math.sqrt(grid.cell_area * float(np.sum(draw * draw)))
-        if nrm > 0.0:
-            draw *= epsilon / nrm
-            draw += clean()
-            return _finite_field(grid, draw)
-    raise RuntimeError("could not draw a nonzero noise field in 8 attempts")
+    draw = np.random.Generator(np.random.Philox(seed)).standard_normal(
+        grid.shape)
+    draw *= epsilon / math.sqrt(grid.cell_area * float(np.sum(draw * draw)))
+    draw += clean()
+    return _finite_field(grid, draw)
 
 
 def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
@@ -467,17 +464,19 @@ def kappa_calibration(data_grid: Optional[GridSpec] = None):
     region at epsilon = 0.01, gamma = 1, for kappa = 2*pi (the
     symmetric-transform convolution factor) and kappa = 1 (the competing
     reading). Returns (res_2pi, res_1); the first should sit at quadrature
-    level, the second should be order one. The spectra are taken by the
-    matrix DFT on a fixed 205-node grid over the window, independently of
-    the reconstruction's FFT lattice.
+    level, the second should be order one.
+
+    On P1 the right-hand side is taken in closed form: the layer traces
+    satisfy S*L_0 = 4*pi*L_1, so F = S*v0 = 4*pi*f0 and F_hat is 4*pi
+    times f0's transform; no convolution is formed. The spectra are taken
+    by the matrix DFT on a fixed 205-node grid over the window,
+    independently of the reconstruction's FFT lattice.
     """
     prob = test_problem("P1")
     dg = data_grid if data_grid is not None else default_data_grid()
     window = region_for(RegParams(epsilon=0.01, gamma=1.0))
     sg = GridSpec.centered(window.zmax, 205, window.rmax, 205)
-    f = sample(prob.f0, dg)
-    g = sample(prob.g0, dg)
-    f_hat = dft2_forward(assemble_rhs(f, g), sg).values
+    f_hat = (4.0 * math.pi) * dft2_forward(sample(prob.f0, dg), sg).values
     v0_hat = dft2_forward(sample(prob.v_exact, dg), sg).values
     sh = s_hat(sg.x_nodes()[:, None], sg.t_nodes()[None, :])
     den = math.sqrt(float(np.sum(np.abs(f_hat) ** 2)))

@@ -308,7 +308,7 @@ def _refuse_aliased_window(data: GridSpec, out: GridSpec,
 
 
 def reconstruct(histories, params: RegParams, out_grid: GridSpec,
-                v_exact=None, c1: Optional[float] = None) -> Reconstruction:
+                v_exact=None) -> Reconstruction:
     """Full pipeline onto out_grid from the two histories, f then g, as
     reconstruct_spectrum takes and refuses them; returns the run's record.
 
@@ -317,7 +317,6 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
     histories are transformed, its spectral tail outside the cutoff
     becomes eta_hat in the report; on out_grid it gives the record's
     measured_error, l2_distance(v_eps, sample(v_exact, out_grid)).
-    c1 likewise only feeds the HM-mode bound.
     """
     v_hat, window, data_grid = reconstruct_spectrum(histories, params,
                                                     out_grid)
@@ -328,6 +327,6 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
         eta = tail_energy(sample(v_exact, data_grid), window)
         measured = l2_distance(v_eps, sample(v_exact, out_grid))
     return Reconstruction(v_eps=v_eps,
-                          report=build_report(params, eta_hat=eta, c1=c1),
+                          report=build_report(params, eta_hat=eta),
                           v_hat=v_hat, window=window, data_grid=data_grid,
                           measured_error=measured)

@@ -12,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from sidecast.cli import (UsageError, _apply_thread_cap, _load_config,
-                          _merge_config, _params_from, _parse_grid,
-                          _parse_points, main)
+from sidecast.cli import (UsageError, _apply_thread_cap, _build_parser,
+                          _load_config, _merge_config, _params_from,
+                          _parse_grid, _parse_points, main)
 from sidecast.fields import GridSpec, sample, write_field
 from sidecast.harness import _grid_str
 from sidecast.kernels import test_problem
@@ -234,6 +234,22 @@ class TestUsageExits:
         rc = main(["convergence", "--problem", "p1", "--eps-list", " , "])
         assert rc == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_convergence_takes_no_epsilon(self, tmp_path, capsys):
+        # its noise levels come from --eps-list; a manifest's epsilon= key
+        # has no slot under convergence --config and is ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--problem", "p1", "--eps-list", "0.04",
+                  "--epsilon", "0.5", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon=0.5\neps_list=0.04\n")
+        args = _build_parser().parse_args(["convergence", "--config",
+                                           str(cfg)])
+        _merge_config(args)
+        assert args.eps_list == "0.04" and not hasattr(args, "epsilon")
 
     def test_convergence_refuses_hm_mode(self, tmp_path, capsys):
         rc = main(["convergence", "--problem", "p1", "--mode", "hm",

@@ -66,18 +66,37 @@ def test_field_rejects_bad_shape_and_nonfinite():
         RealField(g, [[1.0, np.nan], [0.0, 0.0]])
 
 
-def test_sample_vectorized_matches_scalar_fallback():
+def test_sample_calls_its_evaluator_once_on_the_open_grid():
     g = GridSpec(-1.0, 0.5, 5, 0.0, 0.25, 4)
+    shapes = []
 
-    def fv(x, t):
+    def fn(x, t):
+        shapes.append((np.shape(x), np.shape(t)))
         return np.exp(-x * x) * (1.0 + t)
 
-    def fs(x, t):  # scalar-only evaluator forces the loop path
-        if np.ndim(x) != 0:
-            raise TypeError("scalars only")
-        return math.exp(-x * x) * (1.0 + t)
+    X, T = np.meshgrid(g.x_nodes(), g.t_nodes(), indexing="ij")
+    assert np.array_equal(sample(fn, g).values, np.exp(-X * X) * (1.0 + T))
+    assert shapes == [((5, 1), (1, 4))]
 
-    assert np.array_equal(sample(fv, g).values, sample(fs, g).values)
+
+def _scalar_only(x, t):
+    if np.ndim(x) != 0:
+        raise TypeError("scalars only")
+    return math.exp(-x * x) * (1.0 + t)
+
+
+def _flat(x, t):  # a flat array cannot broadcast to the grid's shape
+    return np.ravel(x + t)
+
+
+@pytest.mark.parametrize("fn,exc,msg", [
+    (_scalar_only, TypeError, "scalars only"),
+    (_flat, ValueError, "broadcast"),
+])
+def test_an_evaluator_that_cannot_take_the_open_grid_raises_its_error(
+        fn, exc, msg):
+    with pytest.raises(exc, match=msg):
+        sample(fn, GridSpec(-1.0, 0.5, 5, 0.0, 0.25, 4))
 
 
 def test_sample_names_the_nonfinite_node():
@@ -100,19 +119,6 @@ def test_x_only_evaluator_broadcasts_along_t():
     g = GridSpec(-1.0, 0.25, 9, 0.5, 0.1, 4)
     want = np.repeat(np.sin(g.x_nodes())[:, None], g.nt, axis=1)
     assert np.array_equal(sample(lambda x, t: np.sin(x), g).values, want)
-
-
-def test_flattened_result_takes_the_node_loop():
-    g = GridSpec(-1.0, 0.5, 5, 0.0, 0.25, 4)
-    calls = []
-
-    def flat(x, t):  # a flat array cannot broadcast to the grid's shape
-        calls.append(np.ndim(x))
-        return np.ravel(x + t) if np.ndim(x) else x + t
-
-    X, T = np.meshgrid(g.x_nodes(), g.t_nodes(), indexing="ij")
-    assert np.array_equal(sample(flat, g).values, X + T)
-    assert calls[0] == 2 and calls[1:] == [0] * (g.nx * g.nt)
 
 
 def test_l2_norm_gaussian_anchor():
@@ -381,6 +387,41 @@ def test_nan_and_inf_in_the_second_block_name_their_own_line(tmp_path):
     _refusal(tmp_path, rows, at[_B + 4], "non-finite value in row")
     rows[_B + 4] = ["1", "2", "3"]
     _refusal(tmp_path, rows, at[_B + 6], "non-finite value in row")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["token", "width", "non-finite", "extra", "missing"]),
+       st.integers(0, _NT - 1), st.data())
+def test_one_fault_anywhere_is_named_at_its_line(kind, row, data):
+    rows = _good_rows()
+    if kind == "token":
+        bad = data.draw(st.sampled_from(["x", "2x", "1_0", "0x10", "--1"]))
+        rows[row] = ["1", bad, "3"]
+        msg = "unparseable value in row"
+    elif kind == "width":
+        width = data.draw(st.sampled_from([1, 2, 4, 5]))
+        rows[row] = ["1"] * width
+        msg = "expected 3 values, got %d" % width
+    elif kind == "non-finite":
+        bad = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+        rows[row] = ["1", "2", bad]
+        msg = "non-finite value in row"
+    elif kind == "extra":
+        rows += _good_rows(data.draw(st.integers(1, 3)))
+        row = _NT
+        msg = "unexpected extra data row (grid has nt=%d)" % _NT
+    else:
+        del rows[row:]
+        msg = "expected %d data rows, got %d" % (_NT, row)
+    body, at = _grd_body(rows)
+    # missing rows are named at the file's last line
+    lineno = at[row] if kind != "missing" else body.count("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.grd"
+        path.write_text(body)
+        with pytest.raises(GrdParseError) as exc:
+            read_field(path)
+    assert str(exc.value) == "%s:%d: %s" % (path, lineno, msg)
 
 
 def test_rows_missing_at_the_end_name_the_last_line(tmp_path):

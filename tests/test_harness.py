@@ -35,7 +35,7 @@ from sidecast.harness import (_G_SEED_OFFSET,
                               write_convergence_csv, write_run)
 from sidecast.kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                               kernel_eval, s_hat, test_problem)
-from sidecast.regularizer import RegParams, reconstruct
+from sidecast.regularizer import RegParams, reconstruct, region_for
 
 # tiny box for symbol-row tests that never look at the box quadrature
 _TINY_BOX = dict(x_half=1.0, dx=0.5, t_max=0.02, dt=0.01)
@@ -522,6 +522,39 @@ def test_check_path_shares_no_code_with_the_fast_path():
                                     "refined_window_grid", "kernel_l1_norm"])
     assert {"convolve2_causal", "dft2_forward"} <= reached
     assert reached & _FAST_PATH == set()
+
+
+def test_kappa_calibration_takes_f_hat_in_closed_form(monkeypatch):
+    # verify --quick's data grid; F = S*v0 = 4 pi f0 on P1, so F_hat is
+    # 4 pi times f0's transform, and no causal convolution is formed
+    dg = default_data_grid(nx=257, nt=800, dt=0.05)
+    prob = test_problem("P1")
+    f0 = sample(prob.f0, dg)
+    window = region_for(RegParams(epsilon=0.01, gamma=1.0))
+    sg = GridSpec.centered(window.zmax, 205, window.rmax, 205)
+    want = harness.dft2_forward(assemble_rhs(f0, sample(prob.g0, dg)),
+                                sg).values
+    convolutions, spectra = [], []
+    convolve_each = harness._convolve2_causal_each
+    dft2_forward = harness.dft2_forward
+
+    def counted(*args):
+        convolutions.append(args)
+        return convolve_each(*args)
+
+    def kept(field, grid):
+        out = dft2_forward(field, grid)
+        spectra.append((field, out.values))
+        return out
+
+    monkeypatch.setattr(harness, "_convolve2_causal_each", counted)
+    monkeypatch.setattr(harness, "dft2_forward", kept)
+    res_2pi, res_one = harness.kappa_calibration(dg)
+    assert convolutions == []
+    [f_hat] = [4.0 * math.pi * spec for field, spec in spectra
+               if np.array_equal(field.values, f0.values)]
+    assert np.linalg.norm(f_hat - want) <= 3e-3 * np.linalg.norm(want)
+    assert res_one / res_2pi >= 10.0
 
 
 def test_transform_imports_neither_scipy_nor_kernels():
