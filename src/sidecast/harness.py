@@ -165,14 +165,40 @@ def dft2_forward(field: RealField, spectral_grid: GridSpec) -> ComplexField:
     V @ cos(t r) - i V @ sin(t r), two real products over t; the complex
     x factor then meets only the nx x nr result. The same formula holds
     for complex values.
+
+    A real field's transform satisfies F(-z, -r) = conj F(z, r). On a
+    spectral grid whose nodes are symmetric about the origin on both axes
+    (an odd node count and the middle node at 0, as GridSpec.centered and
+    the lattice grids of dft2_lattice have), only the r >= 0 columns are
+    summed and the r < 0 columns are read off that symmetry, which halves
+    the work: kappa_calibration's two transforms (257 x 800 nodes onto
+    205^2) took 17-20 ms instead of 35-36 ms on one thread of a 2-core
+    Xeon. Any other grid, and any complex field, takes the full sum.
     """
     g = field.grid
     v = field.values
-    tr = np.outer(g.t_nodes(), spectral_grid.t_nodes())          # (nt, nr)
+    rs = spectral_grid.t_nodes()
+    half = np.isrealobj(v) and _symmetric_axes(spectral_grid)
+    if half:
+        rs = rs[spectral_grid.nt // 2:]                          # r >= 0
+    tr = np.outer(g.t_nodes(), rs)                               # (nt, nr)
     right = v @ np.cos(tr) - 1j * (v @ np.sin(tr))               # (nx, nr)
     ez = np.exp(-1j * np.outer(spectral_grid.x_nodes(), g.x_nodes()))
     vals = (ez @ right) * (g.cell_area / TWO_PI)
+    if half:
+        # column -l is the conjugate of column l read from -z up
+        vals = np.concatenate([np.conj(vals[::-1, :0:-1]), vals], axis=1)
     return ComplexField(spectral_grid, vals)
+
+
+def _symmetric_axes(grid: GridSpec) -> bool:
+    """Whether both axes of grid have an odd node count and their middle
+    node at the origin, up to rounding, so that every node's mirror is a
+    node."""
+    return all(n % 2 == 1 and math.isclose(-start, (n // 2) * step,
+                                           rel_tol=1e-12)
+               for start, step, n in ((grid.x0, grid.dx, grid.nx),
+                                      (grid.t0, grid.dt, grid.nt)))
 
 
 def _lattice_offsets(out_grid: GridSpec, in_grid: GridSpec):
@@ -386,6 +412,15 @@ class SymbolRow:
     shorthand_dev: float   # its relative deviation from |closed|
 
 
+# t nodes per block of the symbol quadrature. 128 make an 801-row kernel
+# block 0.8 MB, which stays in a 2 MB L2 cache beside its trig table. On
+# verify --quick's panel (801 x 20000 nodes, 3 r values), one thread of a
+# 2-core Xeon with 2 MB L2 per core, the box sum took 60-67 ms against
+# 72-79 ms with 256 nodes (1.6 MB), medians of 10 and 25 interleaved runs;
+# 64 to 192 nodes read within noise of 128
+_SYMBOL_T_BLOCK = 128
+
+
 def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
                  t_max: float = 400.0, dt: float = 0.005, closed_form=None):
     """Brute-force transform of the c=1 kernel at the probe points.
@@ -397,13 +432,14 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     x_half to be a whole number of steps dx, so that x = 0 is a node and
     every other node has its mirror; any other box is a ValueError.
 
-    Per block of t nodes, one real matrix product kv @ [cos(r t) | sin(r t)]
-    takes the t sums for every unique probe r at once; the box sum over t
-    is then acc_cos - i acc_sin, and the folded x sum weighs it with
-    w_x cos(z x). The origin is the exception: the t tail of the box
-    integral decays only like 1/sqrt(T) there, so no reachable T suffices;
-    it is instead kernel_l1_norm/(2 pi), the substituted-variables mass
-    quadrature, which converges fast.
+    Per block of _SYMBOL_T_BLOCK t nodes, one real matrix product
+    kv @ [cos(r t) | sin(r t)] takes the t sums for every unique probe r
+    at once; the box sum over t is then acc_cos - i acc_sin, and the
+    folded x sum weighs it with w_x cos(z x). The origin is the
+    exception: the t tail of the box integral decays only like
+    1/sqrt(T) there, so no reachable T suffices; it is instead
+    kernel_l1_norm/(2 pi), the substituted-variables mass quadrature,
+    which converges fast.
 
     closed_form replaces the symbol being checked; the verify command uses
     it to prove the check can fail.
@@ -425,11 +461,10 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     nt = int(round(t_max / dt))
     rs = np.array(sorted({r for z, r in pts if not (z == 0.0 and r == 0.0)}))
     acc = np.zeros((xs.size, 2 * rs.size))
-    # 256 t nodes keep an 801-row kernel block (1.6 MB) in cache
-    chunk = 256
     # a panel of the origin alone needs no box sum
-    for j0 in range(0, nt if rs.size else 0, chunk):
-        tc = (np.arange(j0, min(j0 + chunk, nt)) + SINGULAR_OFFSET) * dt
+    for j0 in range(0, nt if rs.size else 0, _SYMBOL_T_BLOCK):
+        tc = (np.arange(j0, min(j0 + _SYMBOL_T_BLOCK, nt))
+              + SINGULAR_OFFSET) * dt
         kv = kernel_eval(S_SPEC, xs[:, None], tc[None, :])
         rt = tc[:, None] * rs[None, :]
         acc += kv @ np.hstack([np.cos(rt), np.sin(rt)])
@@ -470,7 +505,9 @@ def kappa_calibration(data_grid: Optional[GridSpec] = None):
     satisfy S*L_0 = 4*pi*L_1, so F = S*v0 = 4*pi*f0 and F_hat is 4*pi
     times f0's transform; no convolution is formed. The spectra are taken
     by the matrix DFT on a fixed 205-node grid over the window,
-    independently of the reconstruction's FFT lattice.
+    independently of the reconstruction's FFT lattice. That grid is
+    centered with odd counts and both fields are real, so dft2_forward
+    sums only its r >= 0 half and mirrors the rest.
     """
     prob = test_problem("P1")
     dg = data_grid if data_grid is not None else default_data_grid()

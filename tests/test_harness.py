@@ -439,6 +439,28 @@ class TestSymbolValidation:
             assert (row.z, row.r) == (z, r)
             assert abs(row.numeric - direct) <= 1e-12 * abs(direct)
 
+    @pytest.mark.parametrize("nt", [harness._SYMBOL_T_BLOCK - 27,
+                                    harness._SYMBOL_T_BLOCK,
+                                    harness._SYMBOL_T_BLOCK + 41])
+    def test_box_sums_over_t_blocks_match_a_direct_double_sum(self, nt):
+        # under one block of t nodes, exactly one block, and one block
+        # plus a remainder: the blocks regroup the t sum and drop no node
+        dx, dt = 0.25, 0.01
+        pts = [(1.0, 0.5), (-0.5, -1.5), (0.7, 0.0), (0.0, 1.0)]
+        rows = _symbol_rows(points=pts, x_half=1.0, dx=dx, t_max=nt * dt,
+                            dt=dt)
+        xs = dx * np.arange(-4, 5)
+        ts = (np.arange(nt) + SINGULAR_OFFSET) * dt
+        for row, (z, r) in zip(rows, pts):
+            direct = 0.0
+            for x in xs:
+                for t in ts:
+                    direct += kernel_eval(S_SPEC, x, t) \
+                        * np.exp(-1j * (z * x + r * t))
+            direct *= dx * dt / (2.0 * math.pi)
+            assert (row.z, row.r) == (z, r)
+            assert abs(row.numeric - direct) <= 1e-13 * abs(direct)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 12), st.floats(0.05, 0.5), st.integers(1, 400),
            st.floats(0.005, 0.1),

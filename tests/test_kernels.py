@@ -229,3 +229,65 @@ def test_problem_p2_is_signed_layer():
 def test_problem_unknown_id():
     with pytest.raises(ValueError):
         test_problem("P3")
+
+
+def _multiply_formula(power, c, x, t):
+    # the heat family with its product taken by np.multiply, step for step
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    pos = t > 0.0
+    neg_inv4t = np.divide(-0.25, t, out=np.zeros(t.shape), where=pos)
+    log_tp = np.log(t, out=np.full(t.shape, np.inf), where=pos)
+    log_tp *= power
+    out = np.multiply(x * x + c, neg_inv4t,
+                      out=np.empty(np.broadcast_shapes(x.shape, t.shape)))
+    out -= log_tp
+    np.exp(out, out=out)
+    return out
+
+
+_X_NODE = st.floats(-30.0, 30.0)
+# t <= 0 nodes included, with exact zeros and tiny positive t. Below about
+# 1e-306, -1/(4t) or its product with x^2 + c overflows in either formula,
+# a RuntimeWarning that this suite makes an error; no grid has such nodes
+_T_NODE = st.one_of(
+    st.floats(-5.0, 60.0).filter(lambda t: not 0.0 < t < 1e-300),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e-6]))
+
+
+@st.composite
+def _heat_family_nodes(draw):
+    """(x, t) as an open grid, as two 1-D point lists, or as scalars."""
+    kind = draw(st.sampled_from(["open", "points", "scalars"]))
+    if kind == "scalars":
+        return draw(_X_NODE), draw(_T_NODE)
+    if kind == "points":
+        n = draw(st.integers(1, 20))
+        return (np.array(draw(st.lists(_X_NODE, min_size=n, max_size=n))),
+                np.array(draw(st.lists(_T_NODE, min_size=n, max_size=n))))
+    xs = draw(st.lists(_X_NODE, min_size=1, max_size=12))
+    ts = draw(st.lists(_T_NODE, min_size=1, max_size=12))
+    return np.array(xs)[:, None], np.array(ts)[None, :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_heat_family_nodes(), st.floats(0.0, 20.0), st.booleans())
+def test_heat_family_is_the_multiply_formula_to_the_bit(nodes, c, kernel):
+    # kernel_eval (p = 2, c > 0) and layer_trace (p = 1, c >= 0) form the
+    # product (x^2 + c) * (-1/(4t)) by einsum; each element is the same
+    # single IEEE product, so every value keeps its bits
+    x, t = nodes
+    if kernel:
+        c = max(c, 1e-3)
+        got, power = kernel_eval(KernelSpec(c), x, t), 2.0
+    else:
+        got, power = layer_trace(c)(x, t), 1.0
+    want = _multiply_formula(power, c, x, t)
+    if np.ndim(x) == 0 and np.ndim(t) == 0:
+        assert isinstance(got, float)
+    else:
+        assert got.shape == want.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
+    # a node with t <= 0 is an exact 0
+    causal_zero = np.broadcast_to(np.asarray(t) <= 0.0, want.shape)
+    assert np.all(np.asarray(got)[causal_zero] == 0.0)

@@ -228,6 +228,70 @@ def test_transform_of_real_field_is_conjugate_symmetric():
     assert np.max(np.abs(v - np.conj(v[::-1, ::-1]))) < 1e-14
 
 
+def _full_double_sum(field, sg):
+    """sum_{i,j} v[i,j] e^{-i(x_i z_k + t_j r_l)} dx dt/(2 pi) at every
+    node (z_k, r_l) of sg, the t sum first as cos and sin products and
+    then the x sum: dft2_forward's arithmetic when it sums every node."""
+    g = field.grid
+    tr = np.outer(g.t_nodes(), sg.t_nodes())
+    right = field.values @ np.cos(tr) - 1j * (field.values @ np.sin(tr))
+    ez = np.exp(-1j * np.outer(sg.x_nodes(), g.x_nodes()))
+    return (ez @ right) * (g.cell_area / (2.0 * math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 20), st.integers(2, 20), st.floats(0.05, 0.5),
+       st.floats(0.05, 0.5), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.floats(0.1, 4.0), st.integers(1, 20), st.floats(0.1, 4.0),
+       st.integers(1, 20), st.integers(0, 10 ** 6))
+def test_half_spectrum_on_a_centered_odd_grid_is_the_full_sum(
+        nx, nt, dx, dt, x0, t0, zmax, kz, rmax, kr, seed):
+    # the r >= 0 half is summed and the r < 0 half mirrored from it, which
+    # agrees with the full double sum to rounding
+    g = GridSpec(x0, dx, nx, t0, dt, nt)
+    rng = np.random.Generator(np.random.Philox(seed))
+    f = RealField(g, rng.standard_normal(g.shape))
+    sg = GridSpec.centered(zmax, 2 * kz + 1, rmax, 2 * kr + 1)
+    got = dft2_forward(f, sg).values
+    want = _full_double_sum(f, sg)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the r < 0 columns are exactly the mirrored conjugates of r > 0
+    assert np.array_equal(got[:, :kr], np.conj(got[::-1, :kr:-1]))
+
+
+def test_half_spectrum_matches_the_literal_double_sum():
+    g = GridSpec(-0.7, 0.31, 5, 0.1, 0.27, 4)
+    rng = np.random.Generator(np.random.Philox(4))
+    f = RealField(g, rng.standard_normal(g.shape))
+    sg = GridSpec.centered(1.5, 5, 2.1, 7)
+    got = dft2_forward(f, sg).values
+    want = dft2_direct(f, sg).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sg,dtype", [
+    # the middle z node at 0.2, off the origin
+    (GridSpec(-0.8, 0.2, 11, -1.0, 0.2, 11), float),
+    # the middle r node at 0.2, off the origin
+    (GridSpec(-1.0, 0.2, 11, -0.8, 0.2, 11), float),
+    # even node counts: no node at the origin
+    (GridSpec.centered(2.0, 10, 2.0, 11), float),
+    (GridSpec.centered(2.0, 11, 2.0, 10), float),
+    # a complex field has no conjugate symmetry
+    (GridSpec.centered(2.0, 11, 2.0, 11), complex),
+])
+def test_other_grids_and_complex_fields_take_the_full_sum(sg, dtype):
+    g = GridSpec(-1.3, 0.29, 9, 0.02, 0.05, 30)
+    rng = np.random.Generator(np.random.Philox(6))
+    vals = rng.standard_normal(g.shape)
+    if dtype is complex:
+        f = ComplexField(g, vals + 1j * rng.standard_normal(g.shape))
+    else:
+        f = RealField(g, vals)
+    got = dft2_forward(f, sg).values
+    assert got.tobytes() == _full_double_sum(f, sg).tobytes()
+
+
 def test_windowed_inverse_round_trips_a_smooth_field():
     # e^{-x^2-t^2} is numerically band-limited well inside |z|,|r| <= 10
     f = _gaussian_field()
