@@ -303,6 +303,19 @@ def identity_fields(refined_setup):
     return in_grid, out_grid, out
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counter of harness's kernel_eval calls, per kernel."""
+    calls = Counter()
+
+    def counting(spec, x, t):
+        calls[spec] += 1
+        return kernel_eval(spec, x, t)
+
+    monkeypatch.setattr(harness, "kernel_eval", counting)
+    return calls
+
+
 class TestIdentityResidual:
     def test_p1_residual_small_on_refined_lattice(self, identity_fields):
         _, out_grid, fields = identity_fields
@@ -310,8 +323,8 @@ class TestIdentityResidual:
         assert identity_residual(v, f, g, out_grid) <= 1e-2
 
     def test_p2_residual_vanishes_identically(self, identity_fields):
-        # P2 routes the exact solution through the same convolution code
-        # as the right-hand side, so the defect is pure rounding
+        # P2 has f = 0 and v = -g to the bit, so the defect is S*(v + g),
+        # the convolution of an exactly zero field: 0 for any kernel
         _, out_grid, fields = identity_fields
         v, f, g = fields["P2"]
         assert identity_residual(v, f, g, out_grid) < 1e-12
@@ -336,22 +349,15 @@ class TestIdentityResidual:
 
     @pytest.mark.parametrize("pid,want", [
         ("P1", {S_SPEC: 1, R_SPEC: 1}),
-        # P2's f is 0, so R's lag box is never formed
-        ("P2", {S_SPEC: 1}),
+        # P2's f is 0 and its v is -g, so no lag box is formed
+        ("P2", {}),
     ])
     def test_each_kernel_is_evaluated_once(self, identity_fields,
-                                           monkeypatch, pid, want):
+                                           kernel_calls, pid, want):
         # S*v and S*g share S's lag box and its spectrum
         _, out_grid, fields = identity_fields
-        calls = Counter()
-
-        def counting(spec, x, t):
-            calls[spec] += 1
-            return kernel_eval(spec, x, t)
-
-        monkeypatch.setattr(harness, "kernel_eval", counting)
         identity_residual(*fields[pid], out_grid)
-        assert calls == want
+        assert kernel_calls == want
 
     @pytest.mark.parametrize("pid", ["P1", "P2"])
     def test_is_the_defect_of_the_one_field_convolutions(self,
@@ -359,12 +365,47 @@ class TestIdentityResidual:
                                                          pid):
         _, out_grid, fields = identity_fields
         v, f, g = fields[pid]
-        rhs = assemble_rhs(f, g, out_grid).values
-        lhs = convolve2_causal(S_SPEC, v, out_grid).values
-        num = math.sqrt(out_grid.cell_area * float(np.sum((lhs - rhs) ** 2)))
-        den = math.sqrt(out_grid.cell_area * float(np.sum(rhs ** 2)))
-        want = num / max(den, np.finfo(float).tiny)
+        assert identity_residual(v, f, g, out_grid) == \
+            _explicit_defect(v, f, g, out_grid)
+
+    def test_p2_defect_is_exactly_zero_without_a_lag_box(self,
+                                                         identity_fields,
+                                                         kernel_calls):
+        _, out_grid, fields = identity_fields
+        v, f, g = fields["P2"]
+        assert not f.values.any() and np.array_equal(v.values, -g.values)
+        got = identity_residual(v, f, g, out_grid)
+        assert got == 0.0 and type(got) is float
+        assert sum(kernel_calls.values()) == 0
+
+    @pytest.mark.parametrize("case,want_calls", [
+        # v = -g except one node moved by one ulp
+        ("ulp", {S_SPEC: 1}),
+        # v = -g with a nonzero f (P1's f0)
+        ("nonzero-f", {S_SPEC: 1, R_SPEC: 1}),
+        # v = +g: S*v and S*g share one lag box, and the defect reads 2
+        ("plus-g", {S_SPEC: 1}),
+    ])
+    def test_p2_variants_take_the_convolutions(self, identity_fields,
+                                               kernel_calls, case,
+                                               want_calls):
+        _, out_grid, fields = identity_fields
+        v, f, g = fields["P2"]
+        if case == "ulp":
+            vals = v.values.copy()
+            i, j = vals.shape[0] // 2, vals.shape[1] // 2
+            vals[i, j] = np.nextafter(vals[i, j], np.inf)
+            v = RealField(v.grid, vals)
+        elif case == "nonzero-f":
+            f = fields["P1"][1]
+        else:
+            v = g
+        want = _explicit_defect(v, f, g, out_grid)
+        kernel_calls.clear()
         assert identity_residual(v, f, g, out_grid) == want
+        assert kernel_calls == want_calls
+        if case == "plus-g":
+            assert want == pytest.approx(2.0, abs=1e-12)
 
     def test_holds_no_spectrum_past_its_use(self):
         # verify --quick's P1 window: an FFT lattice of 675 x 1000, so one
@@ -400,6 +441,33 @@ class TestIdentityResidual:
                            t0=out_grid.t0, dt=out_grid.dt, nt=out_grid.nt)
         with pytest.raises(ValueError, match="inside the data grid"):
             identity_residual(v, f, g, shifted)
+
+    def test_p2_grids_are_checked_before_the_zero_defect(self,
+                                                         identity_fields):
+        # f = 0 and v = -g node for node, but the grids are refused all
+        # the same
+        in_grid, out_grid, fields = identity_fields
+        v, f, g = fields["P2"]
+        moved = GridSpec(x0=in_grid.x0 + in_grid.dx, dx=in_grid.dx,
+                         nx=in_grid.nx, t0=in_grid.t0, dt=in_grid.dt,
+                         nt=in_grid.nt)
+        with pytest.raises(ValueError, match="share a grid"):
+            identity_residual(RealField(moved, v.values), f, g, out_grid)
+        shifted = GridSpec(x0=out_grid.x0 - in_grid.dx * in_grid.nx,
+                           dx=out_grid.dx, nx=out_grid.nx,
+                           t0=out_grid.t0, dt=out_grid.dt, nt=out_grid.nt)
+        with pytest.raises(ValueError, match="inside the data grid"):
+            identity_residual(v, f, g, shifted)
+
+
+def _explicit_defect(v, f, g, out_grid):
+    """identity_residual's defect written out from assemble_rhs and
+    convolve2_causal, with no shortcut."""
+    rhs = assemble_rhs(f, g, out_grid).values
+    lhs = convolve2_causal(S_SPEC, v, out_grid).values
+    num = math.sqrt(out_grid.cell_area * float(np.sum((lhs - rhs) ** 2)))
+    den = math.sqrt(out_grid.cell_area * float(np.sum(rhs ** 2)))
+    return num / max(den, np.finfo(float).tiny)
 
 
 class TestSymbolValidation:
@@ -577,6 +645,16 @@ def test_kappa_calibration_takes_f_hat_in_closed_form(monkeypatch):
                if np.array_equal(field.values, f0.values)]
     assert np.linalg.norm(f_hat - want) <= 3e-3 * np.linalg.norm(want)
     assert res_one / res_2pi >= 10.0
+
+
+def test_kappa_calibration_residuals_on_the_quick_grid():
+    # verify --quick's data grid: P1's traces are even in x to the bit,
+    # so both transforms fold onto x >= 0; the residuals are those of the
+    # unfolded sum to rounding (figures of the unfolded code, numpy 2.4)
+    dg = default_data_grid(nx=257, nt=800, dt=0.05)
+    res_2pi, res_one = harness.kappa_calibration(dg)
+    assert res_2pi == pytest.approx(0.05591152705664961, rel=1e-13)
+    assert res_one == pytest.approx(0.8402282603920567, rel=1e-13)
 
 
 def test_transform_imports_neither_scipy_nor_kernels():

@@ -292,6 +292,85 @@ def test_other_grids_and_complex_fields_take_the_full_sum(sg, dtype):
     assert got.tobytes() == _full_double_sum(f, sg).tobytes()
 
 
+def _half_spectrum_sum(field, sg):
+    """The r >= 0 columns summed over every x node and the r < 0 columns
+    mirrored from them: dft2_forward's arithmetic when it does not fold
+    the x sum."""
+    g = field.grid
+    tr = np.outer(g.t_nodes(), sg.t_nodes()[sg.nt // 2:])
+    right = field.values @ np.cos(tr) - 1j * (field.values @ np.sin(tr))
+    ez = np.exp(-1j * np.outer(sg.x_nodes(), g.x_nodes()))
+    vals = (ez @ right) * (g.cell_area / (2.0 * math.pi))
+    return np.concatenate([np.conj(vals[::-1, :0:-1]), vals], axis=1)
+
+
+def _even_in_x(rng, g):
+    """Random values on g, whose node count in x is odd, mirrored about
+    the middle row to the bit."""
+    upper = rng.standard_normal((g.nx // 2 + 1, g.nt))
+    return np.concatenate([upper[:0:-1], upper])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(2, 20), st.floats(0.05, 0.5),
+       st.floats(0.05, 0.5), st.floats(-3.0, 3.0), st.floats(0.1, 4.0),
+       st.integers(1, 10), st.floats(0.1, 4.0), st.integers(1, 10),
+       st.integers(0, 10 ** 6))
+def test_even_field_folds_onto_x_ge_0(kx, nt, dx, dt, t0, zmax, kz, rmax,
+                                      kr, seed):
+    # a field even in x on an x axis symmetric about 0 with an odd node
+    # count: the x sum is taken over x >= 0 with real cosine weights, and
+    # still agrees with the literal double sum to rounding
+    g = GridSpec(-kx * dx, dx, 2 * kx + 1, t0, dt, nt)
+    rng = np.random.Generator(np.random.Philox(seed))
+    f = RealField(g, _even_in_x(rng, g))
+    sg = GridSpec.centered(zmax, 2 * kz + 1, rmax, 2 * kr + 1)
+    got = dft2_forward(f, sg).values
+    want = _full_double_sum(f, sg)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_folded_sum_matches_the_literal_double_sum(monkeypatch):
+    g = GridSpec(-0.62, 0.31, 5, 0.1, 0.27, 4)
+    rng = np.random.Generator(np.random.Philox(9))
+    f = RealField(g, _even_in_x(rng, g))
+    sg = GridSpec.centered(1.5, 5, 2.1, 7)
+    want = dft2_direct(f, sg).values
+    # the folded sum forms no complex exponential e^{-izx}
+    monkeypatch.setattr(np, "exp", None)
+    got = dft2_forward(f, sg).values
+    monkeypatch.undo()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _one_ulp_off_even(rng, g):
+    vals = _even_in_x(rng, g)
+    vals[0, 1] = np.nextafter(vals[0, 1], np.inf)
+    return vals
+
+
+def _odd_in_x(rng, g):
+    vals = _even_in_x(rng, g)
+    vals[:g.nx // 2] *= -1.0
+    vals[g.nx // 2] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("x0,values", [
+    (-1.2, _one_ulp_off_even),
+    (-1.2, _odd_in_x),
+    # an even array on an x axis whose middle node sits at 0.3
+    (-0.9, _even_in_x),
+])
+def test_fields_that_cannot_fold_take_the_half_spectrum_sum(x0, values):
+    g = GridSpec(x0, 0.3, 9, 0.02, 0.05, 30)
+    rng = np.random.Generator(np.random.Philox(8))
+    f = RealField(g, values(rng, g))
+    sg = GridSpec.centered(2.0, 11, 2.0, 11)
+    got = dft2_forward(f, sg).values
+    assert got.tobytes() == _half_spectrum_sum(f, sg).tobytes()
+
+
 def test_windowed_inverse_round_trips_a_smooth_field():
     # e^{-x^2-t^2} is numerically band-limited well inside |z|,|r| <= 10
     f = _gaussian_field()
