@@ -157,101 +157,42 @@ def _params_from(args):
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    import numpy as np
-
     from . import harness
-    from .kernels import KernelSpec, R_SPEC, S_SPEC, s_hat, test_problem
-    from .fields import GridSpec, sample
+    from .kernels import s_hat
 
-    quick = args.quick
-    checks = []
-
-    # 1. closed-form symbol vs brute-force transform
-    if args.points is not None:
-        pts = _parse_points(args.points)
-    elif quick:
-        pts = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    else:
-        pts = None  # full default panel
+    pts = _parse_points(args.points) if args.points is not None else None
     closed_form = None
     if args.break_shat:
-        # deliberate 5% corruption; the check below must go red
+        # deliberate 5% corruption; the symbol check must go red
         closed_form = lambda z, r: 1.05 * s_hat(z, r)
-    panel = dict(x_half=40.0, dx=0.05, t_max=200.0 if quick else 400.0,
-                 dt=0.01 if quick else 0.005)
-    rows = harness._symbol_rows(pts, closed_form=closed_form, **panel)
-    print("symbol check (quadrature box |x|<=%g, t<=%g, dx=%g, dt=%g):"
-          % (panel["x_half"], panel["t_max"], panel["dx"], panel["dt"]))
+    rep = harness.verify_checks(args.quick, pts, closed_form)
+
+    print("symbol check (quadrature box |x|<=%(x_half)g, t<=%(t_max)g, "
+          "dx=%(dx)g, dt=%(dt)g):" % rep.box)
     print("  %6s %6s  %22s %22s  %10s  %12s" %
           ("z", "r", "closed", "quadrature", "rel_err", "short_form"))
-    for row in rows:
+    for row in rep.symbol_rows:
         print("  %6g %6g  %22s %22s  %10.3e  %12.5g" %
               (row.z, row.r, "%.6g%+.6gj" % (row.closed.real, row.closed.imag),
                "%.6g%+.6gj" % (row.numeric.real, row.numeric.imag),
                row.rel_err, row.shorthand))
-    anchor = next((r for r in rows if (r.z, r.r) == (2.0, 0.0)), None)
-    worst_short = max(rows, key=lambda r: r.shorthand_dev)
-    noted = []
-    if anchor is not None and anchor.shorthand_dev > 1e-2:
-        noted.append(anchor)
-    if worst_short.shorthand_dev > 1e-2 and worst_short not in noted:
-        noted.append(worst_short)
-    for row in noted:
+    for row in rep.noted:
         print("  note: the simplified modulus 2*exp(-sqrt(z^4+r^2)) gives "
               "%.4g at (z,r)=(%g,%g) where the true |symbol| is %.4g "
               "(%.0f%% off); it is shown for reference only and never used "
               "by the solver."
               % (row.shorthand, row.z, row.r, abs(row.closed),
                  100 * row.shorthand_dev))
-    max_rel = max(r.rel_err for r in rows)
-    checks.append(("symbol closed form vs quadrature", max_rel <= 1e-3,
-                   "max rel err %.3e (tol 1e-3)" % max_rel))
-
-    # 2. kernel masses against 4*pi/sqrt(c)
-    worst_l1 = 0.0
-    for spec, target in ((S_SPEC, 4 * math.pi), (R_SPEC, 2 * math.pi),
-                         (KernelSpec(16.0), math.pi)):
-        rel = abs(harness.kernel_l1_norm(spec) - target) / target
-        worst_l1 = max(worst_l1, rel)
-    checks.append(("kernel L1 norms vs 4*pi/sqrt(c)", worst_l1 <= 1e-3,
-                   "max rel err %.3e (tol 1e-3)" % worst_l1))
-
-    # 3. convolution factor: 2*pi beats 1 by an order of magnitude
-    if quick:
-        dg = harness.default_data_grid(nx=257, nt=800, dt=0.05)
-    else:
-        dg = harness.default_data_grid()
-    res_2pi, res_one = harness.kappa_calibration(data_grid=dg)
-    ratio = res_one / max(res_2pi, np.finfo(float).tiny)
-    checks.append(("transform factor 2*pi vs 1", ratio >= 10.0,
-                   "residuals %.3e / %.3e, ratio %.1f (need >= 10)"
-                   % (res_2pi, res_one, ratio)))
-
-    # 4. convolution identity on both exact problems
-    n_id = 33 if quick else 65
-    worst_id = 0.0
-    for pid, x_lo, x_hi in (("P1", 0.25, 1.3), ("P2", 0.0, 1.0)):
-        prob = test_problem(pid)
-        window = GridSpec(x0=x_lo, dx=(x_hi - x_lo) / (n_id - 1), nx=n_id,
-                          t0=0.1, dt=(4.0 - 0.1) / (n_id - 1), nt=n_id)
-        in_grid, out_grid = harness.refined_window_grid(window)
-        v = sample(prob.v_exact, in_grid)
-        f = sample(prob.f0, in_grid)
-        g = sample(prob.g0, in_grid)
-        resid = harness.identity_residual(v, f, g, out_grid)
+    for pid, resid in rep.identity:
         print("identity residual %s: %.3e" % (pid, resid))
-        worst_id = max(worst_id, resid)
-    checks.append(("convolution identity residual", worst_id <= 1e-2,
-                   "max over P1, P2: %.3e (tol 1e-2)" % worst_id))
 
     print()
-    width = max(len(name) for name, _, _ in checks)
-    ok_all = True
-    for name, ok, detail in checks:
-        ok_all &= ok
-        print("%-*s  %s  %s" % (width, name, "PASS" if ok else "FAIL", detail))
-    print("overall: %s" % ("PASS" if ok_all else "FAIL"))
-    return 0 if ok_all else 1
+    width = max(len(rec.name) for rec in rep.records)
+    for rec in rep.records:
+        print("%-*s  %s  %s" % (width, rec.name,
+                                "PASS" if rec.passed else "FAIL", rec.detail))
+    print("overall: %s" % ("PASS" if rep.passed else "FAIL"))
+    return 0 if rep.passed else 1
 
 
 # ----------------------------------------------------------- reconstruct

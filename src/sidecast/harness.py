@@ -3,7 +3,9 @@ end-to-end reconstruction runs and the one writer of a run's files,
 convergence tables, and the check path:
 the independent numerical checks (symbol quadrature, kernel mass, identity
 residual via causal convolution, transform-factor calibration) with the
-matrix DFT and convolution they sum by. The checks pin the analytic
+matrix DFT and convolution they sum by, and verify_checks, which runs them
+at verify's geometry, holds them to its tolerances and returns the
+verdicts as records. The checks pin the analytic
 ingredients and share no code with the reconstruction, so that they can
 still catch it; a test in tests/test_harness.py states that rule.
 """
@@ -42,6 +44,9 @@ __all__ = [
     "identity_residual",
     "refined_window_grid",
     "kappa_calibration",
+    "CheckRecord",
+    "VerifyReport",
+    "verify_checks",
     "sinc_deviation",
     "run_experiment",
     "write_run",
@@ -550,6 +555,112 @@ def kappa_calibration(data_grid: Optional[GridSpec] = None):
         diff = kappa * sh * v0_hat - f_hat
         out.append(math.sqrt(float(np.sum(np.abs(diff) ** 2))) / den)
     return out[0], out[1]
+
+
+# the --quick symbol panel: the origin and one point on each half-axis
+QUICK_SYMBOL_POINTS = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0),
+                       (0.0, -1.0))
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One row of verify's verdict table: the checked value, the limit it
+    is held to, whether it held, and the row's detail text."""
+
+    name: str
+    value: float
+    limit: float
+    passed: bool
+    detail: str
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """Everything verify computes: the symbol quadrature box (x_half, dx,
+    t_max, dt) and its rows; noted, the rows whose simplified modulus is
+    more than 1% off the true one, at most two: (z, r) = (2, 0) and the
+    worst; the identity residual per problem; and one record per verdict
+    row, in table order."""
+
+    box: dict
+    symbol_rows: list
+    noted: list
+    identity: tuple
+    records: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(rec.passed for rec in self.records)
+
+
+def verify_checks(quick: bool = False, points=None,
+                  closed_form=None) -> VerifyReport:
+    """verify's checks and their verdicts; quick takes the coarse panel,
+    under the same tolerances.
+
+    1. The closed-form symbol against the box quadrature at points (the
+       default panel of _symbol_rows, or QUICK_SYMBOL_POINTS when quick),
+       max relative error 1e-3; closed_form replaces the symbol checked.
+    2. The masses of k_c for c = 1, 4, 16 against 4 pi/sqrt(c), max
+       relative error 1e-3.
+    3. kappa_calibration: the factor 2 pi must beat 1 by a residual ratio
+       of at least 10.
+    4. The identity residual of P1 and P2 on a 65^2 window (33^2 when
+       quick) over each default output box, max 1e-2.
+    """
+    box = dict(x_half=40.0, dx=0.05, t_max=200.0 if quick else 400.0,
+               dt=0.01 if quick else 0.005)
+    if points is None and quick:
+        points = QUICK_SYMBOL_POINTS
+    rows = _symbol_rows(points, closed_form=closed_form, **box)
+    anchor = next((r for r in rows if (r.z, r.r) == (2.0, 0.0)), None)
+    worst_short = max(rows, key=lambda r: r.shorthand_dev)
+    noted = []
+    if anchor is not None and anchor.shorthand_dev > 1e-2:
+        noted.append(anchor)
+    if worst_short.shorthand_dev > 1e-2 and worst_short not in noted:
+        noted.append(worst_short)
+    max_rel = max(r.rel_err for r in rows)
+    records = [CheckRecord("symbol closed form vs quadrature", max_rel,
+                           1e-3, max_rel <= 1e-3,
+                           "max rel err %.3e (tol 1e-3)" % max_rel)]
+
+    worst_l1 = 0.0
+    for spec, target in ((S_SPEC, 4 * math.pi), (R_SPEC, 2 * math.pi),
+                         (KernelSpec(16.0), math.pi)):
+        rel = abs(kernel_l1_norm(spec) - target) / target
+        worst_l1 = max(worst_l1, rel)
+    records.append(CheckRecord("kernel L1 norms vs 4*pi/sqrt(c)", worst_l1,
+                               1e-3, worst_l1 <= 1e-3,
+                               "max rel err %.3e (tol 1e-3)" % worst_l1))
+
+    dg = (default_data_grid(nx=257, nt=800, dt=0.05) if quick
+          else default_data_grid())
+    res_2pi, res_one = kappa_calibration(data_grid=dg)
+    ratio = res_one / max(res_2pi, np.finfo(float).tiny)
+    records.append(CheckRecord(
+        "transform factor 2*pi vs 1", ratio, 10.0, ratio >= 10.0,
+        "residuals %.3e / %.3e, ratio %.1f (need >= 10)"
+        % (res_2pi, res_one, ratio)))
+
+    n_id = 33 if quick else 65
+    identity, worst_id = [], 0.0
+    for pid, x_lo, x_hi in (("P1", 0.25, 1.3), ("P2", 0.0, 1.0)):
+        prob = test_problem(pid)
+        window = GridSpec(x0=x_lo, dx=(x_hi - x_lo) / (n_id - 1), nx=n_id,
+                          t0=0.1, dt=(4.0 - 0.1) / (n_id - 1), nt=n_id)
+        in_grid, out_grid = refined_window_grid(window)
+        v = sample(prob.v_exact, in_grid)
+        f = sample(prob.f0, in_grid)
+        g = sample(prob.g0, in_grid)
+        resid = identity_residual(v, f, g, out_grid)
+        identity.append((pid, resid))
+        worst_id = max(worst_id, resid)
+    records.append(CheckRecord("convolution identity residual", worst_id,
+                               1e-2, worst_id <= 1e-2,
+                               "max over P1, P2: %.3e (tol 1e-2)" % worst_id))
+    return VerifyReport(box=box, symbol_rows=rows, noted=noted,
+                        identity=tuple(identity), records=tuple(records))
 
 
 def sinc_deviation(exp, v_hat, box: GridSpec) -> float:

@@ -614,6 +614,70 @@ def test_check_path_shares_no_code_with_the_fast_path():
     assert reached & _FAST_PATH == set()
 
 
+def test_verify_checks_share_no_code_with_the_fast_path():
+    tree = ast.parse(inspect.getsource(harness))
+    reached = _names_reached(tree, ["verify_checks"])
+    assert {"_symbol_rows", "kappa_calibration", "identity_residual",
+            "kernel_l1_norm"} <= reached
+    assert reached & _FAST_PATH == set()
+
+
+_VERIFY_ROWS = ["symbol closed form vs quadrature",
+                "kernel L1 norms vs 4*pi/sqrt(c)",
+                "transform factor 2*pi vs 1",
+                "convolution identity residual"]
+
+
+@pytest.fixture(scope="module")
+def quick_report():
+    return harness.verify_checks(quick=True)
+
+
+class TestVerifyChecks:
+    def test_quick_records_in_table_order(self, quick_report):
+        assert [rec.name for rec in quick_report.records] == _VERIFY_ROWS
+        assert all(rec.passed for rec in quick_report.records)
+        assert quick_report.passed
+        assert [pid for pid, _ in quick_report.identity] == ["P1", "P2"]
+
+    def test_record_values_are_the_direct_calls(self, quick_report):
+        symbol, masses, kappa, ident = quick_report.records
+        rows = _symbol_rows(harness.QUICK_SYMBOL_POINTS, x_half=40.0,
+                            dx=0.05, t_max=200.0, dt=0.01)
+        assert rows == quick_report.symbol_rows
+        assert symbol.value == max(row.rel_err for row in rows)
+        masses_by_c = {1.0: 4 * math.pi, 4.0: 2 * math.pi, 16.0: math.pi}
+        assert masses.value == max(
+            abs(harness.kernel_l1_norm(KernelSpec(c)) - mass) / mass
+            for c, mass in masses_by_c.items())
+        res_2pi, res_one = harness.kappa_calibration(
+            default_data_grid(nx=257, nt=800, dt=0.05))
+        assert kappa.value == res_one / res_2pi
+        resid = []
+        for pid, x_lo, x_hi in (("P1", 0.25, 1.3), ("P2", 0.0, 1.0)):
+            prob = test_problem(pid)
+            window = GridSpec(x0=x_lo, dx=(x_hi - x_lo) / 32, nx=33,
+                              t0=0.1, dt=3.9 / 32, nt=33)
+            in_grid, out_grid = refined_window_grid(window)
+            resid.append(identity_residual(
+                *(sample(fn, in_grid)
+                  for fn in (prob.v_exact, prob.f0, prob.g0)), out_grid))
+        assert quick_report.identity == (("P1", resid[0]), ("P2", resid[1]))
+        assert ident.value == max(resid)
+        assert [rec.limit for rec in quick_report.records] == [
+            1e-3, 1e-3, 10.0, 1e-2]
+
+    def test_corrupted_symbol_flips_the_symbol_record_only(self,
+                                                           quick_report):
+        broken = harness.verify_checks(
+            quick=True, closed_form=lambda z, r: 1.05 * s_hat(z, r))
+        assert [rec.passed for rec in broken.records] == [
+            False, True, True, True]
+        assert not broken.passed
+        assert broken.records[0].value > 0.04
+        assert broken.records[1:] == quick_report.records[1:]
+
+
 def test_kappa_calibration_takes_f_hat_in_closed_form(monkeypatch):
     # verify --quick's data grid; F = S*v0 = 4 pi f0 on P1, so F_hat is
     # 4 pi times f0's transform, and no causal convolution is formed
