@@ -24,7 +24,7 @@ from .fields import (ComplexField, GridSpec, RealField, _FMT, _finite_field,
                      _node_values, _value_text, sample, write_csv,
                      write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
-                      kernel_eval, s_hat, test_problem)
+                      gaussian_factor, kernel_eval, s_hat, test_problem)
 from .regularizer import (Reconstruction, RegMode, RegParams, reconstruct,
                           region_for)
 from .sinc import eval_expansion
@@ -442,12 +442,12 @@ class SymbolRow:
     shorthand_dev: float   # its relative deviation from |closed|
 
 
-# t nodes per block of the symbol quadrature. 128 make an 801-row kernel
-# block 0.8 MB, which stays in a 2 MB L2 cache beside its trig table. On
-# verify --quick's panel (801 x 20000 nodes, 3 r values), one thread of a
-# 2-core Xeon with 2 MB L2 per core, the box sum took 60-67 ms against
-# 72-79 ms with 256 nodes (1.6 MB), medians of 10 and 25 interleaved runs;
-# 64 to 192 nodes read within noise of 128
+# t nodes per block of the symbol quadrature. 128 make an 801-row block of
+# Gaussian factors 0.8 MB, which stays in L2 cache. On verify --quick's
+# panel (801 x 20000 nodes), one thread of a 2-core Xeon with 2 MB L2 per
+# core, the whole quadrature took 22.3 / 19.6 / 20.2 / 23.9 ms with blocks
+# of 64 / 128 / 256 / 512 nodes (medians of 12 interleaved calls), and on
+# the full panel (801 x 80000 nodes) 97.2 / 86.0 / 90.3 / 113.9 ms
 _SYMBOL_T_BLOCK = 128
 
 
@@ -462,14 +462,17 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     x_half to be a whole number of steps dx, so that x = 0 is a node and
     every other node has its mirror; any other box is a ValueError.
 
-    Per block of _SYMBOL_T_BLOCK t nodes, one real matrix product
-    kv @ [cos(r t) | sin(r t)] takes the t sums for every unique probe r
-    at once; the box sum over t is then acc_cos - i acc_sin, and the
-    folded x sum weighs it with w_x cos(z x). The origin is the
-    exception: the t tail of the box integral decays only like
-    1/sqrt(T) there, so no reachable T suffices; it is instead
-    kernel_l1_norm/(2 pi), the substituted-variables mass quadrature,
-    which converges fast.
+    The sum runs over x first. The kernel factors as
+    k(x, t) = k(0, t) * gaussian_factor(x, t), so per block of
+    _SYMBOL_T_BLOCK t nodes one matrix product cos_rows @ gaussian_factor
+    takes the folded x sums for every distinct |z| at once (cos_rows has
+    one row w_x cos(|z| x) each; cos is even, so z and -z share it). The
+    amplitude k(0, t) then multiplies the (|z|, t) sums once over the
+    whole t axis, and each point's box sum is two dot products of its |z|
+    row with cos(r t) and sin(r t). The origin is the exception: the t
+    tail of the box integral decays only like 1/sqrt(T) there, so no
+    reachable T suffices; it is instead kernel_l1_norm/(2 pi), the
+    substituted-variables mass quadrature, which converges fast.
 
     closed_form replaces the symbol being checked; the verify command uses
     it to prove the check can fail.
@@ -488,18 +491,23 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
     # x = 0 once, every x > 0 for itself and its mirror -x
     wx = np.full(xs.size, 2.0)
     wx[0] = 1.0
-    nt = int(round(t_max / dt))
-    rs = np.array(sorted({r for z, r in pts if not (z == 0.0 and r == 0.0)}))
-    acc = np.zeros((xs.size, 2 * rs.size))
+    box_pts = [(z, r) for z, r in pts if not (z == 0.0 and r == 0.0)]
     # a panel of the origin alone needs no box sum
-    for j0 in range(0, nt if rs.size else 0, _SYMBOL_T_BLOCK):
-        tc = (np.arange(j0, min(j0 + _SYMBOL_T_BLOCK, nt))
-              + SINGULAR_OFFSET) * dt
-        kv = kernel_eval(S_SPEC, xs[:, None], tc[None, :])
-        rt = tc[:, None] * rs[None, :]
-        acc += kv @ np.hstack([np.cos(rt), np.sin(rt)])
-    t_sums = dict(zip(rs.tolist(), (acc[:, :rs.size]
-                                    - 1j * acc[:, rs.size:]).T))
+    nt = int(round(t_max / dt)) if box_pts else 0
+    ts = (np.arange(nt) + SINGULAR_OFFSET) * dt
+    zs = sorted({abs(z) for z, r in box_pts})
+    z_row = {z: i for i, z in enumerate(zs)}
+    cos_rows = wx * np.cos(np.array(zs)[:, None] * xs[None, :])
+    x_sums = np.empty((len(zs), nt))
+    for j0 in range(0, nt, _SYMBOL_T_BLOCK):
+        tc = ts[j0:j0 + _SYMBOL_T_BLOCK]
+        x_sums[:, j0:j0 + tc.size] = cos_rows @ gaussian_factor(
+            xs[:, None], tc[None, :])
+    x_sums *= kernel_eval(S_SPEC, 0.0, ts)
+    box_sums = {}
+    for r in sorted({r for z, r in box_pts}):
+        rt = r * ts
+        box_sums[r] = x_sums @ np.cos(rt) - 1j * (x_sums @ np.sin(rt))
     scale = dx * dt / (2.0 * math.pi)
 
     rows = []
@@ -508,7 +516,7 @@ def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
         if z == 0.0 and r == 0.0:
             numeric = complex(kernel_l1_norm(S_SPEC) / (2.0 * math.pi))
         else:
-            numeric = complex(wx * np.cos(z * xs) @ t_sums[r] * scale)
+            numeric = complex(box_sums[r][z_row[abs(z)]] * scale)
         mag = abs(closed)
         if mag == 0.0:
             warnings.warn("closed form vanished at (z=%g, r=%g); point "
@@ -593,6 +601,15 @@ class VerifyReport:
         return all(rec.passed for rec in self.records)
 
 
+def _worst(values) -> float:
+    """The largest of values, or nan if any is not finite: max() drops a
+    nan that is not first, and a check row must fail on it."""
+    values = list(values)
+    if not all(math.isfinite(v) for v in values):
+        return math.nan
+    return max(values)
+
+
 def verify_checks(quick: bool = False, points=None,
                   closed_form=None) -> VerifyReport:
     """verify's checks and their verdicts; quick takes the coarse panel,
@@ -607,6 +624,8 @@ def verify_checks(quick: bool = False, points=None,
        of at least 10.
     4. The identity residual of P1 and P2 on a 65^2 window (33^2 when
        quick) over each default output box, max 1e-2.
+
+    A row whose values are not all finite fails, and its record holds nan.
     """
     box = dict(x_half=40.0, dx=0.05, t_max=200.0 if quick else 400.0,
                dt=0.01 if quick else 0.005)
@@ -620,16 +639,15 @@ def verify_checks(quick: bool = False, points=None,
         noted.append(anchor)
     if worst_short.shorthand_dev > 1e-2 and worst_short not in noted:
         noted.append(worst_short)
-    max_rel = max(r.rel_err for r in rows)
+    max_rel = _worst(r.rel_err for r in rows)
     records = [CheckRecord("symbol closed form vs quadrature", max_rel,
                            1e-3, max_rel <= 1e-3,
                            "max rel err %.3e (tol 1e-3)" % max_rel)]
 
-    worst_l1 = 0.0
-    for spec, target in ((S_SPEC, 4 * math.pi), (R_SPEC, 2 * math.pi),
-                         (KernelSpec(16.0), math.pi)):
-        rel = abs(kernel_l1_norm(spec) - target) / target
-        worst_l1 = max(worst_l1, rel)
+    worst_l1 = _worst(abs(kernel_l1_norm(spec) - target) / target
+                      for spec, target in ((S_SPEC, 4 * math.pi),
+                                           (R_SPEC, 2 * math.pi),
+                                           (KernelSpec(16.0), math.pi)))
     records.append(CheckRecord("kernel L1 norms vs 4*pi/sqrt(c)", worst_l1,
                                1e-3, worst_l1 <= 1e-3,
                                "max rel err %.3e (tol 1e-3)" % worst_l1))
@@ -644,7 +662,7 @@ def verify_checks(quick: bool = False, points=None,
         % (res_2pi, res_one, ratio)))
 
     n_id = 33 if quick else 65
-    identity, worst_id = [], 0.0
+    identity = []
     for pid, x_lo, x_hi in (("P1", 0.25, 1.3), ("P2", 0.0, 1.0)):
         prob = test_problem(pid)
         window = GridSpec(x0=x_lo, dx=(x_hi - x_lo) / (n_id - 1), nx=n_id,
@@ -655,7 +673,7 @@ def verify_checks(quick: bool = False, points=None,
         g = sample(prob.g0, in_grid)
         resid = identity_residual(v, f, g, out_grid)
         identity.append((pid, resid))
-        worst_id = max(worst_id, resid)
+    worst_id = _worst(resid for _, resid in identity)
     records.append(CheckRecord("convolution identity residual", worst_id,
                                1e-2, worst_id <= 1e-2,
                                "max over P1, P2: %.3e (tol 1e-2)" % worst_id))

@@ -9,7 +9,10 @@ Every kernel and every exact trace belongs to the heat family
 t^(-p) exp(-(x^2+c)/(4t)) for t > 0 and 0 otherwise, and one private
 evaluator computes it. The kernels k_c take p = 2: c=1 (call it S) and c=4
 (call it R); the checks convolve with them and compare their L1 norms
-with 4*pi/sqrt(c). The layer traces take p = 1.
+with 4*pi/sqrt(c). The layer traces take p = 1. The Gaussian factor
+e^{-x^2/(4t)} takes p = 0 and c = 0; every member is t^(-p) e^{-c/(4t)}
+times it, so k_c(x, t) = k_c(0, t) * gaussian_factor(x, t), which the
+symbol quadrature uses to sum over x before t.
 
 Under the transform the strip equation becomes u_yy = w^2 u with
 w = spectral_w(z, r) = sqrt(z^2 + i r), and every symbol is a function of
@@ -30,6 +33,7 @@ __all__ = [
     "R_SPEC",
     "SINGULAR_OFFSET",
     "kernel_eval",
+    "gaussian_factor",
     "spectral_w",
     "s_hat",
     "s_hat_abs",
@@ -77,29 +81,52 @@ def _heat_family(power: float, c: float, x, t):
     The t-only factors are formed once per t node, so x as a column and t
     as a row (an open grid) cost one pass per axis plus three over the
     result: the product (x^2 + c) * (-1/(4t)), the subtraction of
-    p log t, and the exponential. The product is taken by np.einsum,
-    which forms each element as the same single IEEE product as
-    np.multiply but runs the broadcast column-times-row about twice as
-    fast: on a 513 x 2000 open grid the product took 1.0 ms instead of
-    2.1 ms and the whole evaluator 3.0 ms instead of 4.0 ms (numpy 2.4.6,
-    one thread of a 2-core Xeon). One path covers every shape, and out=
-    keeps 0-d inputs 0-d.
+    p log t, and the exponential. Power 0 has no p log t to subtract and
+    skips that pass. The product is taken by np.einsum, which forms each
+    element as the same single IEEE product as np.multiply but runs the
+    broadcast column-times-row about twice as fast: on a 513 x 2000 open
+    grid the product took 1.0 ms instead of 2.1 ms and the whole evaluator
+    3.0 ms instead of 4.0 ms (numpy 2.4.6, one thread of a 2-core Xeon).
+    One path covers every shape, and out= keeps 0-d inputs 0-d.
+
+    At subnormal t (0 < t below about 1.4e-309) -1/(4t) overflows to
+    -inf, and the value is the t -> 0+ limit: 0 where x^2 + c > 0 and
+    t^(-p) where x^2 + c = 0, +inf once that leaves the float range.
+    Every overflow here lands on that limit, so none warns.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     pos = t > 0.0
-    # exp(-q/4t)/t^p via a single exponent: t^p underflows before exp does,
-    # which would turn the tiny-t limit into 0/0. A node with t <= 0 gets
-    # the exponent q*0 - inf = -inf, so it exponentiates to exactly 0 for
-    # every finite x, q = x^2 + c = 0 included.
-    neg_inv4t = np.divide(-0.25, t, out=np.zeros(t.shape), where=pos)
-    log_tp = np.log(t, out=np.full(t.shape, np.inf), where=pos)
-    log_tp *= power
-    out = np.einsum("...,...->...", x * x + c, neg_inv4t,
-                    out=np.empty(np.broadcast_shapes(x.shape, t.shape)))
-    out -= log_tp
-    np.exp(out, out=out)
+    shape = np.broadcast_shapes(x.shape, t.shape)
+    q = x * x + c
+    with np.errstate(over="ignore"):
+        # exp(-q/4t)/t^p via a single exponent: t^p underflows before exp
+        # does, which would turn the tiny-t limit into 0/0. A node with
+        # t <= 0 gets the exponent q*0 - inf = -inf, so it exponentiates
+        # to exactly 0 for every finite x, q = x^2 + c = 0 included.
+        neg_inv4t = np.divide(-0.25, t, out=np.zeros(t.shape), where=pos)
+        out = np.einsum("...,...->...", q, neg_inv4t, out=np.empty(shape))
+        if power != 0.0:
+            log_tp = np.log(t, out=np.full(t.shape, np.inf), where=pos)
+            log_tp *= power
+            out -= log_tp
+        np.exp(out, out=out)
+        if power == 0.0 and not pos.all():
+            # no -inf from p log t here: the causal zero is set directly
+            np.copyto(out, 0.0, where=~pos)
+        subnormal = np.isneginf(neg_inv4t)
+        if subnormal.any():
+            # q * -inf is nan where q = 0; the limit there is t^(-p)
+            lim = np.exp(-log_tp) if power != 0.0 else 1.0
+            np.copyto(out, lim, where=(q == 0.0) & subnormal)
     return _maybe_scalar(out, x, t)
+
+
+def gaussian_factor(x, t):
+    """e^{-x^2/(4t)} for t > 0 and 0 for t <= 0: the heat family with
+    power 0 and c = 0, so that k_c(x, t) = k_c(0, t) * gaussian_factor(x, t).
+    1 at x = 0 for every t > 0."""
+    return _heat_family(0.0, 0.0, x, t)
 
 
 def kernel_eval(spec: KernelSpec, x, t):

@@ -566,6 +566,15 @@ class TestSymbolValidation:
             _symbol_rows(points=[(1.0, 0.0)], x_half=x_half, dx=dx,
                          t_max=0.02, dt=0.01)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.05, 3.0), st.floats(-3.0, 3.0))
+    def test_mirrored_z_gives_the_same_bits(self, z, r):
+        # z and -z share one row w_x cos(|z| x) of the x-first sum
+        box = dict(x_half=1.0, dx=0.25, t_max=2.0, dt=0.01)
+        plus, minus = _symbol_rows(points=[(z, r), (-z, r)], **box)
+        assert plus.numeric == minus.numeric
+        assert (plus.z, minus.z) == (z, -z)
+
     def test_shorthand_modulus_agrees_at_unit_z_only(self):
         rows = _symbol_rows(points=[(1.0, 0.0), (2.0, 0.0)], **_TINY_BOX)
         by_z = {row.z: row for row in rows}
@@ -676,6 +685,67 @@ class TestVerifyChecks:
         assert not broken.passed
         assert broken.records[0].value > 0.04
         assert broken.records[1:] == quick_report.records[1:]
+
+
+class TestVerifyFailsOnNan:
+    """max() drops a nan that is not first; each row must fail on one."""
+
+    def _assert_only_row_fails(self, report, index):
+        assert [rec.passed for rec in report.records] == [
+            i != index for i in range(len(_VERIFY_ROWS))]
+        assert math.isnan(report.records[index].value)
+        assert not report.passed
+
+    def test_symbol_row(self):
+        last = harness.QUICK_SYMBOL_POINTS[-1]
+        nan_last = lambda z, r: math.nan if (z, r) == last else s_hat(z, r)
+        report = harness.verify_checks(quick=True, closed_form=nan_last)
+        assert math.isnan(report.symbol_rows[-1].rel_err)
+        self._assert_only_row_fails(report, 0)
+
+    @staticmethod
+    def _nan_symbol_at_last(monkeypatch):
+        # verify's own symbol; kappa_calibration's grid call passes through
+        last = harness.QUICK_SYMBOL_POINTS[-1]
+        monkeypatch.setattr(harness, "s_hat", lambda z, r: (
+            math.nan if np.ndim(z) == 0 and (z, r) == last else s_hat(z, r)))
+
+    @staticmethod
+    def _nan_mass_at_c16(monkeypatch):
+        mass = harness.kernel_l1_norm
+        monkeypatch.setattr(harness, "kernel_l1_norm", lambda spec: (
+            math.nan if spec.c == 16.0 else mass(spec)))
+
+    @staticmethod
+    def _nan_identity_at_p1(monkeypatch):
+        resid, calls = harness.identity_residual, []
+
+        def first_nan(*args):
+            calls.append(args)
+            return math.nan if len(calls) == 1 else resid(*args)
+        monkeypatch.setattr(harness, "identity_residual", first_nan)
+
+    def test_mass_row(self, monkeypatch):
+        self._nan_mass_at_c16(monkeypatch)
+        self._assert_only_row_fails(harness.verify_checks(quick=True), 1)
+
+    def test_identity_row(self, monkeypatch):
+        self._nan_identity_at_p1(monkeypatch)
+        report = harness.verify_checks(quick=True)
+        assert math.isnan(report.identity[0][1])
+        self._assert_only_row_fails(report, 3)
+
+    @pytest.mark.parametrize("patch,row", [
+        ("_nan_symbol_at_last", "symbol closed form vs quadrature"),
+        ("_nan_mass_at_c16", "kernel L1 norms vs 4*pi/sqrt(c)"),
+        ("_nan_identity_at_p1", "convolution identity residual")])
+    def test_verify_exits_1(self, monkeypatch, capsys, patch, row):
+        getattr(self, patch)(monkeypatch)
+        assert main(["verify", "--quick"]) == 1
+        out = capsys.readouterr().out
+        assert [ln.split("  FAIL  ")[0].strip() for ln in out.splitlines()
+                if "  FAIL  " in ln] == [row]
+        assert out.rstrip().endswith("overall: FAIL")
 
 
 def test_kappa_calibration_takes_f_hat_in_closed_form(monkeypatch):

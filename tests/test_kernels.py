@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from sidecast.harness import kernel_l1_norm
 from sidecast.kernels import (KernelSpec, R_SPEC, S_SPEC, SINGULAR_OFFSET,
-                              kernel_eval, layer_trace, layer_trace_hat,
-                              s_hat, s_hat_abs, spectral_w, test_problem)
+                              _heat_family, gaussian_factor, kernel_eval,
+                              layer_trace, layer_trace_hat, s_hat, s_hat_abs,
+                              spectral_w, test_problem)
 
 
 def test_kernel_spec_rejects_nonpositive_c():
@@ -248,8 +249,9 @@ def _multiply_formula(power, c, x, t):
 
 _X_NODE = st.floats(-30.0, 30.0)
 # t <= 0 nodes included, with exact zeros and tiny positive t. Below about
-# 1e-306, -1/(4t) or its product with x^2 + c overflows in either formula,
-# a RuntimeWarning that this suite makes an error; no grid has such nodes
+# 1e-306, -1/(4t) or its product with x^2 + c overflows in the reference
+# formula, a RuntimeWarning that this suite makes an error; the evaluator's
+# limit there is tested on its own below
 _T_NODE = st.one_of(
     st.floats(-5.0, 60.0).filter(lambda t: not 0.0 < t < 1e-300),
     st.sampled_from([0.0, -0.0, 1e-300, 1e-6]))
@@ -291,3 +293,62 @@ def test_heat_family_is_the_multiply_formula_to_the_bit(nodes, c, kernel):
     # a node with t <= 0 is an exact 0
     causal_zero = np.broadcast_to(np.asarray(t) <= 0.0, want.shape)
     assert np.all(np.asarray(got)[causal_zero] == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_heat_family_nodes())
+def test_gaussian_factor_is_the_power_0_member_to_the_bit(nodes):
+    # power 0 skips the p log t pass; where t > 0 the value is the single
+    # exponential of the same product, and where t <= 0 it is an exact 0
+    x, t = nodes
+    got = np.asarray(gaussian_factor(x, t))
+    tt = np.broadcast_to(np.asarray(t, dtype=float), got.shape)
+    xx = np.broadcast_to(np.asarray(x, dtype=float), got.shape)
+    pos = tt > 0.0
+    want = np.exp(np.multiply(xx[pos] * xx[pos], -0.25 / tt[pos]))
+    assert got[pos].tobytes() == want.tobytes()
+    assert np.all(got[~pos] == 0.0)
+    assert np.all(gaussian_factor(np.zeros_like(tt[pos]), tt[pos]) == 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-30.0, 30.0), st.floats(1e-3, 60.0), st.floats(1e-3, 20.0))
+def test_kernel_is_its_amplitude_times_the_gaussian_factor(x, t, c):
+    # k_c(x, t) = k_c(0, t) e^{-x^2/(4t)}; the two sides round their
+    # exponents differently, by a few ulp of the exponent's size
+    spec = KernelSpec(c)
+    k = kernel_eval(spec, x, t)
+    split = kernel_eval(spec, 0.0, t) * gaussian_factor(x, t)
+    size = abs((x * x + c) / (4.0 * t)) + 2.0 * abs(math.log(t))
+    eps = np.finfo(float).eps
+    assert abs(k - split) <= 8.0 * eps * (1.0 + size) * k + 1e-300
+
+
+# positive t below the smallest normal float; c is 0 or clear of it, and x
+# is 0 or large enough that x^2/(4t) overflows
+_SUBNORMAL_T = st.floats(5e-324, 2.2e-308, exclude_max=True)
+_X_OR_ZERO = st.one_of(st.just(0.0), st.floats(-30.0, 30.0).filter(
+    lambda x: abs(x) >= 1e-100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.0, 1.0, 2.0]),
+       st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+       st.lists(_X_OR_ZERO, min_size=1, max_size=6),
+       st.lists(st.one_of(_SUBNORMAL_T, st.floats(-1.0, 10.0)),
+                min_size=1, max_size=6))
+def test_heat_family_takes_its_limit_at_subnormal_t(power, c, xs, ts):
+    # -1/(4t) overflows to -inf at t below about 1.4e-309; the value is
+    # the t -> 0+ limit, 0 where x^2 + c > 0 and t^(-p) where x^2 + c = 0,
+    # with no nan and no RuntimeWarning (an error under this suite)
+    x, t = np.array(xs)[:, None], np.array(ts)[None, :]
+    got = _heat_family(power, c, x, t)
+    assert not np.any(np.isnan(got))
+    q = np.broadcast_to(x * x + c, got.shape)
+    tt = np.broadcast_to(t, got.shape)
+    tiny = (tt > 0.0) & (tt < 2.2e-308)
+    assert np.all(got[tiny & (q > 0.0)] == 0.0)
+    with np.errstate(over="ignore"):
+        want = tt[tiny & (q == 0.0)] ** -power
+    np.testing.assert_allclose(got[tiny & (q == 0.0)], want, rtol=1e-12)
+    assert np.all(got[tt <= 0.0] == 0.0)
