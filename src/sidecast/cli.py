@@ -301,8 +301,8 @@ def cmd_sinc(args) -> int:
 
     print("mesh d=%s, %d coefficients (%s, N=%d)"
           % (_FMT % exp.d, exp.values.size, kind.value, args.n))
-    print("relative l2 deviation from the windowed inverse over 200 "
-          "points: %s" % (_FMT % dev))
+    print("relative l2 deviation from the windowed inverse over %d "
+          "points: %s" % (math.prod(harness.SINC_PROBE_GRID), _FMT % dev))
     if kind is IndexSetKind.TRIANGULAR:
         # how much series mass the triangular truncation discards
         dropped = np.abs(square.ms) > np.abs(square.ns)

@@ -144,6 +144,20 @@ def _node_values(fn, grid: GridSpec) -> np.ndarray:
         dtype=np.float64), grid.shape)
 
 
+def _open_grid(x, t):
+    """x and t as float arrays, when they form an open grid as sample
+    passes it: x a column (n, 1) and t a row (1, m). Any other shapes are a
+    ValueError that names them."""
+    xs = np.asarray(x, dtype=float)
+    ts = np.asarray(t, dtype=float)
+    if not (xs.ndim == ts.ndim == 2 and xs.shape[1] == 1
+            and ts.shape[0] == 1):
+        raise ValueError("expected an open grid, x a column (n, 1) and t a "
+                         "row (1, m); got x of shape %r and t of shape %r"
+                         % (xs.shape, ts.shape))
+    return xs, ts
+
+
 def _finite_field(grid: GridSpec, vals: np.ndarray) -> RealField:
     """RealField(grid, vals) for vals of the grid's shape. Its one
     finiteness scan is the only one; when it refuses vals, the error names

@@ -47,6 +47,7 @@ __all__ = [
     "CheckRecord",
     "VerifyReport",
     "verify_checks",
+    "SINC_PROBE_GRID",
     "sinc_deviation",
     "run_experiment",
     "write_run",
@@ -681,16 +682,20 @@ def verify_checks(quick: bool = False, points=None,
                         identity=tuple(identity), records=tuple(records))
 
 
+# sinc_deviation's probe grid: 15 x nodes by 14 t nodes, 210 points in all
+SINC_PROBE_GRID = (15, 14)
+
+
 def sinc_deviation(exp, v_hat, box: GridSpec) -> float:
     """Relative l2 deviation of the series from the direct inverse of v_hat
-    over 200 points drawn uniformly from box's extent, seeded 74257 (box
-    is a bounding box, not a lattice; the draw avoids lattice nodes almost
+    on an open grid of SINC_PROBE_GRID coordinates drawn uniformly from
+    box's extent, seeded 74257: the x values, then the t values (box is a
+    bounding box, not a lattice; the draw avoids lattice nodes almost
     surely)."""
     rng = np.random.Generator(np.random.Philox(74257))
-    xr = box.x0 + (box.nx - 1) * box.dx
-    tr = box.t0 + (box.nt - 1) * box.dt
-    xs = rng.uniform(box.x0, xr, size=200)
-    ts = rng.uniform(box.t0, tr, size=200)
+    nx, nt = SINC_PROBE_GRID
+    xs = rng.uniform(box.x0, box.x0 + (box.nx - 1) * box.dx, size=(nx, 1))
+    ts = rng.uniform(box.t0, box.t0 + (box.nt - 1) * box.dt, size=(1, nt))
     direct = idft2_windowed_at(v_hat, xs, ts)
     series = eval_expansion(exp, xs, ts)
     den = max(float(np.linalg.norm(direct)), np.finfo(float).tiny)
@@ -713,9 +718,9 @@ def run_experiment(problem: str, params: RegParams,
     carries the data grid and the measured error; writes nothing (see
     write_run).
     """
+    prob = test_problem(problem)
     dg = data_grid if data_grid is not None else default_data_grid()
     og = out_grid if out_grid is not None else default_out_grid(problem)
-    prob = test_problem(problem)
     return reconstruct(noisy_histories(prob, dg, params.epsilon, noise_seed),
                        params, og, v_exact=prob.v_exact)
 

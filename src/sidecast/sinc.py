@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, _value_text
+from .fields import GridSpec, _open_grid, _value_text
 from .regularizer import RegParams, region_for
 
 __all__ = [
@@ -156,36 +156,18 @@ def build_expansion(v_eval, a_eps: float, n: int,
 
 
 def eval_expansion(exp: SincExpansion, x, t):
-    """Evaluate the truncated series at points (x, t), broadcasting scalars.
+    """Evaluate the truncated series on the open grid of x a column (n, 1)
+    and t a row (1, m); any other shapes are a ValueError.
 
     The series is a tensor product: with Cx[p, i] = sinc(x_p/d - (i - N)),
     Ct[q, j] = sinc(t_q/d - (j - N)) and C the coefficient matrix, the
-    values on an open grid, x a column (n, 1) and t a row (1, m), are the
-    (n, m) matrix Cx @ C @ Ct.T: 2(2N+1) cardinal values per axis node and
-    two matrix products. Scattered points take the value at point p as
-    rowsum((Cx @ C) * Ct)[p], in blocks of a size set by 2N+1, so memory
-    stays bounded for any number of points.
+    values are the (n, m) matrix Cx @ C @ Ct.T: 2(2N+1) cardinal values per
+    axis node and two matrix products.
     """
     idx = np.arange(-exp.n, exp.n + 1)
-    xs = np.asarray(x, dtype=float)
-    ts = np.asarray(t, dtype=float)
-    if xs.ndim == ts.ndim == 2 and xs.shape[1] == 1 and ts.shape[0] == 1:
-        return (np.sinc(xs / exp.d - idx) @ exp.coeffs
-                @ np.sinc(ts.T / exp.d - idx).T)
-    xs, ts = np.broadcast_arrays(xs, ts)
-    shape = xs.shape
-    xf, tf = xs.ravel(), ts.ravel()
-    out = np.empty(xf.shape)
-    step = max(1, (1 << 22) // idx.size)
-    for i0 in range(0, xf.size, step):
-        sl = slice(i0, i0 + step)
-        card_x = np.sinc(xf[sl, None] / exp.d - idx)
-        card_t = np.sinc(tf[sl, None] / exp.d - idx)
-        out[sl] = np.einsum("pj,pj->p", card_x @ exp.coeffs, card_t)
-    out = out.reshape(shape)
-    if np.ndim(x) == 0 and np.ndim(t) == 0:
-        return float(out)
-    return out
+    xs, ts = _open_grid(x, t)
+    return (np.sinc(xs / exp.d - idx) @ exp.coeffs
+            @ np.sinc(ts.T / exp.d - idx).T)
 
 
 def write_expansion(path, exp: SincExpansion) -> None:

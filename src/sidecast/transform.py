@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, GridSpec, RealField
+from .fields import ComplexField, GridSpec, RealField, _open_grid
 
 __all__ = [
     "SpectralWindow",
@@ -130,38 +130,22 @@ def _check_imag_residue(vals: np.ndarray):
 
 def idft2_windowed_at(spec: ComplexField, x, t):
     """Inverse transform of the whole spectrum, all of it inside its
-    cutoff window, at the points (x, t).
+    cutoff window, on the open grid of x a column (n, 1) and t a row
+    (1, m); any other shapes are a ValueError.
 
-    On an open grid, x a column (n, 1) and t a row (1, m), the values are
-    the (n, m) matrix (Ex @ V @ Et) * cell_area/(2 pi), Ex = e^{i x z} and
-    Et = e^{i r t}: two matrix products. Any other x and t are broadcast
-    together, and the result is a float or an array of their broadcast
-    shape. This is the one inverse: the reconstruction samples it on its
-    output grid, and the Sinc series on its nodes.
+    The values are the (n, m) matrix (Ex @ V @ Et) * cell_area/(2 pi),
+    Ex = e^{i x z} and Et = e^{i r t}: two matrix products. This is the one
+    inverse: the reconstruction samples it on its output grid, and the
+    Sinc series on its nodes.
 
     For conjugate-symmetric input the result is real up to rounding; an
     imaginary residue above 1e-6 of the real part is an error (it means a
     symmetry bug upstream), below that it is discarded.
     """
     g = spec.grid
-    xs = np.asarray(x, dtype=float)
-    ts = np.asarray(t, dtype=float)
-    scale = g.cell_area / TWO_PI
-    if xs.ndim == ts.ndim == 2 and xs.shape[1] == 1 and ts.shape[0] == 1:
-        ex = np.exp(1j * np.outer(xs, g.x_nodes()))     # (n, nz)
-        et = np.exp(1j * np.outer(g.t_nodes(), ts))     # (nr, m)
-        vals = (ex @ spec.values @ et) * scale
-        _check_imag_residue(vals)
-        return vals.real
-    xb, tb = np.broadcast_arrays(xs, ts)
-    xf, tf = xb.ravel(), tb.ravel()
-    ex = np.exp(1j * np.outer(xf, g.x_nodes()))     # (npts, nz)
-    et = np.exp(1j * np.outer(g.t_nodes(), tf))     # (nr, npts)
-    # optimize=True contracts via matmuls; intermediate is npts x nr only
-    vals = np.einsum("pz,zr,rp->p", ex, spec.values, et,
-                     optimize=True) * scale
+    xs, ts = _open_grid(x, t)
+    ex = np.exp(1j * np.outer(xs, g.x_nodes()))     # (n, nz)
+    et = np.exp(1j * np.outer(g.t_nodes(), ts))     # (nr, m)
+    vals = (ex @ spec.values @ et) * (g.cell_area / TWO_PI)
     _check_imag_residue(vals)
-    out = vals.real.reshape(xb.shape)
-    if np.ndim(x) == 0 and np.ndim(t) == 0:
-        return float(out)
-    return out
+    return vals.real

@@ -1,6 +1,6 @@
 """Literal references the tests compare the library against: the forward
-transform and the causal convolution as plain loops over their defining
-sums, and the inclusive node mask of a cutoff window."""
+and inverse transforms and the causal convolution as plain loops over
+their defining sums, and the inclusive node mask of a cutoff window."""
 
 import numpy as np
 
@@ -47,3 +47,15 @@ def convolve2_direct(spec: KernelSpec, w: RealField,
             kv = kernel_eval(spec, x - xs_i[:, None], t - ts_i[None, :])
             out[a, b] = np.sum(kv * w.values) * gin.cell_area
     return RealField(out_grid, out)
+
+
+def idft2_direct(spec: ComplexField, xs, ts) -> np.ndarray:
+    """Literal definition of the inverse transform of the whole spectrum at
+    each node (x, t) of the xs by ts grid, one node at a time; complex."""
+    g = spec.grid
+    zs, rs = g.x_nodes()[:, None], g.t_nodes()[None, :]
+    out = np.zeros((len(xs), len(ts)), dtype=complex)
+    for i, x in enumerate(xs):
+        for j, t in enumerate(ts):
+            out[i, j] = np.sum(spec.values * np.exp(1j * (x * zs + t * rs)))
+    return out * g.cell_area / TWO_PI

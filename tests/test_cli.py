@@ -6,6 +6,7 @@ runs live in the acceptance suite.
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -196,6 +197,21 @@ class TestUsageExits:
     def test_non_finite_probe_point(self, capsys):
         assert main(["verify", "--quick", "--points", "1,0;nan,0"]) == 2
         assert "bad point 'nan,0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "--problem", "p3", "--epsilon", "0.02"],
+        ["convergence", "--problem", "p3", "--eps-list", "0.02"],
+    ])
+    def test_unknown_problem_without_a_grid(self, argv, tmp_path, capsys):
+        # the problem is looked up before its default output grid, so the
+        # message names the problem, as it does when --grid is given
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"unknown test problem '(p3|P3)' \(have P1, P2\)",
+                         err)
+        assert "no default output grid" not in err
+        assert not out.exists()
 
     def test_missing_epsilon(self, capsys):
         assert main(["reconstruct", "--problem", "p1"]) == 2

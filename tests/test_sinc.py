@@ -3,19 +3,22 @@ building/evaluation, and the text serialization."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidecast.fields import GridSpec, sample
+from sidecast.fields import ComplexField, GridSpec, sample
 from sidecast.harness import dft2_forward
 from sidecast.regularizer import RegMode, RegParams, cutoff_hm, cutoff_l2
 from sidecast.sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                            build_expansion, eval_expansion, index_lattice,
                            read_expansion, sinc_lattice, write_expansion)
 from sidecast.transform import SpectralWindow, idft2_windowed_at
+
+from direct_reference import idft2_direct
 
 
 def _series(d, kind, n, values):
@@ -133,12 +136,31 @@ def test_build_expansion_calls_its_evaluator_once_on_the_open_grid():
             build_expansion(bad, a_eps=1.0, n=2)
 
 
-def test_eval_expansion_of_zero_dim_arrays_is_a_float():
-    # as for idft2_windowed_at, two 0-d inputs give a float, not shape (1,)
-    exp = _series(0.5, IndexSetKind.SQUARE, 1, np.arange(9.0))
-    one = eval_expansion(exp, np.array(0.1), np.array(0.2))
-    assert isinstance(one, float)
-    assert one == eval_expansion(exp, 0.1, 0.2)
+_EVALUATORS = {
+    "idft2_windowed_at": lambda x, t: idft2_windowed_at(ComplexField(
+        GridSpec.centered(1.0, 3, 1.0, 3), np.ones((3, 3), complex)), x, t),
+    "eval_expansion": lambda x, t: eval_expansion(
+        _series(0.5, IndexSetKind.SQUARE, 1, np.arange(9.0)), x, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+@pytest.mark.parametrize("x,t", [
+    # a list of points, which np.outer would silently take as a grid
+    (np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])),
+    (0.1, 0.2),
+    (np.array(0.1), np.array(0.2)),
+    # x and t both (n, m)
+    np.meshgrid([0.1, 0.2], [0.4, 0.5, 0.6], indexing="ij"),
+    # a row and a column, the wrong way round
+    (np.array([[0.1, 0.2]]), np.array([[0.4], [0.5]])),
+], ids=["points", "scalars", "zero-dim", "meshgrid", "row-and-column"])
+def test_evaluators_refuse_anything_but_an_open_grid(name, x, t):
+    with pytest.raises(ValueError, match=r"expected an open grid, .*got x of "
+                       r"shape %s and t of shape %s"
+                       % tuple(map(re.escape, (repr(np.shape(x)),
+                                               repr(np.shape(t)))))):
+        _EVALUATORS[name](x, t)
 
 
 def test_series_is_exact_for_a_band_limited_member():
@@ -151,8 +173,8 @@ def test_series_is_exact_for_a_band_limited_member():
 
     exp = build_expansion(v, a_eps=math.pi / d, n=3)
     rng = np.random.Generator(np.random.Philox(20))
-    xs = rng.uniform(-2, 2, 40)
-    ts = rng.uniform(-2, 2, 40)
+    xs = rng.uniform(-2, 2, (8, 1))
+    ts = rng.uniform(-2, 2, (1, 5))
     assert np.max(np.abs(eval_expansion(exp, xs, ts) - v(xs, ts))) < 1e-13
 
 
@@ -161,28 +183,13 @@ def test_eval_expansion_matches_node_coefficients():
     ms, ns = index_lattice(IndexSetKind.SQUARE, 5)
     vals = rng.standard_normal(ms.size)
     exp = _series(0.31, IndexSetKind.SQUARE, 5, vals)
-    got = eval_expansion(exp, ms * exp.d, ns * exp.d)
-    assert np.max(np.abs(got - vals)) < 1e-12
-    # scalar path returns a plain float
-    one = eval_expansion(exp, 0.31, 0.0)
-    assert isinstance(one, float)
-    assert one == pytest.approx(exp.coeffs[1 + 5, 0 + 5], abs=1e-12)
-
-
-def test_eval_expansion_chunking_is_seamless():
-    # at N=10 a block holds 2^22/21 (~200k) points, so all 20k points sit
-    # in one block: this checks only that split evaluation equals whole
-    # evaluation (test_eval_expansion_block_seams_at_n50 crosses seams)
-    rng = np.random.Generator(np.random.Philox(13))
-    ms, ns = index_lattice(IndexSetKind.SQUARE, 10)
-    vals = rng.standard_normal(ms.size)
-    exp = _series(0.5, IndexSetKind.SQUARE, 10, vals)
-    xs = rng.uniform(-3, 3, 20000)
-    ts = rng.uniform(-3, 3, 20000)
-    whole = eval_expansion(exp, xs, ts)
-    parts = np.concatenate([eval_expansion(exp, xs[:7001], ts[:7001]),
-                            eval_expansion(exp, xs[7001:], ts[7001:])])
-    assert np.max(np.abs(whole - parts)) < 1e-13 * max(1.0, np.max(np.abs(whole)))
+    nodes = sinc_lattice(math.pi / exp.d, 5).x_nodes()
+    got = eval_expansion(exp, nodes[:, None], nodes[None, :])
+    assert np.max(np.abs(got - exp.coeffs)) < 1e-12
+    # a one-node grid
+    one = eval_expansion(exp, [[0.31]], [[0.0]])
+    assert one.shape == (1, 1)
+    assert one[0, 0] == pytest.approx(exp.coeffs[1 + 5, 0 + 5], abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -191,8 +198,8 @@ def test_eval_expansion_is_linear_in_coefficients(seed, c):
     rng = np.random.Generator(np.random.Philox(seed))
     va, vb = rng.standard_normal((2, 5, 5))
     mk = lambda v: SincExpansion(0.9, IndexSetKind.SQUARE, v)
-    xs = rng.uniform(-2, 2, 9)
-    ts = rng.uniform(-2, 2, 9)
+    xs = rng.uniform(-2, 2, (9, 1))
+    ts = rng.uniform(-2, 2, (1, 9))
     lhs = eval_expansion(mk(va + c * vb), xs, ts)
     rhs = eval_expansion(mk(va), xs, ts) + c * eval_expansion(mk(vb), xs, ts)
     assert np.max(np.abs(lhs - rhs)) < 1e-11 * max(1.0, np.max(np.abs(rhs)))
@@ -265,20 +272,6 @@ def test_read_expansion_counts_rows_before_forming_the_lattice(tmp_path):
         with pytest.raises(ValueError,
                            match="expected %d coefficient rows" % want):
             read_expansion(p)
-
-
-def test_eval_expansion_block_seams_at_n50():
-    # blocks hold 2^22 / (2N+1) points, 41 527 at N=50, so 100 003 points
-    # span three blocks; every point must match its own evaluation
-    rng = np.random.Generator(np.random.Philox(17))
-    exp = SincExpansion(0.54, IndexSetKind.TRIANGULAR,
-                        rng.standard_normal((101, 101)))
-    xs = rng.uniform(-30, 30, 100003)
-    ts = rng.uniform(-30, 30, 100003)
-    whole = eval_expansion(exp, xs, ts)
-    for i in (0, 41526, 41527, 83054, 100002):
-        one = eval_expansion(exp, float(xs[i]), float(ts[i]))
-        assert abs(whole[i] - one) <= 1e-12 * float(np.sum(np.abs(exp.values)))
 
 
 def _rows(ms, ns):
@@ -401,27 +394,21 @@ def test_eval_expansion_matches_the_literal_double_sum(kind, n, d, seed):
     # |sinc| <= 1, so the l1 norm of the coefficients bounds the series
     tol = 1e-12 * float(np.sum(np.abs(exp.values)))
     span = (n + 2) * d
-    xs = rng.uniform(-span, span, 25)
-    ts = rng.uniform(-span, span, 25)
+    xs = rng.uniform(-span, span, (25, 1))
+    ts = rng.uniform(-span, span, (1, 25))
     got = eval_expansion(exp, xs, ts)
     assert np.max(np.abs(got - _series_reference(exp, xs, ts))) <= tol
-    at_nodes = eval_expansion(exp, ms * d, ns * d)
-    assert np.max(np.abs(at_nodes - _series_reference(exp, ms * d, ns * d))) \
-        <= tol
-    one = eval_expansion(exp, float(xs[0]), float(ts[0]))
-    assert isinstance(one, float)
-    assert abs(one - float(_series_reference(exp, xs[0], ts[0]))) <= tol
-    # an open grid (x column, t row) mixing random points with lattice
-    # nodes takes the two-product path; it must agree with the point path
+    # the lattice nodes, with a ring of nodes outside the index set
     nodes = np.arange(-n - 1, n + 2) * d
-    xg = np.concatenate([xs[:6], nodes])[:, None]
-    tg = np.concatenate([nodes, ts[:5]])[None, :]
+    at_nodes = eval_expansion(exp, nodes[:, None], nodes[None, :])
+    assert np.max(np.abs(at_nodes - _series_reference(
+        exp, nodes[:, None], nodes[None, :]))) <= tol
+    # an open grid mixing random points with lattice nodes
+    xg = np.concatenate([xs[:6, 0], nodes])[:, None]
+    tg = np.concatenate([nodes, ts[0, :5]])[None, :]
     grid = eval_expansion(exp, xg, tg)
     assert grid.shape == (xg.size, tg.size)
     assert np.max(np.abs(grid - _series_reference(exp, xg, tg))) <= tol
-    xm, tm = np.meshgrid(xg.ravel(), tg.ravel(), indexing="ij")
-    points = eval_expansion(exp, xm.ravel(), tm.ravel()).reshape(grid.shape)
-    assert np.max(np.abs(grid - points)) <= tol
 
 
 def test_grid_inverse_lattice_matches_the_point_inverse():
@@ -439,11 +426,10 @@ def test_grid_inverse_lattice_matches_the_point_inverse():
         return idft2_windowed_at(spec, x, t)
 
     grid_vals = build_expansion(inverse, a_eps, n).coeffs
-    ms, ns = index_lattice(IndexSetKind.SQUARE, n)
-    d = math.pi / a_eps
-    direct = idft2_windowed_at(spec, ms * d, ns * d)
+    # the literal inverse sum, one lattice node at a time
+    direct = idft2_direct(spec, lattice.x_nodes(), lattice.t_nodes()).real
     scale = float(np.max(np.abs(direct)))
-    assert np.max(np.abs(grid_vals.ravel() - direct)) <= 1e-12 * scale
+    assert np.max(np.abs(grid_vals - direct)) <= 1e-12 * scale
     # the build keeps exactly the index-set entries of the grid
     tri = build_expansion(inverse, a_eps, n, IndexSetKind.TRIANGULAR)
     mt, nt = index_lattice(IndexSetKind.TRIANGULAR, n)

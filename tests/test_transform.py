@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sidecast.fields import GridSpec, ComplexField, RealField, sample
@@ -15,10 +15,11 @@ from sidecast.harness import (_lattice_offsets, convolve2_causal,
                               default_data_grid, dft2_forward)
 from sidecast.kernels import R_SPEC, S_SPEC, KernelSpec
 from sidecast.regularizer import RegParams, region_for
-from sidecast.transform import (SpectralWindow, _fast_len, dft2_lattice,
+from sidecast.transform import (SpectralWindow, _fast_len, _tol, dft2_lattice,
                                 idft2_windowed_at)
 
-from direct_reference import convolve2_direct, dft2_direct, window_contains
+from direct_reference import (convolve2_direct, dft2_direct, idft2_direct,
+                              window_contains)
 
 
 def _gaussian_field(extent=8.0, n=161):
@@ -147,6 +148,10 @@ def test_lattice_matches_direct_sum():
        st.floats(0.01, 2.0), st.booleans(),
        st.sampled_from([0.1, 0.6, 1.0 - 1e-9]),
        st.sampled_from([0.1, 0.6, 1.0 - 1e-9]), st.integers(0, 10 ** 6))
+# the square is raised to the t lattice step 2 pi/(40 * 0.05), which is one
+# ulp under pi/dx: within rounding of the x Nyquist limit
+@example(nx=2, nt=19, dx=0.9999999999999999, dt=0.05, x0=1.0, t0=1.0,
+         square=True, fz=0.1, fr=0.1, seed=0)
 def test_lattice_is_the_cropped_padded_fft(nx, nt, dx, dt, x0, t0, square,
                                            fz, fr, seed):
     # the pruned transform against the bins of the full padded fft2: an
@@ -160,6 +165,13 @@ def test_lattice_is_the_cropped_padded_fft(nx, nt, dx, dt, x0, t0, square,
         zmax = rmax = max(fz * min(math.pi / dx, math.pi / dt),
                           _lattice_step(nx, dx), _lattice_step(nt, dt))
         assume(zmax < math.pi / dx and zmax < math.pi / dt)
+    if (zmax + _tol(zmax) >= math.pi / dx
+            or rmax + _tol(rmax) >= math.pi / dt):
+        # a window within rounding of pi/step keeps the Nyquist bin, which
+        # +-pi/step share, so it is refused
+        with pytest.raises(ValueError, match="reaches the data Nyquist"):
+            dft2_lattice(f, SpectralWindow(zmax, rmax))
+        return
     lat = dft2_lattice(f, SpectralWindow(zmax, rmax))
     lx = 2 * scipy.fft.next_fast_len(nx, real=True)
     lt = 2 * scipy.fft.next_fast_len(nt, real=True)
@@ -383,8 +395,8 @@ def test_windowed_inverse_round_trips_a_smooth_field():
 
 
 def test_windowed_inverse_at_matches_grid_inverse():
-    # the open grid (two matrix products) against the same nodes passed
-    # as full arrays (the point path)
+    # the open grid (two matrix products) against the literal inverse sum
+    # at each of its nodes
     f = _gaussian_field(6.0, 81)
     sg = GridSpec.centered(6.0, 73, 6.0, 73)
     spec = dft2_forward(f, sg)
@@ -392,11 +404,8 @@ def test_windowed_inverse_at_matches_grid_inverse():
     grid_vals = idft2_windowed_at(spec, out.x_nodes()[:, None],
                                   out.t_nodes()[None, :])
     assert grid_vals.shape == out.shape
-    X, T = np.meshgrid(out.x_nodes(), out.t_nodes(), indexing="ij")
-    pt_vals = idft2_windowed_at(spec, X, T)
-    assert np.max(np.abs(grid_vals - pt_vals)) < 1e-9 * np.max(np.abs(grid_vals))
-    one = idft2_windowed_at(spec, 0.25, -0.5)
-    assert isinstance(one, float)
+    want = idft2_direct(spec, out.x_nodes(), out.t_nodes()).real
+    assert np.max(np.abs(grid_vals - want)) < 1e-9 * np.max(np.abs(want))
 
 
 def test_asymmetric_spectrum_trips_the_imag_residue_check():
