@@ -257,7 +257,6 @@ def cmd_sinc(args) -> int:
 
     from . import harness
     from .fields import _FMT, sample, write_csv
-    from .kernels import test_problem
     from .regularizer import reconstruct_spectrum
     from .sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                        build_expansion, eval_expansion, write_expansion)
@@ -278,13 +277,10 @@ def cmd_sinc(args) -> int:
     a_eps = band_halfwidth(params)
     out_dir = args.out
 
-    prob = test_problem(args.problem)
-    data_grid = _parse_grid(args.data_grid) if args.data_grid \
-        else harness.default_data_grid()
-    eval_grid = _parse_grid(args.grid) if args.grid \
-        else harness.default_out_grid(args.problem)
-    histories = harness.noisy_histories(prob, data_grid, params.epsilon,
-                                        args.seed or 0)
+    data_grid = _parse_grid(args.data_grid) if args.data_grid else None
+    eval_grid = _parse_grid(args.grid) if args.grid else None
+    _, eval_grid, histories = harness.problem_inputs(
+        args.problem, params.epsilon, data_grid, eval_grid, args.seed or 0)
     # the reference inverse repeats with the alias period, as v_eps does,
     # so the spectrum step refuses an evaluation box that spans one
     v_hat, _, _ = reconstruct_spectrum(histories, params, eval_grid)
@@ -329,7 +325,7 @@ def cmd_convergence(args) -> int:
         raise UsageError("bad --eps-list: %s" % exc) from exc
     if not eps:
         raise UsageError("--eps-list is empty")
-    problem = (args.problem or "p1").upper()
+    problem = args.problem or "p1"
     gamma = 1.0 if args.gamma is None else args.gamma
     data_grid = _parse_grid(args.data_grid) if args.data_grid else None
     out_grid = _parse_grid(args.grid) if args.grid else None

@@ -5,6 +5,7 @@ plain-text grid file I/O (GRD and CSV)."""
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass
 from itertools import islice
 
@@ -108,8 +109,6 @@ class RealField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=self._dtype)
-        if v.ndim == 1 and v.size == self.grid.nx * self.grid.nt:
-            v = v.reshape(self.grid.shape)
         if v.shape != self.grid.shape:
             raise ValueError("values shape %r does not match grid %r"
                              % (v.shape, self.grid.shape))
@@ -231,7 +230,10 @@ def read_field(path) -> RealField:
     RealField's finiteness scan is the one scan of a good file's values.
 
     A file it refuses is read again from the first data line, one line at
-    a time, to name its first offending line in file order."""
+    a time, to name its first offending line in file order. A regular
+    file of fewer than 2*nx*nt - 1 bytes cannot hold the header's values
+    and goes to that line pass at once, so a header that promises more
+    than the file holds allocates nothing."""
 
     def err(lineno, msg):
         raise GrdParseError("%s:%d: %s" % (os.fspath(path), lineno, msg))
@@ -263,9 +265,14 @@ def read_field(path) -> RealField:
 
         data = (line for line in fh if not line.isspace())
         blocks = iter(lambda: list(islice(data, _BLOCK_LINES)), [])
-        values = np.empty((nx, nt))
         j = 0
         try:
+            # each value takes at least a digit and a separator, so a file
+            # too short for nx*nt of them gets no values array
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size < 2 * nx * nt - 1:
+                raise ValueError("the file cannot hold the grid's values")
+            values = np.empty((nx, nt))
             # map drops each block's text once it is parsed, and its rows
             # go before the next block is read
             for rows in map(_parse_rows, blocks):

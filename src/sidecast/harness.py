@@ -49,6 +49,7 @@ __all__ = [
     "verify_checks",
     "SINC_PROBE_GRID",
     "sinc_deviation",
+    "problem_inputs",
     "run_experiment",
     "write_run",
     "convergence_table",
@@ -707,22 +708,35 @@ def _grid_str(g: GridSpec) -> str:
                                   _FMT % g.t0, _FMT % g.dt)
 
 
+def problem_inputs(problem: str, epsilon: float,
+                   data_grid: Optional[GridSpec] = None,
+                   out_grid: Optional[GridSpec] = None,
+                   noise_seed: int = 0):
+    """A built-in problem's inputs with the defaults applied: its
+    TestProblem, out_grid (default_out_grid(problem) if None) and the
+    noisy_histories stream of noise level epsilon on data_grid
+    (default_data_grid() if None), which draws nothing until it is read.
+    The problem is looked up first, so an unknown id is named before any
+    grid default."""
+    prob = test_problem(problem)
+    dg = data_grid if data_grid is not None else default_data_grid()
+    og = out_grid if out_grid is not None else default_out_grid(problem)
+    return prob, og, noisy_histories(prob, dg, epsilon, noise_seed)
+
+
 def run_experiment(problem: str, params: RegParams,
                    data_grid: Optional[GridSpec] = None,
                    out_grid: Optional[GridSpec] = None,
                    noise_seed: int = 0) -> Reconstruction:
-    """One run on a built-in problem: stream its noisy histories on
-    data_grid (default_data_grid() if None) into reconstruct, one at a
-    time, with the exact solution for validation, onto out_grid
-    (default_out_grid(problem) if None). Returns the Reconstruction, which
-    carries the data grid and the measured error; writes nothing (see
-    write_run).
+    """One run on a built-in problem: stream its noisy histories from
+    problem_inputs, which applies the default grids, into reconstruct, one
+    at a time, with the exact solution for validation, onto the output
+    grid. Returns the Reconstruction, which carries the data grid and the
+    measured error; writes nothing (see write_run).
     """
-    prob = test_problem(problem)
-    dg = data_grid if data_grid is not None else default_data_grid()
-    og = out_grid if out_grid is not None else default_out_grid(problem)
-    return reconstruct(noisy_histories(prob, dg, params.epsilon, noise_seed),
-                       params, og, v_exact=prob.v_exact)
+    prob, og, histories = problem_inputs(problem, params.epsilon, data_grid,
+                                         out_grid, noise_seed)
+    return reconstruct(histories, params, og, v_exact=prob.v_exact)
 
 
 def write_run(out_dir, rec: Reconstruction, params: RegParams, source,

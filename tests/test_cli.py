@@ -6,7 +6,6 @@ runs live in the acceptance suite.
 
 import argparse
 import os
-import re
 import subprocess
 import sys
 
@@ -17,7 +16,7 @@ from sidecast.cli import (UsageError, _apply_thread_cap, _build_parser,
                           _load_config, _merge_config, _params_from,
                           _parse_grid, _parse_points, main)
 from sidecast.fields import GridSpec, sample, write_field
-from sidecast.harness import _grid_str
+from sidecast.harness import _grid_str, default_data_grid, default_out_grid
 from sidecast.kernels import test_problem
 from sidecast.regularizer import RegMode, cutoff_hm
 
@@ -201,6 +200,7 @@ class TestUsageExits:
     @pytest.mark.parametrize("argv", [
         ["reconstruct", "--problem", "p3", "--epsilon", "0.02"],
         ["convergence", "--problem", "p3", "--eps-list", "0.02"],
+        ["sinc", "--problem", "p3", "--epsilon", "0.02", "--N", "2"],
     ])
     def test_unknown_problem_without_a_grid(self, argv, tmp_path, capsys):
         # the problem is looked up before its default output grid, so the
@@ -208,8 +208,7 @@ class TestUsageExits:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert re.search(r"unknown test problem '(p3|P3)' \(have P1, P2\)",
-                         err)
+        assert "unknown test problem 'p3' (have P1, P2)" in err
         assert "no default output grid" not in err
         assert not out.exists()
 
@@ -382,6 +381,21 @@ class TestFileModeReconstruct:
             assert value in err and _grid_str(g) in err
         assert not out.exists()
 
+    def test_a_header_the_file_cannot_hold_is_refused(self, small_grd,
+                                                      tmp_path, capsys):
+        # 1e10 values promised by a 24-byte file: refused, not allocated
+        _, paths = small_grd
+        huge = tmp_path / "huge.grd"
+        huge.write_text("100000 100000 0 1 0.1 1\n")
+        out = tmp_path / "huge_out"
+        rc = main(["reconstruct", "--epsilon", "0.01",
+                   "--f", str(huge), "--g", paths["g"],
+                   "--grid", "9,9,0.2,0.1,0.5,0.3", "--out", str(out)])
+        assert rc == 2
+        assert "%s:1: expected 100000 data rows, got 0" % huge in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_happy_path_writes_artifacts(self, small_grd, tmp_path, capsys):
         _, paths = small_grd
         out = str(tmp_path / "filemode")
@@ -505,6 +519,19 @@ class TestSincCommand:
         for name in ("sinc.txt", "sinc_eval.csv"):
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
+
+    def test_default_grids_given_or_not_write_the_same_bytes(self, tmp_path,
+                                                            capsys):
+        explicit = ["--data-grid", _grid_str(default_data_grid()),
+                    "--grid", _grid_str(default_out_grid("P1"))]
+        outs = [tmp_path / "implicit", tmp_path / "explicit"]
+        for out, extra in zip(outs, ([], explicit)):
+            assert main(["sinc", "--problem", "p1", "--epsilon", "0.02",
+                         "--N", "20", "--out", str(out)] + extra) == 0
+        for name in ("sinc.txt", "sinc_eval.csv"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
+        capsys.readouterr()
 
 
 @pytest.fixture(scope="module")

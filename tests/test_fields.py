@@ -1,6 +1,7 @@
 """Grid containers, discrete L2 norms, and GRD/CSV round trips."""
 
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -50,10 +51,11 @@ def test_centered_grid_hits_origin_exactly():
         GridSpec.centered(-1.0, 7, 2.0, 5)
 
 
-def test_field_reshapes_flat_input_and_freezes():
+def test_field_refuses_flat_input_and_freezes():
     g = GridSpec(0.0, 1.0, 2, 0.0, 1.0, 3)
-    f = RealField(g, np.arange(6.0))
-    assert f.values.shape == (2, 3)
+    with pytest.raises(ValueError, match="does not match grid"):
+        RealField(g, np.arange(6.0))
+    f = RealField(g, np.arange(6.0).reshape(2, 3))
     with pytest.raises(ValueError):
         f.values[0, 0] = 99.0  # read-only
 
@@ -200,6 +202,49 @@ def test_grd_parse_errors_carry_line_numbers(tmp_path, body, lineno):
     path.write_text(body)
     with pytest.raises(GrdParseError, match=r":%d:" % lineno):
         read_field(path)
+
+
+@pytest.mark.parametrize("body,msg", [
+    ("1000000 1000000 0 1 0.1 1\n1 2\n", ":2: expected 1000000 values, got 2"),
+    ("1000000 1000000 0 1 0.1 1\n", ":1: expected 1000000 data rows, got 0"),
+], ids=["one-row", "header-only"])
+def test_a_header_the_file_cannot_hold_is_refused(tmp_path, body, msg):
+    # 8 TB of values: the file's bytes are counted before any allocation
+    path = tmp_path / "huge.grd"
+    path.write_text(body)
+    with pytest.raises(GrdParseError) as exc:
+        read_field(path)
+    assert str(exc.value) == str(path) + msg
+
+
+def test_a_header_the_file_cannot_hold_allocates_nothing(tmp_path):
+    # one row of a 1000 x 1000 grid: the 2 KB file cannot hold the 1e6
+    # values, so their 8 MB array is never made
+    path = tmp_path / "short.grd"
+    path.write_text("1000 1000 0 1 0.1 1\n" + "1 " * 999 + "1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GrdParseError,
+                           match=":2: expected 1000 data rows, got 1"):
+            read_field(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_without_the_size_guard():
+    # a pipe's st_size is 0, which would refuse every header; it is read
+    # in one pass, as from a shell's process substitution
+    r, w = os.pipe()
+    try:
+        os.write(w, b"2 2 0 1 0.1 1\n1 2\n3 4\n")
+        os.close(w)
+        field = read_field("/dev/fd/%d" % r)
+    finally:
+        os.close(r)
+    assert np.array_equal(field.values, [[1.0, 3.0], [2.0, 4.0]])
 
 
 def test_grd_missing_rows_and_missing_header(tmp_path):

@@ -30,8 +30,8 @@ from sidecast.harness import (_G_SEED_OFFSET,
                               convergence_table, convolve2_causal,
                               default_data_grid, default_out_grid,
                               identity_residual,
-                              noisy_histories, perturb, refined_window_grid,
-                              run_experiment,
+                              noisy_histories, perturb, problem_inputs,
+                              refined_window_grid, run_experiment,
                               write_convergence_csv, write_run)
 from sidecast.kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                               kernel_eval, s_hat, test_problem)
@@ -81,6 +81,33 @@ class TestDefaultGrids:
     def test_out_grid_rejects_unknown_problem(self):
         with pytest.raises(ValueError, match="no default output grid"):
             default_out_grid("P9")
+
+    @pytest.mark.parametrize("give_data,give_out", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_problem_inputs_default_only_the_grids_not_given(
+            self, give_data, give_out):
+        data = GridSpec(x0=-4.0, dx=0.25, nx=33, t0=0.05, dt=0.1, nt=40)
+        out = _coarse_out_grid_p2()
+        prob, og, histories = problem_inputs(
+            "p2", 0.02, data if give_data else None,
+            out if give_out else None, noise_seed=5)
+        assert prob is test_problem("P2")
+        assert og == (out if give_out else default_out_grid("P2"))
+        f, g = histories
+        assert f.grid == g.grid == (data if give_data
+                                    else default_data_grid())
+        want = noisy_histories(prob, f.grid, 0.02, 5)
+        for got, ref in zip((f, g), want):
+            assert np.array_equal(got.values, ref.values)
+
+    def test_problem_inputs_name_an_unknown_problem_first(self,
+                                                          monkeypatch):
+        def no_default(*args):
+            raise AssertionError("a grid default was asked for")
+        monkeypatch.setattr(harness, "default_data_grid", no_default)
+        monkeypatch.setattr(harness, "default_out_grid", no_default)
+        with pytest.raises(ValueError, match="unknown test problem 'p9'"):
+            problem_inputs("p9", 0.02)
 
     def test_run_experiment_defaults_to_the_default_grids(self):
         params = RegParams(epsilon=0.01, gamma=1.0)
