@@ -404,6 +404,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _merge_config(args)
+        # one refusal for the flag and the config's seed= and noise_seed=
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError("--seed must be a non-negative integer, got %d"
+                             % args.seed)
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print("sidecast: %s" % exc, file=sys.stderr)

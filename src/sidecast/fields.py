@@ -230,18 +230,28 @@ def read_field(path) -> RealField:
     RealField's finiteness scan is the one scan of a good file's values.
 
     A file it refuses is read again from the first data line, one line at
-    a time, to name its first offending line in file order. A regular
-    file of fewer than 2*nx*nt - 1 bytes cannot hold the header's values
-    and goes to that line pass at once, so a header that promises more
-    than the file holds allocates nothing."""
+    a time, to name its first offending line in file order. A file of
+    fewer than 2*nx*nt - 1 bytes cannot hold the header's values and
+    goes to that line pass at once, so a header that promises more than
+    the file holds allocates nothing. A stream that cannot seek, such as
+    a pipe, is read into memory first, so both passes and that guard see
+    its text as they see a regular file's."""
 
     def err(lineno, msg):
         raise GrdParseError("%s:%d: %s" % (os.fspath(path), lineno, msg))
 
     with open(path) as fh:
+        if fh.seekable():
+            st = os.fstat(fh.fileno())
+            size = st.st_size if stat.S_ISREG(st.st_mode) else None
+            lines = fh
+        else:
+            lines = fh.readlines()
+            size = sum(map(len, lines))
+        rest = iter(lines)
         # '#' comment lines are allowed before the header only
         lineno, head = 0, None
-        for line in fh:
+        for line in rest:
             lineno += 1
             if line.strip() and not line.lstrip().startswith("#"):
                 head = line.rstrip("\n")
@@ -263,14 +273,13 @@ def read_field(path) -> RealField:
             err(lineno, "invalid grid: %s" % exc)
         header_line = lineno
 
-        data = (line for line in fh if not line.isspace())
+        data = (line for line in rest if not line.isspace())
         blocks = iter(lambda: list(islice(data, _BLOCK_LINES)), [])
         j = 0
         try:
             # each value takes at least a digit and a separator, so a file
             # too short for nx*nt of them gets no values array
-            st = os.fstat(fh.fileno())
-            if stat.S_ISREG(st.st_mode) and st.st_size < 2 * nx * nt - 1:
+            if size is not None and size < 2 * nx * nt - 1:
                 raise ValueError("the file cannot hold the grid's values")
             values = np.empty((nx, nt))
             # map drops each block's text once it is parsed, and its rows
@@ -286,9 +295,10 @@ def read_field(path) -> RealField:
         except ValueError:
             pass
 
-        fh.seek(0)
+        if lines is fh:
+            fh.seek(0)
         j = 0
-        for lineno, line in enumerate(fh, 1):
+        for lineno, line in enumerate(lines, 1):
             if lineno <= header_line or line.isspace():
                 continue
             if j == nt:

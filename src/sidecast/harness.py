@@ -40,7 +40,6 @@ __all__ = [
     "kernel_l1_norm",
     "dft2_forward",
     "convolve2_causal",
-    "assemble_rhs",
     "identity_residual",
     "refined_window_grid",
     "kappa_calibration",
@@ -333,46 +332,14 @@ def _wrap_free_length(n_lag: int, n_data: int, kept: np.ndarray) -> int:
     return max(int(kept[-1]) + 1, n_lag + n_data - 1 - int(kept[0]))
 
 
-def assemble_rhs(f: RealField, g: RealField,
-                 out_grid: Optional[GridSpec] = None) -> RealField:
-    """Right-hand side F = 2(R*f) - (S*g) + 4*pi*f of the convolution
-    identity S*v = F, on out_grid.
-
-    f and g share a grid; out_grid defaults to it and must be a sub-lattice
-    of it (the pointwise f term is read off by slicing, not interpolation).
-    """
-    og = _rhs_grid(f, g, out_grid)
-    return _rhs_from(f, convolve2_causal(S_SPEC, g, og).values, og)
-
-
-def _rhs_grid(f: RealField, g: RealField,
-              out_grid: Optional[GridSpec]) -> GridSpec:
-    """The grid assemble_rhs writes F on, or the error it refuses with."""
-    if f.grid != g.grid:
-        raise ValueError("f and g must share a grid")
-    og = out_grid if out_grid is not None else f.grid
-    ox, ot = _lattice_offsets(og, f.grid)
-    if ox < 0 or ot < 0 or ox + og.nx > f.grid.nx or ot + og.nt > f.grid.nt:
-        raise ValueError("output grid must lie inside the data grid")
-    return og
-
-
-def _rhs_from(f: RealField, sg: np.ndarray, og: GridSpec) -> RealField:
-    """F = 2(R*f) - (S*g) + 4*pi*f on og, given S*g's values there."""
-    ox, ot = _lattice_offsets(og, f.grid)
-    rf = convolve2_causal(R_SPEC, f, og).values
-    fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
-    return RealField(og, 2.0 * rf - sg + (4.0 * math.pi) * fw)
-
-
 def identity_residual(v: RealField, f: RealField, g: RealField,
                       out_grid: Optional[GridSpec] = None) -> float:
     """Relative L2 defect of S*v = 2(R*f) - (S*g) + 4*pi*f on out_grid.
 
     v, f, g share a grid; out_grid defaults to it and must be a sub-lattice
-    of it (see assemble_rhs). S*v and S*g come from one call that forms
-    S's lag box and spectrum once; R*f from another, which forms none for
-    a zero f.
+    of it, since the pointwise f term is read off by slicing, not
+    interpolation. S*v and S*g come from one call that forms S's lag box
+    and spectrum once; R*f from another, which forms none for a zero f.
 
     When f is zero and v + g is zero at every node (v = -g to the bit),
     the defect is S*(v + g), the convolution of an exactly zero field, so
@@ -384,11 +351,16 @@ def identity_residual(v: RealField, f: RealField, g: RealField,
     """
     if not (v.grid == f.grid == g.grid):
         raise ValueError("v, f, g must share a grid")
-    og = _rhs_grid(f, g, out_grid)
+    og = out_grid if out_grid is not None else f.grid
+    ox, ot = _lattice_offsets(og, f.grid)
+    if ox < 0 or ot < 0 or ox + og.nx > f.grid.nx or ot + og.nt > f.grid.nt:
+        raise ValueError("output grid must lie inside the data grid")
     if not f.values.any() and not (v.values + g.values).any():
         return 0.0
     lhs, sg = _convolve2_causal_each(S_SPEC, [v, g], og)
-    rhs = _rhs_from(f, sg, og).values
+    rf = convolve2_causal(R_SPEC, f, og).values
+    fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
+    rhs = 2.0 * rf - sg + (4.0 * math.pi) * fw
     num = math.sqrt(og.cell_area * float(np.sum((lhs - rhs) ** 2)))
     den = math.sqrt(og.cell_area * float(np.sum(rhs ** 2)))
     return num / max(den, np.finfo(float).tiny)

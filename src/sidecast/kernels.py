@@ -18,6 +18,9 @@ Under the transform the strip equation becomes u_yy = w^2 u with
 w = spectral_w(z, r) = sqrt(z^2 + i r), and every symbol is a function of
 that one w: s_hat = 2 e^{-w}, and the layer traces transform to
 e^{-sqrt(c) w}/w.
+
+Every evaluator returns numpy's own result for the shapes it is given,
+so scalar input gives a 0-d result.
 """
 
 from __future__ import annotations
@@ -67,12 +70,6 @@ S_SPEC = KernelSpec(1.0)
 R_SPEC = KernelSpec(4.0)
 
 
-def _maybe_scalar(out, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return out.item()
-    return out
-
-
 def _heat_family(power: float, c: float, x, t):
     """t^(-power) exp(-(x^2+c)/(4t)) for t > 0 and 0 for t <= 0 (causal
     extension, continuous at 0+), the one evaluator of every kernel and
@@ -119,7 +116,7 @@ def _heat_family(power: float, c: float, x, t):
             # q * -inf is nan where q = 0; the limit there is t^(-p)
             lim = np.exp(-log_tp) if power != 0.0 else 1.0
             np.copyto(out, lim, where=(q == 0.0) & subnormal)
-    return _maybe_scalar(out, x, t)
+    return out
 
 
 def gaussian_factor(x, t):
@@ -138,9 +135,8 @@ def spectral_w(z, r):
     """w = principal sqrt(z^2 + i r), the variable of the transformed strip
     equation u_yy = w^2 u. Re w > 0 everywhere but the origin, so e^{-w}
     is the decaying solution."""
-    w = np.sqrt(np.asarray(z, dtype=float) ** 2
-                + 1j * np.asarray(r, dtype=float))
-    return _maybe_scalar(w, z, r)
+    return np.sqrt(np.asarray(z, dtype=float) ** 2
+                   + 1j * np.asarray(r, dtype=float))
 
 
 def s_hat(z, r):
@@ -149,12 +145,12 @@ def s_hat(z, r):
 
     Real and positive on the axis r = 0 (where it equals 2 e^{-|z|}).
     """
-    return _maybe_scalar(2.0 * np.exp(-spectral_w(z, r)), z, r)
+    return 2.0 * np.exp(-spectral_w(z, r))
 
 
 def s_hat_abs(z, r):
     """Modulus of s_hat: 2 e^{-Re w}. Maximal (=2) at the origin only."""
-    return _maybe_scalar(2.0 * np.exp(-np.real(spectral_w(z, r))), z, r)
+    return 2.0 * np.exp(-np.real(spectral_w(z, r)))
 
 
 def layer_trace(c: float) -> Callable:
@@ -184,15 +180,13 @@ def layer_trace_hat(c: float) -> Callable:
 
     def hh(z, r):
         w = spectral_w(z, r)
-        out = np.asarray(np.exp(-rc * w) / w, dtype=complex)
-        return _maybe_scalar(out, z, r)
+        return np.exp(-rc * w) / w
 
     return hh
 
 
 def _zero_evaluator(x, t):
-    out = np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape)
-    return _maybe_scalar(out, x, t)
+    return np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape)
 
 
 @dataclass(frozen=True)

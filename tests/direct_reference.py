@@ -1,12 +1,15 @@
 """Literal references the tests compare the library against: the forward
 and inverse transforms and the causal convolution as plain loops over
-their defining sums, and the inclusive node mask of a cutoff window."""
+their defining sums, the right-hand side of the convolution identity
+term by term, and the inclusive node mask of a cutoff window."""
+
+import math
 
 import numpy as np
 
 from sidecast.fields import ComplexField, GridSpec, RealField
-from sidecast.kernels import KernelSpec, kernel_eval
-from sidecast.harness import _lattice_offsets
+from sidecast.kernels import R_SPEC, S_SPEC, KernelSpec, kernel_eval
+from sidecast.harness import _lattice_offsets, convolve2_causal
 from sidecast.transform import TWO_PI, SpectralWindow, _tol
 
 
@@ -47,6 +50,19 @@ def convolve2_direct(spec: KernelSpec, w: RealField,
             kv = kernel_eval(spec, x - xs_i[:, None], t - ts_i[None, :])
             out[a, b] = np.sum(kv * w.values) * gin.cell_area
     return RealField(out_grid, out)
+
+
+def identity_rhs(f: RealField, g: RealField,
+                 out_grid: GridSpec = None) -> RealField:
+    """F = 2(R*f) - (S*g) + 4*pi*f of the identity S*v = F on out_grid (f's
+    grid by default, else a sub-lattice of it), one convolve2_causal call
+    per term and the f term sliced off its grid."""
+    og = out_grid if out_grid is not None else f.grid
+    ox, ot = _lattice_offsets(og, f.grid)
+    rf = convolve2_causal(R_SPEC, f, og).values
+    sg = convolve2_causal(S_SPEC, g, og).values
+    fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
+    return RealField(og, 2.0 * rf - sg + (4.0 * math.pi) * fw)
 
 
 def idft2_direct(spec: ComplexField, xs, ts) -> np.ndarray:

@@ -212,6 +212,30 @@ class TestUsageExits:
         assert "no default output grid" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,config", [
+        (["reconstruct", "--problem", "p1", "--epsilon", "0.02",
+          "--seed", "-1"], None),
+        (["sinc", "--problem", "p1", "--epsilon", "0.02", "--N", "2",
+          "--seed", "-1"], None),
+        (["convergence", "--problem", "p1", "--eps-list", "0.02",
+          "--seed", "-1"], None),
+        (["reconstruct", "--problem", "p1", "--epsilon", "0.02"],
+         "seed=-1\n"),
+        (["reconstruct", "--problem", "p1", "--epsilon", "0.02"],
+         "noise_seed=-1\n"),
+    ], ids=["reconstruct", "sinc", "convergence", "config-seed",
+            "config-noise_seed"])
+    def test_negative_seed(self, argv, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert ("--seed must be a non-negative integer, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_epsilon(self, capsys):
         assert main(["reconstruct", "--problem", "p1"]) == 2
         assert "--epsilon is required" in capsys.readouterr().err

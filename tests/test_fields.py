@@ -233,18 +233,52 @@ def test_a_header_the_file_cannot_hold_allocates_nothing(tmp_path):
     assert peak < 1_000_000
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_a_pipe_is_read_without_the_size_guard():
-    # a pipe's st_size is 0, which would refuse every header; it is read
-    # in one pass, as from a shell's process substitution
+def _read_pipe(data: bytes):
+    """read_field of `data` sent through an os.pipe, as from a shell's
+    process substitution or --f /dev/stdin; data must fit the pipe's
+    buffer."""
     r, w = os.pipe()
     try:
-        os.write(w, b"2 2 0 1 0.1 1\n1 2\n3 4\n")
+        os.write(w, data)
         os.close(w)
-        field = read_field("/dev/fd/%d" % r)
+        return read_field("/dev/fd/%d" % r)
     finally:
         os.close(r)
+
+
+_NEEDS_DEV_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                                   reason="needs /dev/fd")
+
+
+@_NEEDS_DEV_FD
+def test_a_pipe_is_read_without_the_size_guard():
+    # a pipe's st_size is 0, which would refuse every header; its text is
+    # counted instead
+    field = _read_pipe(b"2 2 0 1 0.1 1\n1 2\n3 4\n")
     assert np.array_equal(field.values, [[1.0, 3.0], [2.0, 4.0]])
+
+
+@_NEEDS_DEV_FD
+def test_a_bad_token_in_a_pipe_is_named_at_its_line():
+    # a pipe cannot seek back for the line pass, so its text is kept
+    with pytest.raises(GrdParseError,
+                       match=r"^/dev/fd/\d+:3: unparseable value in row$"):
+        _read_pipe(b"2 2 0 1 0.1 1\n1 2\nx 4\n")
+
+
+@_NEEDS_DEV_FD
+def test_a_header_a_pipe_cannot_hold_allocates_nothing():
+    # the 72 MB values array of a 3000 x 3000 grid is never made for a
+    # pipe that carries one short row
+    tracemalloc.start()
+    try:
+        with pytest.raises(GrdParseError,
+                           match=r":2: expected 3000 values, got 2$"):
+            _read_pipe(b"3000 3000 0 1 0.1 1\n1 2\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_grd_missing_rows_and_missing_header(tmp_path):

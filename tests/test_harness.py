@@ -26,7 +26,7 @@ from sidecast.cli import main
 from sidecast.fields import GridSpec, RealField, l2_norm, l2_distance, \
     read_field, sample
 from sidecast.harness import (_G_SEED_OFFSET,
-                              _lattice_offsets, _symbol_rows, assemble_rhs,
+                              _lattice_offsets, _symbol_rows,
                               convergence_table, convolve2_causal,
                               default_data_grid, default_out_grid,
                               identity_residual,
@@ -36,6 +36,8 @@ from sidecast.harness import (_G_SEED_OFFSET,
 from sidecast.kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                               kernel_eval, s_hat, test_problem)
 from sidecast.regularizer import RegParams, reconstruct, region_for
+
+from direct_reference import identity_rhs
 
 # tiny box for symbol-row tests that never look at the box quadrature
 _TINY_BOX = dict(x_half=1.0, dx=0.5, t_max=0.02, dt=0.01)
@@ -488,9 +490,9 @@ class TestIdentityResidual:
 
 
 def _explicit_defect(v, f, g, out_grid):
-    """identity_residual's defect written out from assemble_rhs and
-    convolve2_causal, with no shortcut."""
-    rhs = assemble_rhs(f, g, out_grid).values
+    """identity_residual's defect written out from the reference
+    identity_rhs and convolve2_causal, with no shortcut."""
+    rhs = identity_rhs(f, g, out_grid).values
     lhs = convolve2_causal(S_SPEC, v, out_grid).values
     num = math.sqrt(out_grid.cell_area * float(np.sum((lhs - rhs) ** 2)))
     den = math.sqrt(out_grid.cell_area * float(np.sum(rhs ** 2)))
@@ -783,7 +785,7 @@ def test_kappa_calibration_takes_f_hat_in_closed_form(monkeypatch):
     f0 = sample(prob.f0, dg)
     window = region_for(RegParams(epsilon=0.01, gamma=1.0))
     sg = GridSpec.centered(window.zmax, 205, window.rmax, 205)
-    want = harness.dft2_forward(assemble_rhs(f0, sample(prob.g0, dg)),
+    want = harness.dft2_forward(identity_rhs(f0, sample(prob.g0, dg)),
                                 sg).values
     convolutions, spectra = [], []
     convolve_each = harness._convolve2_causal_each

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from sidecast.fields import (ComplexField, GridSpec, RealField, l2_distance,
                              l2_norm, sample)
-from sidecast.harness import (CONVOLUTION_FACTOR, assemble_rhs,
-                              convolve2_causal, dft2_forward, noisy_histories)
+from sidecast.harness import (CONVOLUTION_FACTOR, convolve2_causal,
+                              dft2_forward, identity_residual,
+                              noisy_histories)
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
 from sidecast.regularizer import (BoundReport, RegMode, RegParams,
                                   build_report, continue_sideways, cutoff_hm,
@@ -22,7 +23,7 @@ from sidecast.regularizer import (BoundReport, RegMode, RegParams,
                                   region_for, tail_energy)
 from sidecast.transform import SpectralWindow, dft2_lattice, idft2_windowed_at
 
-from direct_reference import window_contains
+from direct_reference import identity_rhs, window_contains
 
 # frozen from 50-digit evaluation of ln(4/eps^gamma)/(sqrt2 sqrt(sqrt2+1))
 B_001_10 = 2.72665476530690
@@ -169,23 +170,29 @@ def test_build_report_mode_fields():
     assert rep2.bound_l2 is None
 
 
-def test_assemble_rhs_zero_data_and_grid_mismatch():
+def test_identity_residual_zero_data_and_grid_mismatch():
     g = GridSpec(-2.0, 0.5, 9, 0.05, 0.1, 8)
     zero = RealField(g, np.zeros(g.shape))
-    assert np.all(assemble_rhs(zero, zero).values == 0.0)
+    assert identity_residual(zero, zero, zero) == 0.0
     g2 = GridSpec(-2.0, 0.5, 9, 0.05, 0.2, 8)
-    with pytest.raises(ValueError):
-        assemble_rhs(zero, RealField(g2, np.zeros(g2.shape)))
+    with pytest.raises(ValueError, match="share a grid"):
+        identity_residual(zero, zero, RealField(g2, np.zeros(g2.shape)))
 
 
-def test_assemble_rhs_reduces_to_signed_convolution_when_f_is_zero():
+def test_identity_residual_takes_f_zero_to_the_signed_convolution():
+    # with f = 0 the right-hand side is F = -(S*g), so the defect is
+    # |S*v + S*g| / |S*g| to the bit
     g = GridSpec(-3.0, 0.25, 25, 0.05, 0.1, 30)
     rng = np.random.Generator(np.random.Philox(17))
     gdat = RealField(g, rng.standard_normal(g.shape))
+    vdat = RealField(g, rng.standard_normal(g.shape))
     zero = RealField(g, np.zeros(g.shape))
     from sidecast.kernels import S_SPEC
-    want = -convolve2_causal(S_SPEC, gdat, g).values
-    assert np.array_equal(assemble_rhs(zero, gdat).values, want)
+    sv = convolve2_causal(S_SPEC, vdat, g).values
+    sg = convolve2_causal(S_SPEC, gdat, g).values
+    want = (math.sqrt(g.cell_area * float(np.sum((sv + sg) ** 2)))
+            / math.sqrt(g.cell_area * float(np.sum(sg ** 2))))
+    assert identity_residual(vdat, zero, gdat) == want
 
 
 def test_rhs_transform_matches_symbol_product_two_sided():
@@ -204,7 +211,7 @@ def test_rhs_transform_matches_symbol_product_two_sided():
     sg = GridSpec.centered(1.25 * w.zmax, 65, 1.25 * w.rmax, 65)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
-    f_hat = dft2_forward(assemble_rhs(f, g), sg)
+    f_hat = dft2_forward(identity_rhs(f, g), sg)
     Z, R = np.meshgrid(sg.x_nodes(), sg.t_nodes(), indexing="ij")
     W = np.sqrt(Z.astype(complex) ** 2 + 1j * R)
     keep = np.abs(W) > 0.3  # the exact transform has a 1/w pole at 0
@@ -251,7 +258,7 @@ def test_closed_form_agrees_with_the_convolution_route(pid, out_grid):
     f, g = noisy_histories(test_problem(pid), _COARSE_DATA, params.epsilon,
                            seed=11)
     v_hat, _, _ = reconstruct_spectrum((f, g), params, out_grid)
-    rhs_hat = dft2_forward(assemble_rhs(f, g), v_hat.grid)
+    rhs_hat = dft2_forward(identity_rhs(f, g), v_hat.grid)
     Z, R = np.meshgrid(v_hat.grid.x_nodes(), v_hat.grid.t_nodes(),
                        indexing="ij")
     divided = rhs_hat.values / (CONVOLUTION_FACTOR * s_hat(Z, R))
