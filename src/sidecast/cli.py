@@ -145,8 +145,12 @@ def _params_from(args):
         raise UsageError("--epsilon is required")
     try:
         if mode is RegMode.L2:
+            if args.m is not None:
+                raise UsageError("--m applies to hm mode only")
             gamma = 1.0 if args.gamma is None else args.gamma
             return RegParams(epsilon=args.epsilon, gamma=gamma, mode=mode)
+        if args.gamma is not None:
+            raise UsageError("--gamma applies to l2 mode only")
         if args.m is None:
             raise UsageError("--m is required in hm mode")
         return RegParams(epsilon=args.epsilon, m=args.m, mode=mode)
@@ -232,18 +236,17 @@ def cmd_reconstruct(args) -> int:
         rec = harness.run_experiment(args.problem, params, data_grid,
                                      out_grid, noise_seed)
         source = ["problem=%s" % args.problem.upper()]
-    harness.write_run(args.out, rec, params, source, noise_seed)
+    harness.write_run(args.out, rec, source, noise_seed)
 
-    report = rec.report
     if rec.measured_error is not None:
         print("measured_error=%s" % (_FMT % rec.measured_error))
-    if report.bound_l2 is not None:
+    if rec.bound_l2 is not None:
         # without the exact solution there is no tail term eta_hat
-        print(("bound_l2=%s" if report.eta_hat is not None else
-               "bound_l2 (tail-free part): %s") % (_FMT % report.bound_l2))
-    if report.eta_hat is not None:
-        print("eta_hat=%s" % (_FMT % report.eta_hat))
-    if params.mode is RegMode.HM and report.bound_hm is None:
+        print(("bound_l2=%s" if rec.eta_hat is not None else
+               "bound_l2 (tail-free part): %s") % (_FMT % rec.bound_l2))
+    if rec.eta_hat is not None:
+        print("eta_hat=%s" % (_FMT % rec.eta_hat))
+    if params.mode is RegMode.HM:
         print("no HM bound written: it needs C1, the Sobolev seminorm of "
               "the exact solution, which is not supplied")
     print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % args.out)
@@ -411,6 +414,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print("sidecast: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("sidecast: out of memory: %s" % exc, file=sys.stderr)
         return 2
 
 

@@ -25,8 +25,8 @@ from .fields import (ComplexField, GridSpec, RealField, _FMT, _finite_field,
                      write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                       gaussian_factor, kernel_eval, s_hat, test_problem)
-from .regularizer import (Reconstruction, RegMode, RegParams, reconstruct,
-                          region_for)
+from .regularizer import (Reconstruction, RegMode, RegParams, _c_constant,
+                          reconstruct, region_for)
 from .sinc import eval_expansion
 from .transform import TWO_PI, idft2_windowed_at
 
@@ -711,19 +711,19 @@ def run_experiment(problem: str, params: RegParams,
     return reconstruct(histories, params, og, v_exact=prob.v_exact)
 
 
-def write_run(out_dir, rec: Reconstruction, params: RegParams, source,
+def write_run(out_dir, rec: Reconstruction, source,
               noise_seed: Optional[int] = None) -> None:
     """v_eps.grd, v_eps.csv and manifest.txt of one run into out_dir.
 
     The manifest holds source, the lines naming the data (the problem, or
     the two GRD files), then one key=value line per value below that is
-    not None, floats at 17 digits: params, noise_seed (None for file
-    data), and the data grid, output grid, cutoff half-width, bound
-    report and measured error of rec. v_eps's values are formatted once,
-    for both files. No wall-clock data goes into the files, so a rerun
-    writes the same bytes.
+    not None, floats at 17 digits: rec's params, noise_seed (None for file
+    data), and the data grid, output grid, cutoff half-width, the bound
+    constant C, eta_hat, bound_l2 and measured error of rec. v_eps's
+    values are formatted once, for both files. No wall-clock data goes
+    into the files, so a rerun writes the same bytes.
     """
-    report = rec.report
+    params = rec.params
     values = [("mode", params.mode.value), ("epsilon", params.epsilon),
               ("gamma", params.gamma), ("m", params.m),
               ("noise_seed", noise_seed),
@@ -731,8 +731,8 @@ def write_run(out_dir, rec: Reconstruction, params: RegParams, source,
               ("out_grid", _grid_str(rec.v_eps.grid)),
               ("b_eps" if params.mode is RegMode.L2 else "a_eps",
                rec.window.zmax),
-              ("C", report.C), ("eta_hat", report.eta_hat),
-              ("bound_l2", report.bound_l2), ("bound_hm", report.bound_hm),
+              ("C", _c_constant()), ("eta_hat", rec.eta_hat),
+              ("bound_l2", rec.bound_l2),
               ("measured_error", rec.measured_error)]
     lines = list(source) + [
         "%s=%s" % (key, _FMT % value if isinstance(value, float) else value)
@@ -769,8 +769,8 @@ def convergence_table(problem: str, gamma: float,
         rec = run_experiment(problem, params, data_grid, out_grid, seed + i)
         rows.append(ConvergenceRow(epsilon=eps,
                                    measured_error=rec.measured_error,
-                                   bound=rec.report.bound_l2,
-                                   eta_hat=rec.report.eta_hat))
+                                   bound=rec.bound_l2,
+                                   eta_hat=rec.eta_hat))
     return rows
 
 

@@ -30,7 +30,6 @@ from .transform import (TWO_PI, SpectralWindow, dft2_lattice,
 __all__ = [
     "RegMode",
     "RegParams",
-    "BoundReport",
     "cutoff_l2",
     "cutoff_hm",
     "region_for",
@@ -38,7 +37,6 @@ __all__ = [
     "tail_energy",
     "error_bound_l2",
     "error_bound_hm",
-    "build_report",
     "Reconstruction",
     "reconstruct_spectrum",
     "reconstruct",
@@ -185,28 +183,7 @@ def error_bound_hm(epsilon: float, m: float, c1: float) -> float:
     _check_hm(epsilon, m)
     if not c1 > 0:
         raise ValueError("C1 must be positive, got %r" % (c1,))
-    return _d_constant(m, c1) * (-math.log(epsilon)) ** (-m)
-
-
-def _d_constant(m: float, c1: float) -> float:
-    return math.sqrt(c1 * (1.0 + 2.0 ** m))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated bound ingredients for one reconstruction.
-
-    eta_hat is present only when the exact solution was supplied for
-    validation; bound_l2 then includes it, otherwise bound_l2 reports the
-    tail-free part only. HM-mode fields appear when c1 was supplied.
-    """
-
-    C: float
-    eta_hat: Optional[float]
-    bound_l2: Optional[float]
-    C1: Optional[float] = None
-    D: Optional[float] = None
-    bound_hm: Optional[float] = None
+    return math.sqrt(c1 * (1.0 + 2.0 ** m)) * (-math.log(epsilon)) ** (-m)
 
 
 def _next_history(histories, name: str) -> RealField:
@@ -249,36 +226,27 @@ def reconstruct_spectrum(histories, params: RegParams, out_grid: GridSpec):
     return v_hat, window, data_grid
 
 
-def build_report(params: RegParams, eta_hat: Optional[float] = None,
-                 c1: Optional[float] = None) -> BoundReport:
-    """Evaluate whichever bounds the supplied ingredients allow."""
-    bound_l2 = None
-    if params.mode is RegMode.L2:
-        bound_l2 = error_bound_l2(params.epsilon, params.gamma,
-                                  eta_hat or 0.0)
-    d = bound_hm = None
-    if params.mode is RegMode.HM and c1 is not None:
-        d = _d_constant(params.m, c1)
-        bound_hm = error_bound_hm(params.epsilon, params.m, c1)
-    return BoundReport(C=_c_constant(), eta_hat=eta_hat, bound_l2=bound_l2,
-                       C1=c1, D=d, bound_hm=bound_hm)
-
-
 @dataclass(frozen=True)
 class Reconstruction:
-    """The record of one run of the pipeline: v_eps on the output grid,
-    its bound report, the cutoff window, the spectrum v_hat on the
-    window's lattice nodes (the Sinc series samples the same spectrum),
-    the grid the histories were sampled on, and measured_error, the L2
-    distance of v_eps from the exact solution on the output grid, which
-    is None when no exact solution was supplied. harness.write_run writes
-    a run from this record."""
+    """The record of one run of the pipeline: the params it ran with,
+    v_eps on the output grid, the cutoff window, the spectrum v_hat on
+    the window's lattice nodes (the Sinc series samples the same
+    spectrum) and the grid the histories were sampled on.
 
+    eta_hat, the spectral tail of the exact solution outside the window,
+    and measured_error, the L2 distance of v_eps from the exact solution
+    on the output grid, are None when no exact solution was supplied.
+    bound_l2 is the paper's L2 bound with eta_hat, or its tail-free part
+    without it; it is None in HM mode. harness.write_run writes a run
+    from this record."""
+
+    params: RegParams
     v_eps: RealField
-    report: BoundReport
     v_hat: ComplexField
     window: SpectralWindow
     data_grid: GridSpec
+    eta_hat: Optional[float] = None
+    bound_l2: Optional[float] = None
     measured_error: Optional[float] = None
 
 
@@ -315,7 +283,7 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
     v_exact, when given, is an evaluator used for validation only, and
     this is the one place that samples it. On the data grid, once both
     histories are transformed, its spectral tail outside the cutoff
-    becomes eta_hat in the report; on out_grid it gives the record's
+    becomes the record's eta_hat; on out_grid it gives the record's
     measured_error, l2_distance(v_eps, sample(v_exact, out_grid)).
     """
     v_hat, window, data_grid = reconstruct_spectrum(histories, params,
@@ -326,7 +294,9 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
     if v_exact is not None:
         eta = tail_energy(sample(v_exact, data_grid), window)
         measured = l2_distance(v_eps, sample(v_exact, out_grid))
-    return Reconstruction(v_eps=v_eps,
-                          report=build_report(params, eta_hat=eta),
-                          v_hat=v_hat, window=window, data_grid=data_grid,
-                          measured_error=measured)
+    bound = None
+    if params.mode is RegMode.L2:
+        bound = error_bound_l2(params.epsilon, params.gamma, eta or 0.0)
+    return Reconstruction(params=params, v_eps=v_eps, v_hat=v_hat,
+                          window=window, data_grid=data_grid, eta_hat=eta,
+                          bound_l2=bound, measured_error=measured)

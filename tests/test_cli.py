@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from sidecast import harness
 from sidecast.cli import (UsageError, _apply_thread_cap, _build_parser,
                           _load_config, _merge_config, _params_from,
                           _parse_grid, _parse_points, main)
@@ -142,6 +143,17 @@ class TestParamsFrom:
         with pytest.raises(UsageError, match="--m is required"):
             _params_from(_namespace(mode="hm", epsilon=1e-3))
 
+    @pytest.mark.parametrize("mode", [None, "l2"])
+    def test_m_is_refused_outside_hm_mode(self, mode):
+        with pytest.raises(UsageError, match="--m applies to hm mode only"):
+            _params_from(_namespace(mode=mode, epsilon=0.01, m=0.5))
+
+    def test_gamma_is_refused_in_hm_mode(self):
+        with pytest.raises(UsageError,
+                           match="--gamma applies to l2 mode only"):
+            _params_from(_namespace(mode="hm", epsilon=1e-4, m=0.5,
+                                    gamma=1.0))
+
     def test_unknown_mode(self):
         with pytest.raises(UsageError, match="mode must be"):
             _params_from(_namespace(mode="x3", epsilon=0.01))
@@ -234,6 +246,42 @@ class TestUsageExits:
         assert main(argv + ["--out", str(out)]) == 2
         assert ("--seed must be a non-negative integer, got -1"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,config,flag", [
+        (["--m", "0.5"], None, "--m"),
+        (["--mode", "hm", "--m", "0.5", "--gamma", "1"], None, "--gamma"),
+        ([], "m=0.5\n", "--m"),
+        (["--gamma", "1"], "mode=hm\nm=0.5\n", "--gamma"),
+    ], ids=["m-in-l2", "gamma-in-hm", "config-m-in-l2",
+            "config-gamma-in-hm"])
+    def test_inapplicable_mode_flag(self, argv, config, flag, tmp_path,
+                                    capsys):
+        # a flag the mode does not read is refused, not silently dropped
+        out = tmp_path / "out"
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert main(["reconstruct", "--problem", "p2", "--epsilon", "1e-4",
+                     "--out", str(out)] + argv) == 2
+        assert ("%s applies to" % flag) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory(self, monkeypatch, tmp_path, capsys):
+        # an allocation the host cannot serve is a usage exit, not a
+        # traceback; the run writes only after computing, so nothing is
+        # written
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(harness, "run_experiment", exhausted)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--problem", "p2", "--epsilon", "0.02",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "sidecast: out of memory: Unable to allocate 74.5 GiB for an "
+            "array\n")
         assert not out.exists()
 
     def test_missing_epsilon(self, capsys):
@@ -593,6 +641,13 @@ class TestSyntheticReconstruct:
                 "the exact solution, which is not supplied") in text
         with open(out / "manifest.txt") as fh:
             assert not any(ln.startswith("bound_") for ln in fh)
+        # the HM manifest replays its own run byte for byte
+        again = tmp_path / "again"
+        assert main(["reconstruct", "--config", str(out / "manifest.txt"),
+                     "--out", str(again)]) == 0
+        capsys.readouterr()
+        for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
+            assert (out / name).read_bytes() == (again / name).read_bytes()
 
     def test_manifest_reproduces_the_run(self, synthetic_run, tmp_path,
                                          capsys):

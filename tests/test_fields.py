@@ -17,8 +17,7 @@ from sidecast.fields import (_BLOCK_LINES, GridSpec, GrdParseError, RealField,
                              write_csv, write_field)
 from sidecast.harness import write_run
 from sidecast.kernels import test_problem
-from sidecast.regularizer import (Reconstruction, RegParams, build_report,
-                                  region_for)
+from sidecast.regularizer import Reconstruction, RegParams, region_for
 
 
 def test_grid_nodes_and_area():
@@ -298,10 +297,9 @@ def _written(tmp_path, field, name):
     alone = tmp_path / ("alone_" + name)
     (write_field if name.endswith(".grd") else write_csv)(field, alone)
     params = RegParams(epsilon=0.02, gamma=1.0)
-    rec = Reconstruction(v_eps=field, report=build_report(params),
-                         v_hat=None, window=region_for(params),
-                         data_grid=field.grid)
-    write_run(tmp_path / "run", rec, params, ["k=v"])
+    rec = Reconstruction(params=params, v_eps=field, v_hat=None,
+                         window=region_for(params), data_grid=field.grid)
+    write_run(tmp_path / "run", rec, ["k=v"])
     return alone, tmp_path / "run" / name
 
 

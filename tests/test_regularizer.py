@@ -16,9 +16,9 @@ from sidecast.harness import (CONVOLUTION_FACTOR, convolve2_causal,
                               dft2_forward, identity_residual,
                               noisy_histories)
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
-from sidecast.regularizer import (BoundReport, RegMode, RegParams,
-                                  build_report, continue_sideways, cutoff_hm,
-                                  cutoff_l2, error_bound_hm, error_bound_l2,
+from sidecast.regularizer import (RegMode, RegParams, _c_constant,
+                                  continue_sideways, cutoff_hm, cutoff_l2,
+                                  error_bound_hm, error_bound_l2,
                                   reconstruct, reconstruct_spectrum,
                                   region_for, tail_energy)
 from sidecast.transform import SpectralWindow, dft2_lattice, idft2_windowed_at
@@ -129,12 +129,12 @@ def test_region_shapes():
 
 
 def test_c_constant_value():
-    rep = build_report(RegParams(epsilon=0.01, gamma=1.0))
+    c = _c_constant()
     # (4 + 2||R||_1 + ||S||_1)^2 with the exact norms 2 pi and 4 pi; the
     # published rounding is 848.71
-    assert rep.C == pytest.approx(848.71661149946567, rel=1e-12)
-    assert abs(rep.C - 848.71) < 1e-2
-    assert rep.C == pytest.approx((4.0 + 8.0 * math.pi) ** 2, rel=5e-5)
+    assert c == pytest.approx(848.71661149946567, rel=1e-12)
+    assert abs(c - 848.71) < 1e-2
+    assert c == pytest.approx((4.0 + 8.0 * math.pi) ** 2, rel=5e-5)
 
 
 def test_error_bound_l2_values_and_checks():
@@ -153,21 +153,35 @@ def test_error_bound_hm_closed_case():
     # m = 1, C1 = 1, eps = e^{-10}: D = sqrt(3), bound = sqrt(3)/10
     got = error_bound_hm(math.exp(-10.0), 1.0, 1.0)
     assert got == pytest.approx(math.sqrt(3.0) / 10.0, rel=1e-14)
+    # C1 = 2, eps = 1e-5: D = sqrt(6), bound = sqrt(6)/ln(1e5)
+    assert error_bound_hm(1e-5, 1.0, 2.0) == pytest.approx(
+        math.sqrt(6.0) / math.log(1e5), rel=1e-12)
     with pytest.raises(ValueError):
         error_bound_hm(math.exp(-10.0), 1.0, 0.0)
 
 
-def test_build_report_mode_fields():
-    rep = build_report(RegParams(epsilon=0.01, gamma=1.0), eta_hat=0.25)
-    assert rep.eta_hat == 0.25
-    assert rep.bound_l2 == pytest.approx(
-        math.sqrt(rep.C * 0.01 + 0.25), rel=1e-14)
-    assert rep.bound_hm is None
-    hm = RegParams(epsilon=1e-5, m=1.0, mode=RegMode.HM)
-    rep2 = build_report(hm, c1=2.0)
-    assert rep2.D == pytest.approx(math.sqrt(2.0 * 3.0), rel=1e-14)
-    assert rep2.bound_hm == pytest.approx(rep2.D / math.log(1e5), rel=1e-12)
-    assert rep2.bound_l2 is None
+def test_record_carries_params_tail_and_bound():
+    prob = test_problem("P2")
+    dg = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 80)
+    og = GridSpec(0.0, 1.0 / 8, 9, 0.5, 0.3, 9)
+    f, g = sample(prob.f0, dg), sample(prob.g0, dg)
+    l2 = RegParams(epsilon=0.01, gamma=1.0)
+    rec = reconstruct((f, g), l2, og, v_exact=prob.v_exact)
+    assert rec.params is l2
+    assert rec.eta_hat > 0.0
+    assert rec.bound_l2 == pytest.approx(
+        math.sqrt(_c_constant() * 0.01 + rec.eta_hat), rel=1e-14)
+    # without the exact solution there is no tail, and the bound is its
+    # tail-free part
+    bare = reconstruct((f, g), l2, og)
+    assert bare.eta_hat is None and bare.measured_error is None
+    assert bare.bound_l2 == pytest.approx(math.sqrt(_c_constant() * 0.01),
+                                          rel=1e-14)
+    # HM mode has no L2 bound
+    hm = RegParams(epsilon=1e-4, m=0.5, mode=RegMode.HM)
+    rec_hm = reconstruct((f, g), hm, og, v_exact=prob.v_exact)
+    assert rec_hm.params is hm
+    assert rec_hm.eta_hat is not None and rec_hm.bound_l2 is None
 
 
 def test_identity_residual_zero_data_and_grid_mismatch():
@@ -374,7 +388,7 @@ def test_reconstruct_reports_the_full_band_tail():
     Z, R = np.meshgrid(band.x_nodes(), band.t_nodes(), indexing="ij")
     outside = ~window_contains(rec.window, Z, R)
     want = float(np.sum(np.abs(spec[outside]) ** 2)) * band.cell_area
-    assert rec.report.eta_hat == pytest.approx(want, rel=1e-9)
+    assert rec.eta_hat == pytest.approx(want, rel=1e-9)
 
 
 def test_spectrum_lattice_is_set_by_the_data_grid():
@@ -401,15 +415,15 @@ def test_reconstruct_small_p2_end_to_end():
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
     rec = reconstruct((f, g), params, og, v_exact=prob.v_exact)
-    v_eps, report = rec.v_eps, rec.report
+    v_eps = rec.v_eps
     exact = sample(prob.v_exact, og)
     rel = l2_norm(RealField(og, v_eps.values - exact.values)) / l2_norm(exact)
     assert rel < 0.3
-    assert report.eta_hat is not None and report.eta_hat >= 0.0
-    assert report.bound_l2 >= math.sqrt(report.C * 0.02)
+    assert rec.eta_hat is not None and rec.eta_hat >= 0.0
+    assert rec.bound_l2 >= math.sqrt(_c_constant() * 0.02)
     # without the exact solution no tail estimate is possible
-    rep2 = reconstruct((f, g), params, og).report
-    assert rep2.eta_hat is None and rep2.bound_l2 is not None
+    rec2 = reconstruct((f, g), params, og)
+    assert rec2.eta_hat is None and rec2.bound_l2 is not None
 
 
 def test_reconstruct_carries_the_divided_spectrum():
@@ -434,7 +448,9 @@ def test_streamed_and_tuple_histories_agree_to_the_bit():
                     params, og, v_exact=prob.v_exact)
     assert a.v_eps.values.tobytes() == b.v_eps.values.tobytes()
     assert a.v_hat.values.tobytes() == b.v_hat.values.tobytes()
-    assert a.report == b.report and a.window == b.window
+    assert (a.eta_hat, a.bound_l2, a.measured_error) == \
+        (b.eta_hat, b.bound_l2, b.measured_error)
+    assert a.params == b.params and a.window == b.window
 
 
 @pytest.mark.parametrize("streamed", [False, True])
