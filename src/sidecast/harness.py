@@ -76,17 +76,23 @@ def default_data_grid(nx: int = 513, nt: int = 2000,
                     t0=SINGULAR_OFFSET * dt, dt=dt, nt=nt)
 
 
+# the built-in problems' output windows in x; every one spans t in [0.1, 4]
+_X_WINDOWS = {"P1": (0.25, 1.3), "P2": (0.0, 1.0)}
+
+
+def _window_grid(problem: str, n: int) -> GridSpec:
+    """The n x n grid over a built-in problem's output window; an unknown
+    id is named by test_problem."""
+    lo, hi = _X_WINDOWS[test_problem(problem).id]
+    return GridSpec(x0=lo, dx=(hi - lo) / (n - 1), nx=n,
+                    t0=0.1, dt=(4.0 - 0.1) / (n - 1), nt=n)
+
+
 def default_out_grid(problem: str) -> GridSpec:
-    """Reconstruction window per problem: away from the t=0 data edge, and
-    inside the region where the band-limited surrogate is accurate."""
-    key = str(problem).upper()
-    if key == "P1":
-        return GridSpec(x0=0.25, dx=(1.3 - 0.25) / 128, nx=129,
-                        t0=0.1, dt=(4.0 - 0.1) / 128, nt=129)
-    if key == "P2":
-        return GridSpec(x0=0.0, dx=1.0 / 128, nx=129,
-                        t0=0.1, dt=(4.0 - 0.1) / 128, nt=129)
-    raise ValueError("no default output grid for problem %r" % (problem,))
+    """Reconstruction window per problem, 129^2 nodes: away from the t=0
+    data edge, and inside the region where the band-limited surrogate is
+    accurate."""
+    return _window_grid(problem, 129)
 
 
 def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
@@ -100,8 +106,8 @@ def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
 
     Philox keyed by the seed, so runs are reproducible across platforms;
     one draw is taken, since a standard normal draw of the whole grid is
-    zero only in principle. The callers return the clean trace for
-    epsilon = 0.
+    zero only in principle. At epsilon = 0 the draw is scaled to zeros, so
+    the sum is clean() to the bit for any trace that holds no -0.0.
     """
     if epsilon < 0:
         raise ValueError("noise level must be nonnegative, got %r" % (epsilon,))
@@ -113,12 +119,10 @@ def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
 
 
 def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
-    """Add white noise scaled to L2 size exactly epsilon; epsilon = 0
-    returns the field itself. The noise is _noisy's, so
-    noisy_histories draws the same bits. The caller holds the field, so
-    the norm's temporary sets this call's peak."""
-    if epsilon == 0.0:
-        return field
+    """Add white noise scaled to L2 size exactly epsilon, as a new field.
+    The noise is _noisy's, so noisy_histories draws the same bits. The
+    caller holds the field, so the norm's temporary sets this call's
+    peak."""
     return _noisy(lambda: field.values, field.grid, epsilon, seed)
 
 
@@ -131,9 +135,8 @@ def noisy_histories(prob, data_grid: GridSpec, epsilon: float, seed: int):
     drops f before asking for g, as reconstruct_spectrum does, holds one
     history at a time."""
     for fn, s in ((prob.f0, seed), (prob.g0, seed + _G_SEED_OFFSET)):
-        yield (sample(fn, data_grid) if epsilon == 0.0 else
-               _noisy(lambda: _node_values(fn, data_grid), data_grid,
-                      epsilon, s))
+        yield _noisy(lambda: _node_values(fn, data_grid), data_grid,
+                     epsilon, s)
 
 
 def kernel_l1_norm(spec: KernelSpec) -> float:
@@ -172,48 +175,42 @@ def dft2_forward(field: RealField, spectral_grid: GridSpec) -> ComplexField:
     x factor then meets only the nx x nr result. The same formula holds
     for complex values.
 
-    A real field's transform satisfies F(-z, -r) = conj F(z, r). On a
-    spectral grid whose nodes are symmetric about the origin on both axes
-    (an odd node count and the middle node at 0, as GridSpec.centered and
-    the lattice grids of dft2_lattice have), only the r >= 0 columns are
-    summed and the r < 0 columns are read off that symmetry, which halves
-    the work: kappa_calibration's two transforms (257 x 800 nodes onto
-    205^2) took 17-20 ms instead of 35-36 ms on one thread of a 2-core
-    Xeon. Any other grid, and any complex field, takes the full sum.
-
-    In that half-spectrum case, a field that is even in x to the bit on a
-    data grid whose x axis is symmetric about 0 with an odd node count
-    also has its x sum folded: the t sums are taken over the rows x >= 0
-    only, and sum_x e^{-izx} T(x) = T(0) + 2 sum_{x>0} cos(zx) T(x) weighs
-    them with the real w_x cos(z x), two real products in place of the
-    complex e^{-izx} one. P1's traces on default_data_grid are such
-    fields: with the fold, kappa_calibration on verify --quick's grid took
-    11-12 ms instead of 15-16 ms (medians of 15 calls in each of 4
-    interleaved pairs of processes, same host). A field one ulp off even
-    takes the unfolded sum.
+    One case takes half the t products and half the x sum. A real field's
+    transform satisfies F(-z, -r) = conj F(z, r), and a field that is even
+    in x to the bit, on a data grid whose x axis is symmetric about 0 with
+    an odd node count, has its x sum fold: sum_x e^{-izx} T(x) =
+    T(0) + 2 sum_{x>0} cos(zx) T(x). On a spectral grid whose nodes are
+    symmetric about the origin on both axes (an odd node count and the
+    middle node at 0, as GridSpec.centered and the lattice grids of
+    dft2_lattice have), such a field has only its r >= 0 columns summed,
+    over the rows x >= 0 with the real weights w_x cos(z x), and the
+    r < 0 columns are read off the conjugate symmetry. P1's traces on
+    default_data_grid are such fields: kappa_calibration on verify
+    --quick's grid took 9.3 ms with this case and 17.2 ms with the full
+    sum (medians of 15 calls, one BLAS thread of a 2-core Xeon). Any other
+    field, a field one ulp off even included, any other grid and any
+    complex field take the full sum.
     """
     g, sg = field.grid, spectral_grid
     v, xs, rs = field.values, g.x_nodes(), sg.t_nodes()
-    half = (np.isrealobj(v) and _symmetric_axis(sg.x0, sg.dx, sg.nx)
-            and _symmetric_axis(sg.t0, sg.dt, sg.nt))
-    fold = (half and _symmetric_axis(g.x0, g.dx, g.nx)
-            and np.array_equal(v, v[::-1]))
-    if half:
-        rs = rs[sg.nt // 2:]                                     # r >= 0
-    tr = np.outer(g.t_nodes(), rs)                               # (nt, nr)
-    if fold:
+    if (np.isrealobj(v) and _symmetric_axis(sg.x0, sg.dx, sg.nx)
+            and _symmetric_axis(sg.t0, sg.dt, sg.nt)
+            and _symmetric_axis(g.x0, g.dx, g.nx)
+            and np.array_equal(v, v[::-1])):
         v, xs = v[g.nx // 2:], xs[g.nx // 2:]                    # x >= 0
+        tr = np.outer(g.t_nodes(), rs[sg.nt // 2:])              # r >= 0
         # x = 0 once, every x > 0 for itself and its mirror -x
         cz = np.cos(np.outer(sg.x_nodes(), xs))
         cz[:, 1:] *= 2.0
         vals = cz @ (v @ np.cos(tr)) - 1j * (cz @ (v @ np.sin(tr)))
-    else:
-        right = v @ np.cos(tr) - 1j * (v @ np.sin(tr))           # (nx, nr)
-        vals = np.exp(-1j * np.outer(sg.x_nodes(), xs)) @ right
-    vals *= g.cell_area / TWO_PI
-    if half:
+        vals *= g.cell_area / TWO_PI
         # column -l is the conjugate of column l read from -z up
         vals = np.concatenate([np.conj(vals[::-1, :0:-1]), vals], axis=1)
+    else:
+        tr = np.outer(g.t_nodes(), rs)                           # (nt, nr)
+        right = v @ np.cos(tr) - 1j * (v @ np.sin(tr))           # (nx, nr)
+        vals = np.exp(-1j * np.outer(sg.x_nodes(), xs)) @ right
+        vals *= g.cell_area / TWO_PI
     return ComplexField(spectral_grid, vals)
 
 
@@ -256,7 +253,7 @@ def convolve2_causal(spec: KernelSpec, w: RealField,
 def _convolve2_causal_each(spec: KernelSpec, ws, out_grid: GridSpec):
     """Values of k_c * w on out_grid for each w of ws, which share one
     grid: convolve2_causal for several fields, forming k_c's lag box and
-    its spectrum once, and only if some w is nonzero.
+    its spectrum once. A zero field's FFTs give exact zeros.
 
     Each sum is one real FFT product on a circular lattice just long
     enough, per axis, that no wrapped term reaches a kept output; the kept
@@ -273,10 +270,6 @@ def _convolve2_causal_each(spec: KernelSpec, ws, out_grid: GridSpec):
         raise ValueError("output grid extends before the data grid's t0")
     ox, ot = _lattice_offsets(out_grid, gin)
     out = [np.zeros(out_grid.shape) for _ in ws]
-    # a zero field (P2's f) convolves to exact zeros without the FFTs
-    live = [n for n, w in enumerate(ws) if w.values.any()]
-    if not live:
-        return out
     dx, dt = gin.dx, gin.dt
 
     # forward time lags; lag 0 evaluates to 0 but keeps index bookkeeping flat
@@ -311,10 +304,10 @@ def _convolve2_causal_each(spec: KernelSpec, ws, out_grid: GridSpec):
                  _wrap_free_length(kv.shape[1], n_data_t, qs), real=True))
     k_hat = scipy.fft.rfft2(kv, shape)
     del kv
-    for n in live:
-        prod = scipy.fft.rfft2(ws[n].values[:, :n_data_t], shape)
+    for n, w in enumerate(ws):
+        prod = scipy.fft.rfft2(w.values[:, :n_data_t], shape)
         np.multiply(k_hat, prod, out=prod)
-        if n == live[-1]:
+        if n == len(ws) - 1:
             del k_hat
         # the inverse along x in place, then along t for the kept rows only
         rows = scipy.fft.ifft(prod, axis=0, overwrite_x=True)[ps[ok]]
@@ -339,7 +332,7 @@ def identity_residual(v: RealField, f: RealField, g: RealField,
     v, f, g share a grid; out_grid defaults to it and must be a sub-lattice
     of it, since the pointwise f term is read off by slicing, not
     interpolation. S*v and S*g come from one call that forms S's lag box
-    and spectrum once; R*f from another, which forms none for a zero f.
+    and spectrum once; R*f from another.
 
     When f is zero and v + g is zero at every node (v = -g to the bit),
     the defect is S*(v + g), the convolution of an exactly zero field, so
@@ -518,11 +511,11 @@ def kappa_calibration(data_grid: Optional[GridSpec] = None):
     times f0's transform; no convolution is formed. The spectra are taken
     by the matrix DFT on a fixed 205-node grid over the window,
     independently of the reconstruction's FFT lattice. That grid is
-    centered with odd counts and both fields are real, so dft2_forward
-    sums only its r >= 0 half and mirrors the rest. P1's traces are even
-    in x to the bit on default_data_grid's x axis, which is symmetric
-    about 0 with an odd node count, so dft2_forward also folds each x sum
-    onto x >= 0.
+    centered with odd counts, both fields are real, and P1's traces are
+    even in x to the bit on default_data_grid's x axis, which is symmetric
+    about 0 with an odd node count; so dft2_forward sums each field over
+    r >= 0 and x >= 0 only and mirrors the rest. A grid that lost any of
+    these would take the full sum, nearly twice the time.
     """
     prob = test_problem("P1")
     dg = data_grid if data_grid is not None else default_data_grid()
@@ -637,11 +630,9 @@ def verify_checks(quick: bool = False, points=None,
 
     n_id = 33 if quick else 65
     identity = []
-    for pid, x_lo, x_hi in (("P1", 0.25, 1.3), ("P2", 0.0, 1.0)):
+    for pid in _X_WINDOWS:
         prob = test_problem(pid)
-        window = GridSpec(x0=x_lo, dx=(x_hi - x_lo) / (n_id - 1), nx=n_id,
-                          t0=0.1, dt=(4.0 - 0.1) / (n_id - 1), nt=n_id)
-        in_grid, out_grid = refined_window_grid(window)
+        in_grid, out_grid = refined_window_grid(_window_grid(pid, n_id))
         v = sample(prob.v_exact, in_grid)
         f = sample(prob.f0, in_grid)
         g = sample(prob.g0, in_grid)
@@ -650,7 +641,8 @@ def verify_checks(quick: bool = False, points=None,
     worst_id = _worst(resid for _, resid in identity)
     records.append(CheckRecord("convolution identity residual", worst_id,
                                1e-2, worst_id <= 1e-2,
-                               "max over P1, P2: %.3e (tol 1e-2)" % worst_id))
+                               "max over %s: %.3e (tol 1e-2)"
+                               % (", ".join(_X_WINDOWS), worst_id)))
     return VerifyReport(box=box, symbol_rows=rows, noted=noted,
                         identity=tuple(identity), records=tuple(records))
 

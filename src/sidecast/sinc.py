@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, _open_grid, _value_text
+from .fields import GridSpec, _open_grid, _value_text, sample
 from .regularizer import RegParams, region_for
 
 __all__ = [
@@ -138,21 +138,17 @@ def build_expansion(v_eval, a_eps: float, n: int,
     band half-width the evaluator was truncated to, so the mesh is exactly
     the Nyquist spacing for it.
 
-    v_eval is called once, on the open grid of lattice nodes: x a column
-    (2N+1, 1) and t a row (1, 2N+1). A result that depends on one axis
-    only is broadcast to the (2N+1) x (2N+1) lattice. The windowed inverse
-    of a spectrum, lambda x, t: idft2_windowed_at(spec, x, t), samples it
-    by two matrix products. Time nodes with n < 0 are legitimate: the
-    band-limited extension exists on the whole plane even though the data
-    live on t > 0.
+    The samples are fields.sample(v_eval, sinc_lattice(a_eps, n)): one
+    call on the open grid of lattice nodes, a result broadcast to the
+    lattice, and a non-finite value at any node, inside kind's index set
+    or not, an error naming that node. The windowed inverse of a spectrum,
+    lambda x, t: idft2_windowed_at(spec, x, t), samples it by two matrix
+    products. Time nodes with n < 0 are legitimate: the band-limited
+    extension exists on the whole plane even though the data live on
+    t > 0.
     """
     grid = sinc_lattice(a_eps, n)
-    samples = np.asarray(v_eval(grid.x_nodes()[:, None],
-                                grid.t_nodes()[None, :]), dtype=float)
-    if samples.ndim not in (0, 2) or not set(samples.shape) <= {1, grid.nx}:
-        raise ValueError("evaluator returned shape %r for %d nodes"
-                         % (samples.shape, grid.nx * grid.nt))
-    return SincExpansion(grid.dx, kind, np.broadcast_to(samples, grid.shape))
+    return SincExpansion(grid.dx, kind, sample(v_eval, grid).values)
 
 
 def eval_expansion(exp: SincExpansion, x, t):

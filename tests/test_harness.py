@@ -81,7 +81,8 @@ class TestDefaultGrids:
         assert g.t0 + (g.nt - 1) * g.dt == pytest.approx(4.0, abs=1e-12)
 
     def test_out_grid_rejects_unknown_problem(self):
-        with pytest.raises(ValueError, match="no default output grid"):
+        with pytest.raises(ValueError, match=r"unknown test problem 'P9' "
+                           r"\(have P1, P2\)"):
             default_out_grid("P9")
 
     @pytest.mark.parametrize("give_data,give_out", [
@@ -124,8 +125,10 @@ class TestPerturb:
         return sample(test_problem("P1").f0, g)
 
     def test_zero_epsilon_is_identity(self):
+        # the draw is scaled to zeros, so the values are f's to the bit
         f = self._field()
-        assert perturb(f, 0.0, seed=3) is f
+        got = perturb(f, 0.0, seed=3)
+        assert got.values.tobytes() == f.values.tobytes()
 
     def test_noise_has_exact_l2_size(self):
         f = self._field()
@@ -408,12 +411,13 @@ class TestIdentityResidual:
         assert sum(kernel_calls.values()) == 0
 
     @pytest.mark.parametrize("case,want_calls", [
-        # v = -g except one node moved by one ulp
-        ("ulp", {S_SPEC: 1}),
+        # v = -g except one node moved by one ulp; R*f of the zero f is
+        # formed too
+        ("ulp", {S_SPEC: 1, R_SPEC: 1}),
         # v = -g with a nonzero f (P1's f0)
         ("nonzero-f", {S_SPEC: 1, R_SPEC: 1}),
         # v = +g: S*v and S*g share one lag box, and the defect reads 2
-        ("plus-g", {S_SPEC: 1}),
+        ("plus-g", {S_SPEC: 1, R_SPEC: 1}),
     ])
     def test_p2_variants_take_the_convolutions(self, identity_fields,
                                                kernel_calls, case,
@@ -818,6 +822,30 @@ def test_kappa_calibration_residuals_on_the_quick_grid():
     res_2pi, res_one = harness.kappa_calibration(dg)
     assert res_2pi == pytest.approx(0.05591152705664961, rel=1e-13)
     assert res_one == pytest.approx(0.8402282603920567, rel=1e-13)
+
+
+@pytest.mark.parametrize("dg", [
+    default_data_grid(), default_data_grid(nx=257, nt=800, dt=0.05)],
+    ids=["full", "quick"])
+def test_kappa_calibration_folds_both_transforms_on_verify_grids(monkeypatch,
+                                                                 dg):
+    # on verify's two data grids both of P1's transforms take the folded
+    # sum, which forms no complex exponential e^{-izx}; a grid that stopped
+    # folding would give the same residuals to rounding from the full sum,
+    # about four times the arithmetic
+    dft2_forward = harness.dft2_forward
+    folded = []
+
+    def without_exp(field, grid):
+        with monkeypatch.context() as m:
+            m.setattr(np, "exp", None)
+            out = dft2_forward(field, grid)
+        folded.append(field.grid)
+        return out
+
+    monkeypatch.setattr(harness, "dft2_forward", without_exp)
+    harness.kappa_calibration(dg)
+    assert folded == [dg, dg]
 
 
 def test_transform_imports_neither_scipy_nor_kernels():

@@ -110,10 +110,15 @@ def test_build_expansion_stores_node_samples():
         build_expansion(ev, a_eps=0.0, n=2)
     with pytest.raises(ValueError):
         build_expansion(ev, a_eps=1.0, n=0)
-    with pytest.raises(ValueError, match=r"m=-1, n=-1"):
-        # every node is bad; the error names the first lattice entry
+    with pytest.raises(ValueError, match=r"node \(i=0, j=0\)"):
+        # every node is bad; the error names the first one
         build_expansion(lambda x, t: np.full(np.shape(x), np.nan),
                         a_eps=1.0, n=1)
+    # a sample outside the triangular set is checked too: node (i=2, j=1)
+    # is the index (m=1, n=0), which the set drops
+    with pytest.raises(ValueError, match=r"node \(i=2, j=1\)"):
+        build_expansion(lambda x, t: np.where((x > 0) & (t == 0), np.nan, 1.0),
+                        a_eps=math.pi, n=1, kind=IndexSetKind.TRIANGULAR)
 
 
 def test_build_expansion_calls_its_evaluator_once_on_the_open_grid():
@@ -129,10 +134,11 @@ def test_build_expansion_calls_its_evaluator_once_on_the_open_grid():
     assert calls == [((7, 1), (1, 7))]
     want = np.cos(0.5 * np.arange(-3, 4))
     assert np.array_equal(exp.coeffs, np.repeat(want[:, None], 7, axis=1))
-    # a scalar is a constant series; a flat or mis-sized result is refused
+    # a scalar is a constant series; a result that does not broadcast to
+    # the lattice raises numpy's error, whose wording varies by version
     assert np.all(build_expansion(lambda x, t: 2.0, 1.0, 1).coeffs == 2.0)
     for bad in (lambda x, t: (x + t).ravel(), lambda x, t: x[:-1] + t):
-        with pytest.raises(ValueError, match="evaluator returned shape"):
+        with pytest.raises(ValueError, match="broadcast"):
             build_expansion(bad, a_eps=1.0, n=2)
 
 

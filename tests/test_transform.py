@@ -251,27 +251,9 @@ def _full_double_sum(field, sg):
     return (ez @ right) * (g.cell_area / (2.0 * math.pi))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 20), st.integers(2, 20), st.floats(0.05, 0.5),
-       st.floats(0.05, 0.5), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
-       st.floats(0.1, 4.0), st.integers(1, 20), st.floats(0.1, 4.0),
-       st.integers(1, 20), st.integers(0, 10 ** 6))
-def test_half_spectrum_on_a_centered_odd_grid_is_the_full_sum(
-        nx, nt, dx, dt, x0, t0, zmax, kz, rmax, kr, seed):
-    # the r >= 0 half is summed and the r < 0 half mirrored from it, which
-    # agrees with the full double sum to rounding
-    g = GridSpec(x0, dx, nx, t0, dt, nt)
-    rng = np.random.Generator(np.random.Philox(seed))
-    f = RealField(g, rng.standard_normal(g.shape))
-    sg = GridSpec.centered(zmax, 2 * kz + 1, rmax, 2 * kr + 1)
-    got = dft2_forward(f, sg).values
-    want = _full_double_sum(f, sg)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # the r < 0 columns are exactly the mirrored conjugates of r > 0
-    assert np.array_equal(got[:, :kr], np.conj(got[::-1, :kr:-1]))
-
-
 def test_half_spectrum_matches_the_literal_double_sum():
+    # a random field on a centered spectral grid cannot fold, so it takes
+    # the full sum
     g = GridSpec(-0.7, 0.31, 5, 0.1, 0.27, 4)
     rng = np.random.Generator(np.random.Philox(4))
     f = RealField(g, rng.standard_normal(g.shape))
@@ -279,41 +261,6 @@ def test_half_spectrum_matches_the_literal_double_sum():
     got = dft2_forward(f, sg).values
     want = dft2_direct(f, sg).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("sg,dtype", [
-    # the middle z node at 0.2, off the origin
-    (GridSpec(-0.8, 0.2, 11, -1.0, 0.2, 11), float),
-    # the middle r node at 0.2, off the origin
-    (GridSpec(-1.0, 0.2, 11, -0.8, 0.2, 11), float),
-    # even node counts: no node at the origin
-    (GridSpec.centered(2.0, 10, 2.0, 11), float),
-    (GridSpec.centered(2.0, 11, 2.0, 10), float),
-    # a complex field has no conjugate symmetry
-    (GridSpec.centered(2.0, 11, 2.0, 11), complex),
-])
-def test_other_grids_and_complex_fields_take_the_full_sum(sg, dtype):
-    g = GridSpec(-1.3, 0.29, 9, 0.02, 0.05, 30)
-    rng = np.random.Generator(np.random.Philox(6))
-    vals = rng.standard_normal(g.shape)
-    if dtype is complex:
-        f = ComplexField(g, vals + 1j * rng.standard_normal(g.shape))
-    else:
-        f = RealField(g, vals)
-    got = dft2_forward(f, sg).values
-    assert got.tobytes() == _full_double_sum(f, sg).tobytes()
-
-
-def _half_spectrum_sum(field, sg):
-    """The r >= 0 columns summed over every x node and the r < 0 columns
-    mirrored from them: dft2_forward's arithmetic when it does not fold
-    the x sum."""
-    g = field.grid
-    tr = np.outer(g.t_nodes(), sg.t_nodes()[sg.nt // 2:])
-    right = field.values @ np.cos(tr) - 1j * (field.values @ np.sin(tr))
-    ez = np.exp(-1j * np.outer(sg.x_nodes(), g.x_nodes()))
-    vals = (ez @ right) * (g.cell_area / (2.0 * math.pi))
-    return np.concatenate([np.conj(vals[::-1, :0:-1]), vals], axis=1)
 
 
 def _even_in_x(rng, g):
@@ -368,19 +315,53 @@ def _odd_in_x(rng, g):
     return vals
 
 
-@pytest.mark.parametrize("x0,values", [
-    (-1.2, _one_ulp_off_even),
-    (-1.2, _odd_in_x),
+def _real_normal(rng, g):
+    return rng.standard_normal(g.shape)
+
+
+def _complex_normal(rng, g):
+    return rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+
+
+# data grids whose x axis is off-center, and symmetric about 0
+_OFF_CENTER = GridSpec(-1.3, 0.29, 9, 0.02, 0.05, 30)
+_SYMMETRIC = GridSpec(-1.2, 0.3, 9, 0.02, 0.05, 30)
+_CENTERED_SG = GridSpec.centered(2.0, 11, 2.0, 11)
+
+
+@pytest.mark.parametrize("sg,g,values", [
+    # the middle z node at 0.2, off the origin
+    pytest.param(GridSpec(-0.8, 0.2, 11, -1.0, 0.2, 11), _OFF_CENTER,
+                 _real_normal, id="sg0-float"),
+    # the middle r node at 0.2, off the origin
+    pytest.param(GridSpec(-1.0, 0.2, 11, -0.8, 0.2, 11), _OFF_CENTER,
+                 _real_normal, id="sg1-float"),
+    # even node counts: no node at the origin
+    pytest.param(GridSpec.centered(2.0, 10, 2.0, 11), _OFF_CENTER,
+                 _real_normal, id="sg2-float"),
+    pytest.param(GridSpec.centered(2.0, 11, 2.0, 10), _OFF_CENTER,
+                 _real_normal, id="sg3-float"),
+    # a complex field has no conjugate symmetry
+    pytest.param(_CENTERED_SG, _OFF_CENTER, _complex_normal,
+                 id="sg4-complex"),
+    # real fields on a centered spectral grid that are not even in x to
+    # the bit: one ulp off even, and odd
+    pytest.param(_CENTERED_SG, _SYMMETRIC, _one_ulp_off_even,
+                 id="one-ulp-off-even"),
+    pytest.param(_CENTERED_SG, _SYMMETRIC, _odd_in_x, id="odd-in-x"),
     # an even array on an x axis whose middle node sits at 0.3
-    (-0.9, _even_in_x),
+    pytest.param(_CENTERED_SG, GridSpec(-0.9, 0.3, 9, 0.02, 0.05, 30),
+                 _even_in_x, id="even-off-center"),
+    # an even field whose spectral grid has its middle r node at 0.2
+    pytest.param(GridSpec(-1.0, 0.2, 11, -0.8, 0.2, 11), _SYMMETRIC,
+                 _even_in_x, id="even-r-off-origin"),
 ])
-def test_fields_that_cannot_fold_take_the_half_spectrum_sum(x0, values):
-    g = GridSpec(x0, 0.3, 9, 0.02, 0.05, 30)
-    rng = np.random.Generator(np.random.Philox(8))
-    f = RealField(g, values(rng, g))
-    sg = GridSpec.centered(2.0, 11, 2.0, 11)
+def test_other_grids_and_complex_fields_take_the_full_sum(sg, g, values):
+    rng = np.random.Generator(np.random.Philox(6))
+    vals = values(rng, g)
+    f = (ComplexField if np.iscomplexobj(vals) else RealField)(g, vals)
     got = dft2_forward(f, sg).values
-    assert got.tobytes() == _half_spectrum_sum(f, sg).tobytes()
+    assert got.tobytes() == _full_double_sum(f, sg).tobytes()
 
 
 def test_windowed_inverse_round_trips_a_smooth_field():
