@@ -135,6 +135,9 @@ def _merge_config(args) -> None:
 
 
 def _params_from(args):
+    """RegParams from the mode flags. A flag that does not apply to the
+    mode, or a missing one, is a UsageError; values RegParams refuses
+    stay its ValueError, which main reports with the same exit code 2."""
     from .regularizer import RegMode, RegParams
     mode_str = (args.mode or "l2").lower()
     try:
@@ -143,19 +146,16 @@ def _params_from(args):
         raise UsageError("mode must be 'l2' or 'hm', got %r" % (args.mode,))
     if args.epsilon is None:
         raise UsageError("--epsilon is required")
-    try:
-        if mode is RegMode.L2:
-            if args.m is not None:
-                raise UsageError("--m applies to hm mode only")
-            gamma = 1.0 if args.gamma is None else args.gamma
-            return RegParams(epsilon=args.epsilon, gamma=gamma, mode=mode)
-        if args.gamma is not None:
-            raise UsageError("--gamma applies to l2 mode only")
-        if args.m is None:
-            raise UsageError("--m is required in hm mode")
-        return RegParams(epsilon=args.epsilon, m=args.m, mode=mode)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if mode is RegMode.L2:
+        if args.m is not None:
+            raise UsageError("--m applies to hm mode only")
+        gamma = 1.0 if args.gamma is None else args.gamma
+        return RegParams(epsilon=args.epsilon, gamma=gamma, mode=mode)
+    if args.gamma is not None:
+        raise UsageError("--gamma applies to l2 mode only")
+    if args.m is None:
+        raise UsageError("--m is required in hm mode")
+    return RegParams(epsilon=args.epsilon, m=args.m, mode=mode)
 
 
 # ---------------------------------------------------------------- verify

@@ -91,16 +91,13 @@ class GridSpec:
         return cls(-xmax, dx, nx, -tmax, dt, nt)
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    a = np.ascontiguousarray(values, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class RealField:
     """Immutable float64 samples on a GridSpec; values[i, j] = value at
-    (x_i, t_j)."""
+    (x_i, t_j).
+
+    The values are scanned once for non-finite ones; a refusal names the
+    first such node in row-major order, its (i, j) with x and t."""
 
     grid: GridSpec
     values: np.ndarray
@@ -113,8 +110,14 @@ class RealField:
             raise ValueError("values shape %r does not match grid %r"
                              % (v.shape, self.grid.shape))
         if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _frozen_array(v, self._dtype))
+            i, j = map(int, np.argwhere(~np.isfinite(v))[0])
+            raise ValueError(
+                "non-finite field value at node (i=%d, j=%d), x=%.17g, "
+                "t=%.17g" % (i, j, self.grid.x_nodes()[i],
+                             self.grid.t_nodes()[j]))
+        v = np.ascontiguousarray(v)
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,22 +128,30 @@ class ComplexField(RealField):
 def sample(fn, grid: GridSpec) -> RealField:
     """Evaluate fn(x, t) at every node by one vectorized call on the open
     grid: x as a column (nx, 1) and t as a row (1, nt), so an elementwise
-    evaluator does its x-only and t-only work once per axis. The result
-    is broadcast to the grid's shape; an evaluator that cannot take
-    arrays, or whose result does not broadcast, raises its own error. A
-    non-finite value anywhere is an error naming the offending node.
+    evaluator does its x-only and t-only work once per axis. A 0-d or 2-D
+    result is broadcast to the grid's shape; a 1-D result is refused (see
+    _node_values). An evaluator that cannot take arrays, or whose result
+    does not broadcast, raises its own error, and RealField names the
+    first non-finite node.
     """
-    return _finite_field(grid, _node_values(fn, grid))
+    return RealField(grid, _node_values(fn, grid))
 
 
 def _node_values(fn, grid: GridSpec) -> np.ndarray:
-    """fn(x, t) at every node as sample evaluates it, unchecked: an array
-    of the grid's shape, possibly a read-only broadcast view. A caller
-    that adds it into an array of its own passes the sum to
-    _finite_field, so the values are scanned once."""
-    return np.broadcast_to(np.asarray(
-        fn(grid.x_nodes()[:, None], grid.t_nodes()[None, :]),
-        dtype=np.float64), grid.shape)
+    """fn(x, t) at every node as sample evaluates it, unchecked for
+    finiteness: an array of the grid's shape, possibly a read-only
+    broadcast view. A caller that adds it into an array of its own wraps
+    the sum in a RealField, so the values are scanned once.
+
+    A flat result is a ValueError: broadcasting would read it as a row,
+    as a function of t alone, even where it holds x values."""
+    vals = np.asarray(fn(grid.x_nodes()[:, None], grid.t_nodes()[None, :]),
+                      dtype=np.float64)
+    if vals.ndim == 1:
+        raise ValueError("evaluator returned a flat result of shape %r, "
+                         "which is not broadcast to the grid's shape %r"
+                         % (vals.shape, grid.shape))
+    return np.broadcast_to(vals, grid.shape)
 
 
 def _open_grid(x, t):
@@ -155,20 +166,6 @@ def _open_grid(x, t):
                          "row (1, m); got x of shape %r and t of shape %r"
                          % (xs.shape, ts.shape))
     return xs, ts
-
-
-def _finite_field(grid: GridSpec, vals: np.ndarray) -> RealField:
-    """RealField(grid, vals) for vals of the grid's shape. Its one
-    finiteness scan is the only one; when it refuses vals, the error names
-    the first non-finite node."""
-    try:
-        return RealField(grid, vals)
-    except ValueError:
-        i, j = map(int, np.argwhere(~np.isfinite(vals))[0])
-        raise ValueError(
-            "evaluator returned non-finite value at node (i=%d, j=%d), "
-            "x=%.17g, t=%.17g"
-            % (i, j, grid.x_nodes()[i], grid.t_nodes()[j])) from None
 
 
 def l2_norm(field) -> float:

@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import (ComplexField, GridSpec, RealField, _FMT, _finite_field,
-                     _node_values, _value_text, sample, write_csv,
-                     write_field)
+from .fields import (ComplexField, GridSpec, RealField, _FMT, _node_values,
+                     _value_text, sample, write_csv, write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                       gaussian_factor, kernel_eval, s_hat, test_problem)
 from .regularizer import (Reconstruction, RegMode, RegParams, _c_constant,
@@ -102,7 +101,8 @@ def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
     clean() called for the bare values of the trace and added into the
     draw. The sum is clean() + draw * (epsilon/norm) to the bit, since
     IEEE addition commutes, and it is the one array scanned for
-    non-finite values.
+    non-finite values, by the RealField it becomes, which names the first
+    such node.
 
     Philox keyed by the seed, so runs are reproducible across platforms;
     one draw is taken, since a standard normal draw of the whole grid is
@@ -115,7 +115,7 @@ def _noisy(clean, grid: GridSpec, epsilon: float, seed: int) -> RealField:
         grid.shape)
     draw *= epsilon / math.sqrt(grid.cell_area * float(np.sum(draw * draw)))
     draw += clean()
-    return _finite_field(grid, draw)
+    return RealField(grid, draw)
 
 
 def perturb(field: RealField, epsilon: float, seed: int) -> RealField:
@@ -130,7 +130,8 @@ def noisy_histories(prob, data_grid: GridSpec, epsilon: float, seed: int):
     """Yield f, then g: the problem's two histories sampled on data_grid,
     each with noise of L2 size epsilon; g's stream is seeded apart from
     f's. Each is perturb(sample(...)) to the bit, drawn noise first, with
-    the trace's bare values added into the draw (see _noisy), and the
+    the trace's bare values (fields._node_values, which refuses a flat
+    result as sample does) added into the draw (see _noisy), and the
     generator keeps no reference to what it yields, so a consumer that
     drops f before asking for g, as reconstruct_spectrum does, holds one
     history at a time."""
@@ -418,8 +419,8 @@ class SymbolRow:
 _SYMBOL_T_BLOCK = 128
 
 
-def _symbol_rows(points=None, x_half: float = 40.0, dx: float = 0.05,
-                 t_max: float = 400.0, dt: float = 0.005, closed_form=None):
+def _symbol_rows(points=None, *, x_half: float, dx: float, t_max: float,
+                 dt: float, closed_form=None):
     """Brute-force transform of the c=1 kernel at the probe points.
 
     One pass over the (x, t) box |x| <= x_half, 0 < t < t_max. The kernel

@@ -228,7 +228,8 @@ _PROBLEMS = {
 def test_problem(pid: str) -> TestProblem:
     key = str(pid).upper()
     if key not in _PROBLEMS:
-        raise ValueError("unknown test problem %r (have P1, P2)" % (pid,))
+        raise ValueError("unknown test problem %r (have %s)"
+                         % (pid, ", ".join(_PROBLEMS)))
     return _PROBLEMS[key]
 
 

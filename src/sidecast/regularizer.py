@@ -279,6 +279,8 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
                 v_exact=None) -> Reconstruction:
     """Full pipeline onto out_grid from the two histories, f then g, as
     reconstruct_spectrum takes and refuses them; returns the run's record.
+    v_eps samples the windowed inverse of v_hat on out_grid, as the Sinc
+    series does on its lattice.
 
     v_exact, when given, is an evaluator used for validation only, and
     this is the one place that samples it. On the data grid, once both
@@ -288,8 +290,7 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
     """
     v_hat, window, data_grid = reconstruct_spectrum(histories, params,
                                                     out_grid)
-    v_eps = RealField(out_grid, idft2_windowed_at(
-        v_hat, out_grid.x_nodes()[:, None], out_grid.t_nodes()[None, :]))
+    v_eps = sample(lambda x, t: idft2_windowed_at(v_hat, x, t), out_grid)
     eta = measured = None
     if v_exact is not None:
         eta = tail_energy(sample(v_exact, data_grid), window)

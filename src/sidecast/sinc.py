@@ -58,13 +58,12 @@ def index_lattice(kind: IndexSetKind, n: int):
     if n < 0:
         raise ValueError("index radius N must be >= 0, got %r" % (n,))
     rng = np.arange(-n, n + 1)
+    ms, ns = np.meshgrid(rng, rng, indexing="ij")
     if kind is IndexSetKind.SQUARE:
-        ms, ns = np.meshgrid(rng, rng, indexing="ij")
         return ms.ravel(), ns.ravel()
     if kind is IndexSetKind.TRIANGULAR:
-        ms, ns = np.meshgrid(rng, rng, indexing="ij")
         keep = np.abs(ms) <= np.abs(ns)
-        return ms[keep].ravel(), ns[keep].ravel()
+        return ms[keep], ns[keep]
     raise ValueError("unknown index set kind %r" % (kind,))
 
 

@@ -158,11 +158,17 @@ class TestParamsFrom:
         with pytest.raises(UsageError, match="mode must be"):
             _params_from(_namespace(mode="x3", epsilon=0.01))
 
-    def test_out_of_range_epsilon_becomes_usage_error(self):
-        # the admissibility check lives in the parameter class; the driver
-        # turns it into exit-code-2 material
-        with pytest.raises(UsageError):
-            _params_from(_namespace(epsilon=0.3, gamma=1.0))
+    def test_out_of_range_epsilon_exits_2_through_main(self, tmp_path,
+                                                       capsys):
+        # the admissibility check lives in the parameter class, and main
+        # reports its ValueError with exit code 2 before anything is written
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--problem", "p2", "--epsilon", "0.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "sidecast: epsilon must lie in (0, exp(-3/gamma) = 0.0497871) "
+            "for the rectangle cutoff, got 0.5\n")
+        assert not out.exists()
 
 
 class TestThreadCap:
@@ -591,6 +597,35 @@ class TestSincCommand:
         for name in ("sinc.txt", "sinc_eval.csv"):
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
+
+    def test_config_keys_run_as_the_flags_do(self, tmp_path, capsys):
+        # sinc_n and sinc_kind stand for --N and --index-set
+        grid = "129,500,-10,0.15625,0.0060544365719673,0.02"
+        cfg = tmp_path / "sinc.cfg"
+        cfg.write_text("problem=p2\nepsilon=0.02\nsinc_n=3\n"
+                       "sinc_kind=triangular\ndata_grid=%s\n" % grid)
+        outs = [tmp_path / "config", tmp_path / "flags"]
+        assert main(["sinc", "--config", str(cfg), "--out", str(outs[0])]) == 0
+        assert main(["sinc", "--problem", "p2", "--epsilon", "0.02",
+                     "--N", "3", "--index-set", "triangular",
+                     "--data-grid", grid, "--out", str(outs[1])]) == 0
+        assert capsys.readouterr().out.count(
+            "31 coefficients (triangular, N=3)") == 2
+        for name in ("sinc.txt", "sinc_eval.csv"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
+
+    def test_config_index_set_is_checked(self, tmp_path, capsys):
+        # argparse's choices guard --index-set; sinc_kind= reaches the
+        # command's own refusal
+        cfg = tmp_path / "sinc.cfg"
+        cfg.write_text("problem=p2\nepsilon=0.02\nsinc_n=3\n"
+                       "sinc_kind=hexagonal\n")
+        out = tmp_path / "out"
+        assert main(["sinc", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "sidecast: index set must be 'square' or 'triangular'\n")
+        assert not out.exists()
 
     def test_default_grids_given_or_not_write_the_same_bytes(self, tmp_path,
                                                             capsys):

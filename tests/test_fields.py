@@ -6,6 +6,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 from sidecast.fields import (_BLOCK_LINES, GridSpec, GrdParseError, RealField,
                              l2_distance, l2_norm, read_field, sample,
                              write_csv, write_field)
-from sidecast.harness import write_run
+from sidecast.harness import noisy_histories, write_run
 from sidecast.kernels import test_problem
 from sidecast.regularizer import Reconstruction, RegParams, region_for
+from sidecast.sinc import build_expansion
 
 
 def test_grid_nodes_and_area():
@@ -63,7 +65,7 @@ def test_field_rejects_bad_shape_and_nonfinite():
     g = GridSpec(0.0, 1.0, 2, 0.0, 1.0, 2)
     with pytest.raises(ValueError):
         RealField(g, np.zeros((3, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(i=0, j=1\), x=0, t=1$"):
         RealField(g, [[1.0, np.nan], [0.0, 0.0]])
 
 
@@ -98,6 +100,24 @@ def test_an_evaluator_that_cannot_take_the_open_grid_raises_its_error(
         fn, exc, msg):
     with pytest.raises(exc, match=msg):
         sample(fn, GridSpec(-1.0, 0.5, 5, 0.0, 0.25, 4))
+
+
+def test_a_flat_result_is_refused_not_read_as_a_row():
+    # on a square grid a flat result of length nt broadcasts as a row, so
+    # x values would silently become a function of t
+    g = GridSpec(-1.0, 0.5, 5, 0.0, 0.25, 5)
+
+    def flat_x(x, t):
+        return np.cos(x).ravel()
+
+    msg = r"shape \(5,\).*broadcast.*shape \(5, 5\)"
+    with pytest.raises(ValueError, match=msg):
+        sample(flat_x, g)
+    with pytest.raises(ValueError, match=r"shape \(3,\).*\(3, 3\)"):
+        build_expansion(flat_x, math.pi / 0.5, 1)
+    prob = SimpleNamespace(f0=flat_x, g0=flat_x)
+    with pytest.raises(ValueError, match=msg):
+        next(noisy_histories(prob, g, 0.02, seed=5))
 
 
 def test_sample_names_the_nonfinite_node():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sidecast.kernels as kernels
 from sidecast.harness import kernel_l1_norm
 from sidecast.kernels import (KernelSpec, R_SPEC, S_SPEC, SINGULAR_OFFSET,
                               _heat_family, gaussian_factor, kernel_eval,
@@ -232,8 +233,16 @@ def test_problem_p2_is_signed_layer():
 
 
 def test_problem_unknown_id():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'P3' \(have P1, P2\)$"):
         test_problem("P3")
+
+
+def test_problem_refusal_lists_the_table(monkeypatch):
+    # the ids in the refusal are the table's keys, so a new problem needs
+    # only its entry
+    monkeypatch.setitem(kernels._PROBLEMS, "P3", test_problem("P1"))
+    with pytest.raises(ValueError, match=r"'P4' \(have P1, P2, P3\)$"):
+        test_problem("P4")
 
 
 def _multiply_formula(power, c, x, t):
