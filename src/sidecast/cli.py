@@ -332,17 +332,18 @@ def cmd_convergence(args) -> int:
     gamma = 1.0 if args.gamma is None else args.gamma
     data_grid = _parse_grid(args.data_grid) if args.data_grid else None
     out_grid = _parse_grid(args.grid) if args.grid else None
-    rows = harness.convergence_table(problem, gamma, eps,
+    recs = harness.convergence_table(problem, gamma, eps,
                                      seed=args.seed or 0,
                                      data_grid=data_grid,
                                      out_grid=out_grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "convergence.csv")
-    harness.write_convergence_csv(rows, path)
+    harness.write_convergence_csv(recs, path)
     print("%12s %14s %14s %12s" % ("epsilon", "measured", "bound", "eta_hat"))
-    for row in rows:
-        print("%12.4e %14.6e %14.6e %12.4e"
-              % (row.epsilon, row.measured_error, row.bound, row.eta_hat))
+    for rec in recs:
+        print("%12.4e %14.6e %14.6e %12.4e" % (rec.params.epsilon,
+                                               rec.measured_error,
+                                               rec.bound_l2, rec.eta_hat))
     print("wrote %s" % path)
     return 0
 

@@ -31,7 +31,6 @@ from .transform import TWO_PI, idft2_windowed_at
 
 __all__ = [
     "CONVOLUTION_FACTOR",
-    "ConvergenceRow",
     "default_data_grid",
     "default_out_grid",
     "perturb",
@@ -327,13 +326,13 @@ def _wrap_free_length(n_lag: int, n_data: int, kept: np.ndarray) -> int:
 
 
 def identity_residual(v: RealField, f: RealField, g: RealField,
-                      out_grid: Optional[GridSpec] = None) -> float:
+                      out_grid: GridSpec) -> float:
     """Relative L2 defect of S*v = 2(R*f) - (S*g) + 4*pi*f on out_grid.
 
-    v, f, g share a grid; out_grid defaults to it and must be a sub-lattice
-    of it, since the pointwise f term is read off by slicing, not
-    interpolation. S*v and S*g come from one call that forms S's lag box
-    and spectrum once; R*f from another.
+    v, f, g share a grid, and out_grid must be a sub-lattice of it (the
+    shared grid itself included), since the pointwise f term is read off by
+    slicing, not interpolation. S*v and S*g come from one call that forms
+    S's lag box and spectrum once; R*f from another.
 
     When f is zero and v + g is zero at every node (v = -g to the bit),
     the defect is S*(v + g), the convolution of an exactly zero field, so
@@ -345,18 +344,18 @@ def identity_residual(v: RealField, f: RealField, g: RealField,
     """
     if not (v.grid == f.grid == g.grid):
         raise ValueError("v, f, g must share a grid")
-    og = out_grid if out_grid is not None else f.grid
-    ox, ot = _lattice_offsets(og, f.grid)
-    if ox < 0 or ot < 0 or ox + og.nx > f.grid.nx or ot + og.nt > f.grid.nt:
+    ox, ot = _lattice_offsets(out_grid, f.grid)
+    if (ox < 0 or ot < 0 or ox + out_grid.nx > f.grid.nx
+            or ot + out_grid.nt > f.grid.nt):
         raise ValueError("output grid must lie inside the data grid")
     if not f.values.any() and not (v.values + g.values).any():
         return 0.0
-    lhs, sg = _convolve2_causal_each(S_SPEC, [v, g], og)
-    rf = convolve2_causal(R_SPEC, f, og).values
-    fw = f.values[ox:ox + og.nx, ot:ot + og.nt]
+    lhs, sg = _convolve2_causal_each(S_SPEC, [v, g], out_grid)
+    rf = convolve2_causal(R_SPEC, f, out_grid).values
+    fw = f.values[ox:ox + out_grid.nx, ot:ot + out_grid.nt]
     rhs = 2.0 * rf - sg + (4.0 * math.pi) * fw
-    num = math.sqrt(og.cell_area * float(np.sum((lhs - rhs) ** 2)))
-    den = math.sqrt(og.cell_area * float(np.sum(rhs ** 2)))
+    num = math.sqrt(out_grid.cell_area * float(np.sum((lhs - rhs) ** 2)))
+    den = math.sqrt(out_grid.cell_area * float(np.sum(rhs ** 2)))
     return num / max(den, np.finfo(float).tiny)
 
 
@@ -419,9 +418,10 @@ class SymbolRow:
 _SYMBOL_T_BLOCK = 128
 
 
-def _symbol_rows(points=None, *, x_half: float, dx: float, t_max: float,
+def _symbol_rows(points, *, x_half: float, dx: float, t_max: float,
                  dt: float, closed_form=None):
-    """Brute-force transform of the c=1 kernel at the probe points.
+    """Brute-force transform of the c=1 kernel at the probe points (z, r),
+    on the box that verify_checks states, which also picks the panel.
 
     One pass over the (x, t) box |x| <= x_half, 0 < t < t_max. The kernel
     is even in x and the box is symmetric, so the x sum folds onto the
@@ -445,8 +445,6 @@ def _symbol_rows(points=None, *, x_half: float, dx: float, t_max: float,
     closed_form replaces the symbol being checked; the verify command uses
     it to prove the check can fail.
     """
-    if points is None:
-        points = DEFAULT_SYMBOL_POINTS
     closed_fn = closed_form if closed_form is not None else s_hat
     pts = [(float(z), float(r)) for z, r in points]
     n_half = int(round(x_half / dx))
@@ -500,12 +498,13 @@ def _symbol_rows(points=None, *, x_half: float, dx: float, t_max: float,
     return rows
 
 
-def kappa_calibration(data_grid: Optional[GridSpec] = None):
+def kappa_calibration(data_grid: GridSpec):
     """Residuals of kappa * S_hat * v0_hat = F_hat over the L2 cutoff
     region at epsilon = 0.01, gamma = 1, for kappa = 2*pi (the
     symmetric-transform convolution factor) and kappa = 1 (the competing
-    reading). Returns (res_2pi, res_1); the first should sit at quadrature
-    level, the second should be order one.
+    reading), with P1 sampled on data_grid, which verify_checks states.
+    Returns (res_2pi, res_1); the first should sit at quadrature level,
+    the second should be order one.
 
     On P1 the right-hand side is taken in closed form: the layer traces
     satisfy S*L_0 = 4*pi*L_1, so F = S*v0 = 4*pi*f0 and F_hat is 4*pi
@@ -519,11 +518,11 @@ def kappa_calibration(data_grid: Optional[GridSpec] = None):
     these would take the full sum, nearly twice the time.
     """
     prob = test_problem("P1")
-    dg = data_grid if data_grid is not None else default_data_grid()
     window = region_for(RegParams(epsilon=0.01, gamma=1.0))
     sg = GridSpec.centered(window.zmax, 205, window.rmax, 205)
-    f_hat = (4.0 * math.pi) * dft2_forward(sample(prob.f0, dg), sg).values
-    v0_hat = dft2_forward(sample(prob.v_exact, dg), sg).values
+    f_hat = (4.0 * math.pi) * dft2_forward(sample(prob.f0, data_grid),
+                                           sg).values
+    v0_hat = dft2_forward(sample(prob.v_exact, data_grid), sg).values
     sh = s_hat(sg.x_nodes()[:, None], sg.t_nodes()[None, :])
     den = math.sqrt(float(np.sum(np.abs(f_hat) ** 2)))
     out = []
@@ -580,11 +579,11 @@ def _worst(values) -> float:
 
 def verify_checks(quick: bool = False, points=None,
                   closed_form=None) -> VerifyReport:
-    """verify's checks and their verdicts; quick takes the coarse panel,
-    under the same tolerances.
+    """verify's checks and their verdicts, and the one statement of their
+    inputs; quick takes the coarse panel and grids, same tolerances.
 
-    1. The closed-form symbol against the box quadrature at points (the
-       default panel of _symbol_rows, or QUICK_SYMBOL_POINTS when quick),
+    1. The closed-form symbol against the box quadrature at points
+       (DEFAULT_SYMBOL_POINTS if None, or QUICK_SYMBOL_POINTS when quick),
        max relative error 1e-3; closed_form replaces the symbol checked.
     2. The masses of k_c for c = 1, 4, 16 against 4 pi/sqrt(c), max
        relative error 1e-3.
@@ -597,8 +596,8 @@ def verify_checks(quick: bool = False, points=None,
     """
     box = dict(x_half=40.0, dx=0.05, t_max=200.0 if quick else 400.0,
                dt=0.01 if quick else 0.005)
-    if points is None and quick:
-        points = QUICK_SYMBOL_POINTS
+    if points is None:
+        points = QUICK_SYMBOL_POINTS if quick else DEFAULT_SYMBOL_POINTS
     rows = _symbol_rows(points, closed_form=closed_form, **box)
     anchor = next((r for r in rows if (r.z, r.r) == (2.0, 0.0)), None)
     worst_short = max(rows, key=lambda r: r.shorthand_dev)
@@ -738,39 +737,26 @@ def write_run(out_dir, rec: Reconstruction, source,
         fh.write("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    epsilon: float
-    measured_error: float
-    bound: float
-    eta_hat: float
-
-
 def convergence_table(problem: str, gamma: float,
                       eps_list: Sequence[float], seed: int = 0,
                       data_grid: Optional[GridSpec] = None,
                       out_grid: Optional[GridSpec] = None):
-    """Reconstruction error vs noise level, one row per epsilon.
-
-    Rows are ordered by decreasing epsilon; the i-th row perturbs with
-    seed+i so no two levels share a noise draw.
+    """Reconstruction error vs noise level: the L2-mode run_experiment
+    Reconstruction of each epsilon, in decreasing epsilon; the i-th run
+    perturbs with seed+i so no two levels share a noise draw.
     """
-    rows = []
-    for i, eps in enumerate(sorted((float(e) for e in eps_list),
-                                   reverse=True)):
-        params = RegParams(epsilon=eps, gamma=gamma, mode=RegMode.L2)
-        rec = run_experiment(problem, params, data_grid, out_grid, seed + i)
-        rows.append(ConvergenceRow(epsilon=eps,
-                                   measured_error=rec.measured_error,
-                                   bound=rec.bound_l2,
-                                   eta_hat=rec.eta_hat))
-    return rows
+    levels = sorted((float(e) for e in eps_list), reverse=True)
+    return [run_experiment(problem, RegParams(epsilon=eps, gamma=gamma),
+                           data_grid, out_grid, seed + i)
+            for i, eps in enumerate(levels)]
 
 
-def write_convergence_csv(rows, path) -> None:
+def write_convergence_csv(recs, path) -> None:
+    """One line per convergence_table record: its epsilon, measured
+    error, bound_l2 and eta_hat, at 17 digits."""
     with open(path, "w") as fh:
         fh.write("epsilon,measured_error,bound,eta_hat\n")
-        for row in rows:
+        for rec in recs:
             fh.write("%s,%s,%s,%s\n" % (
-                _FMT % row.epsilon, _FMT % row.measured_error,
-                _FMT % row.bound, _FMT % row.eta_hat))
+                _FMT % rec.params.epsilon, _FMT % rec.measured_error,
+                _FMT % rec.bound_l2, _FMT % rec.eta_hat))

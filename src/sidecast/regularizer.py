@@ -280,7 +280,11 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
     """Full pipeline onto out_grid from the two histories, f then g, as
     reconstruct_spectrum takes and refuses them; returns the run's record.
     v_eps samples the windowed inverse of v_hat on out_grid, as the Sinc
-    series does on its lattice.
+    series does on its lattice. An out_grid that leaves the data interval
+    on either axis by more than rounding is a ValueError naming the axis
+    and both intervals: the identity is causal in t and the kernels are
+    Gaussian in x, so there v_eps would invert the zero padding. It is
+    checked after the alias refusal, which names a window that does both.
 
     v_exact, when given, is an evaluator used for validation only, and
     this is the one place that samples it. On the data grid, once both
@@ -290,6 +294,12 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
     """
     v_hat, window, data_grid = reconstruct_spectrum(histories, params,
                                                     out_grid)
+    for (axis, d0, d1), (_, o0, o1) in zip(_extents(data_grid),
+                                           _extents(out_grid)):
+        if min(o0 - d0, d1 - o1) < -1e-9 * (d1 - d0):
+            raise ValueError("output window %s in [%.6g, %.6g] leaves the "
+                             "data interval [%.6g, %.6g]"
+                             % (axis, o0, o1, d0, d1))
     v_eps = sample(lambda x, t: idft2_windowed_at(v_hat, x, t), out_grid)
     eta = measured = None
     if v_exact is not None:

@@ -385,6 +385,22 @@ class TestUsageExits:
         assert "use a shorter output window or a longer data grid" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, axis", [
+        ("129,129,0,0.0078125,45,0.1171875", "t"),   # t in [45, 60]
+        ("33,33,12,0.125,0.5,0.1", "x"),             # x in [12, 16]
+    ])
+    def test_output_window_outside_the_data(self, tmp_path, capsys, grid,
+                                            axis):
+        # the default data grid spans |x| <= 10 and t up to 39.986
+        out = tmp_path / "outside"
+        rc = main(["reconstruct", "--problem", "p2", "--epsilon", "0.02",
+                   "--grid", grid, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "output window %s in" % axis in err
+        assert "leaves the data interval" in err
+        assert not out.exists()
+
     def test_window_narrower_than_one_lattice_step(self, tmp_path, capsys):
         # 9 x nodes at dx = 0.125 pad to 18: the lattice step 2.79 in z
         # exceeds b_eps = 2.41 at eps = 0.02, so only z = 0 would be kept

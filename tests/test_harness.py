@@ -955,14 +955,28 @@ def test_p1_at_small_epsilon_stays_accurate():
     assert res.measured_error < 0.3
 
 
+def test_p2_holds_globally_in_time_across_the_data():
+    # the paper recovers v globally in time: bands of width 4 that tile
+    # the data's t range each stay under the run's bound and within 5% of
+    # |v| (relative 0.038 in the first band, 0.009-0.027 after it)
+    params = RegParams(epsilon=0.02, gamma=1.0)
+    v_exact = test_problem("P2").v_exact
+    for k in range(10):
+        t0, t1 = 0.1 + 4 * k, min(4.1 + 4 * k, 39.0)
+        og = GridSpec(0.0, 1.0 / 64, 65, t0, (t1 - t0) / 64, 65)
+        rec = run_experiment("P2", params, out_grid=og, noise_seed=3)
+        assert rec.measured_error <= rec.bound_l2
+        assert rec.measured_error <= 0.05 * l2_norm(sample(v_exact, og)), k
+
+
 class TestConvergenceTable:
     def test_rows_and_csv(self, tmp_path):
         rows = convergence_table("P1", 1.0, [0.02, 0.04], seed=3,
                                  data_grid=_coarse_data_grid(),
                                  out_grid=_coarse_out_grid_p1())
-        assert [row.epsilon for row in rows] == [0.04, 0.02]
+        assert [row.params.epsilon for row in rows] == [0.04, 0.02]
         for row in rows:
-            assert row.measured_error < row.bound
+            assert row.measured_error < row.bound_l2
             assert row.eta_hat > 0.0
         path = tmp_path / "conv.csv"
         write_convergence_csv(rows, str(path))
@@ -970,5 +984,5 @@ class TestConvergenceTable:
         assert lines[0] == "epsilon,measured_error,bound,eta_hat"
         assert len(lines) == 3
         got = [float(v) for v in lines[1].split(",")]
-        assert got[0] == rows[0].epsilon
+        assert got[0] == rows[0].params.epsilon
         assert got[1] == rows[0].measured_error

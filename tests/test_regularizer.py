@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from sidecast.fields import (ComplexField, GridSpec, RealField, l2_distance,
                              l2_norm, sample)
 from sidecast.harness import (CONVOLUTION_FACTOR, convolve2_causal,
-                              dft2_forward, identity_residual,
-                              noisy_histories)
+                              default_data_grid, dft2_forward,
+                              identity_residual, noisy_histories)
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
 from sidecast.regularizer import (RegMode, RegParams, _c_constant,
                                   continue_sideways, cutoff_hm, cutoff_l2,
@@ -187,10 +187,10 @@ def test_record_carries_params_tail_and_bound():
 def test_identity_residual_zero_data_and_grid_mismatch():
     g = GridSpec(-2.0, 0.5, 9, 0.05, 0.1, 8)
     zero = RealField(g, np.zeros(g.shape))
-    assert identity_residual(zero, zero, zero) == 0.0
+    assert identity_residual(zero, zero, zero, g) == 0.0
     g2 = GridSpec(-2.0, 0.5, 9, 0.05, 0.2, 8)
     with pytest.raises(ValueError, match="share a grid"):
-        identity_residual(zero, zero, RealField(g2, np.zeros(g2.shape)))
+        identity_residual(zero, zero, RealField(g2, np.zeros(g2.shape)), g)
 
 
 def test_identity_residual_takes_f_zero_to_the_signed_convolution():
@@ -206,7 +206,7 @@ def test_identity_residual_takes_f_zero_to_the_signed_convolution():
     sg = convolve2_causal(S_SPEC, gdat, g).values
     want = (math.sqrt(g.cell_area * float(np.sum((sv + sg) ** 2)))
             / math.sqrt(g.cell_area * float(np.sum(sg ** 2))))
-    assert identity_residual(vdat, zero, gdat) == want
+    assert identity_residual(vdat, zero, gdat, g) == want
 
 
 def test_rhs_transform_matches_symbol_product_two_sided():
@@ -523,3 +523,40 @@ def test_output_window_an_alias_period_wide_is_refused(out_grid, axis, span):
     # the same window shifted to the data is reconstructed
     near = GridSpec(0.0, 0.25, 5, 0.5, 1.0, 5)
     assert np.all(np.isfinite(reconstruct((f, g), params, near).v_eps.values))
+
+
+def _p2_default_histories():
+    dg = default_data_grid()
+    prob = test_problem("P2")
+    return dg, (sample(prob.f0, dg), sample(prob.g0, dg))
+
+
+@pytest.mark.parametrize("out_grid, axis, interval", [
+    # t in [45, 60], past the last data node at t = 39.986
+    (GridSpec(0.0, 0.0078125, 129, 45.0, 0.1171875, 129), "t",
+     "[0.00605444, 39.9861]"),
+    # x in [12, 16], past |x| <= 10
+    (GridSpec(12.0, 0.125, 33, 0.5, 0.1, 33), "x", "[-10, 10]"),
+    # t in [0, 3.2], before the first data node
+    (GridSpec(0.0, 0.125, 9, 0.0, 0.1, 33), "t", "[0.00605444, 39.9861]"),
+])
+def test_output_window_outside_the_data_is_refused(out_grid, axis,
+                                                     interval):
+    _, histories = _p2_default_histories()
+    with pytest.raises(ValueError, match=re.escape(
+            "output window %s in" % axis)) as exc:
+        reconstruct(histories, RegParams(epsilon=0.02, gamma=1.0), out_grid)
+    assert "leaves the data interval %s" % interval in str(exc.value)
+
+
+def test_output_window_ending_on_the_data_edges_is_reconstructed():
+    # the window's ends are computed as x0 + (n-1) dx, so they meet the
+    # data's first and last nodes only up to rounding: this one ends an
+    # ulp past the last t node
+    dg, histories = _p2_default_histories()
+    t_last = dg.t0 + (dg.nt - 1) * dg.dt
+    out = GridSpec(-10.0, 2.5, 9, t_last - 6 * 0.7, 0.7, 7)
+    assert 0.0 < out.t0 + (out.nt - 1) * out.dt - t_last < 1e-12
+    assert out.x0 + (out.nx - 1) * out.dx == 10.0
+    rec = reconstruct(histories, RegParams(epsilon=0.02, gamma=1.0), out)
+    assert np.all(np.isfinite(rec.v_eps.values))

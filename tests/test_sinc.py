@@ -134,8 +134,11 @@ def test_build_expansion_calls_its_evaluator_once_on_the_open_grid():
     assert calls == [((7, 1), (1, 7))]
     want = np.cos(0.5 * np.arange(-3, 4))
     assert np.array_equal(exp.coeffs, np.repeat(want[:, None], 7, axis=1))
-    # a scalar is a constant series; a result that does not broadcast to
-    # the lattice raises numpy's error, whose wording varies by version
+    # a scalar is a constant series. A result that does not broadcast to
+    # the lattice is a ValueError from one of two sources: the flat
+    # (x + t).ravel() is refused by fields._node_values' own flat-result
+    # message, and only x[:-1] + t reaches numpy, whose wording varies by
+    # version; both name "broadcast"
     assert np.all(build_expansion(lambda x, t: 2.0, 1.0, 1).coeffs == 2.0)
     for bad in (lambda x, t: (x + t).ravel(), lambda x, t: x[:-1] + t):
         with pytest.raises(ValueError, match="broadcast"):
