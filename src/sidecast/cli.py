@@ -227,7 +227,7 @@ def cmd_reconstruct(args) -> int:
             raise UsageError("--data-grid %s differs from the files' grid "
                              "%s" % (harness._grid_str(data_grid),
                                      harness._grid_str(f.grid)))
-        rec = reconstruct((f, read_field(args.g)), params, out_grid)
+        rec = reconstruct((f, read_field(args.g)), params, f.grid, out_grid)
         source, noise_seed = ["f_file=%s" % args.f, "g_file=%s" % args.g], None
     else:
         if args.problem is None:
@@ -260,7 +260,7 @@ def cmd_sinc(args) -> int:
 
     from . import harness
     from .fields import _FMT, sample, write_csv
-    from .regularizer import reconstruct_spectrum
+    from .regularizer import plan, reconstruct_spectrum
     from .sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                        build_expansion, eval_expansion, write_expansion)
     from .transform import idft2_windowed_at
@@ -282,11 +282,12 @@ def cmd_sinc(args) -> int:
 
     data_grid = _parse_grid(args.data_grid) if args.data_grid else None
     eval_grid = _parse_grid(args.grid) if args.grid else None
-    _, eval_grid, histories = harness.problem_inputs(
+    _, data_grid, eval_grid, histories = harness.problem_inputs(
         args.problem, params.epsilon, data_grid, eval_grid, args.seed or 0)
     # the reference inverse repeats with the alias period, as v_eps does,
-    # so the spectrum step refuses an evaluation box that spans one
-    v_hat, _, _ = reconstruct_spectrum(histories, params, eval_grid)
+    # so plan refuses an evaluation box that spans one
+    window = plan(params, data_grid, eval_grid)
+    v_hat = reconstruct_spectrum(histories, window, data_grid)
     square = build_expansion(lambda x, t: idft2_windowed_at(v_hat, x, t),
                              a_eps, args.n)
     # the square samples also give the triangular set and its dropped energy

@@ -25,7 +25,7 @@ from .fields import (ComplexField, GridSpec, RealField, _FMT, _node_values,
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                       gaussian_factor, kernel_eval, s_hat, test_problem)
 from .regularizer import (Reconstruction, RegMode, RegParams, _c_constant,
-                          reconstruct, region_for)
+                          plan, reconstruct, region_for)
 from .sinc import eval_expansion
 from .transform import TWO_PI, idft2_windowed_at
 
@@ -677,15 +677,15 @@ def problem_inputs(problem: str, epsilon: float,
                    out_grid: Optional[GridSpec] = None,
                    noise_seed: int = 0):
     """A built-in problem's inputs with the defaults applied: its
-    TestProblem, out_grid (default_out_grid(problem) if None) and the
-    noisy_histories stream of noise level epsilon on data_grid
-    (default_data_grid() if None), which draws nothing until it is read.
+    TestProblem, data_grid (default_data_grid() if None), out_grid
+    (default_out_grid(problem) if None) and the noisy_histories stream of
+    noise level epsilon on data_grid, which draws nothing until it is read.
     The problem is looked up first, so an unknown id is named before any
     grid default."""
     prob = test_problem(problem)
     dg = data_grid if data_grid is not None else default_data_grid()
     og = out_grid if out_grid is not None else default_out_grid(problem)
-    return prob, og, noisy_histories(prob, dg, epsilon, noise_seed)
+    return prob, dg, og, noisy_histories(prob, dg, epsilon, noise_seed)
 
 
 def run_experiment(problem: str, params: RegParams,
@@ -698,9 +698,9 @@ def run_experiment(problem: str, params: RegParams,
     grid. Returns the Reconstruction, which carries the data grid and the
     measured error; writes nothing (see write_run).
     """
-    prob, og, histories = problem_inputs(problem, params.epsilon, data_grid,
-                                         out_grid, noise_seed)
-    return reconstruct(histories, params, og, v_exact=prob.v_exact)
+    prob, dg, og, histories = problem_inputs(problem, params.epsilon,
+                                             data_grid, out_grid, noise_seed)
+    return reconstruct(histories, params, dg, og, v_exact=prob.v_exact)
 
 
 def write_run(out_dir, rec: Reconstruction, source,
@@ -743,12 +743,15 @@ def convergence_table(problem: str, gamma: float,
                       out_grid: Optional[GridSpec] = None):
     """Reconstruction error vs noise level: the L2-mode run_experiment
     Reconstruction of each epsilon, in decreasing epsilon; the i-th run
-    perturbs with seed+i so no two levels share a noise draw.
-    """
-    levels = sorted((float(e) for e in eps_list), reverse=True)
-    return [run_experiment(problem, RegParams(epsilon=eps, gamma=gamma),
-                           data_grid, out_grid, seed + i)
-            for i, eps in enumerate(levels)]
+    perturbs with seed+i so no two levels share a noise draw. Every level
+    is planned before the first run, so a refused one draws no noise."""
+    levels = [RegParams(epsilon=eps, gamma=gamma)
+              for eps in sorted((float(e) for e in eps_list), reverse=True)]
+    _, dg, og, _ = problem_inputs(problem, 0.0, data_grid, out_grid)
+    for params in levels:
+        plan(params, dg, og)
+    return [run_experiment(problem, params, dg, og, seed + i)
+            for i, params in enumerate(levels)]
 
 
 def write_convergence_csv(recs, path) -> None:

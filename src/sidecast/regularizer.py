@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import ComplexField, GridSpec, RealField, l2_distance, sample
 from .kernels import spectral_w
-from .transform import (TWO_PI, SpectralWindow, dft2_lattice,
+from .transform import (TWO_PI, SpectralWindow, _lattice, dft2_lattice,
                         idft2_windowed_at)
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "error_bound_l2",
     "error_bound_hm",
     "Reconstruction",
+    "plan",
     "reconstruct_spectrum",
     "reconstruct",
 ]
@@ -186,44 +187,59 @@ def error_bound_hm(epsilon: float, m: float, c1: float) -> float:
     return math.sqrt(c1 * (1.0 + 2.0 ** m)) * (-math.log(epsilon)) ** (-m)
 
 
-def _next_history(histories, name: str) -> RealField:
+def _extents(g: GridSpec):
+    return (("x", g.x0, g.x0 + (g.nx - 1) * g.dx),
+            ("t", g.t0, g.t0 + (g.nt - 1) * g.dt))
+
+
+def plan(params: RegParams, data_grid: GridSpec,
+         eval_grid: GridSpec) -> SpectralWindow:
+    """The cutoff window of params, after every refusal that needs only the
+    params and the grids, in order: region_for's, the Nyquist and one-step
+    refusals of transform._lattice, then the alias refusal. v_eps is a
+    trigonometric sum on the lattice, so on each axis it repeats with the
+    alias period P = 2 pi/step = L*d; an eval_grid that spans P together
+    with the data interval would read periodic copies: a ValueError."""
+    window = region_for(params)
+    (_, dz, _), (_, dr, _) = _lattice(data_grid, window)
+    periods = (TWO_PI / dz, TWO_PI / dr)
+    for (axis, d0, d1), (_, o0, o1), period in zip(
+            _extents(data_grid), _extents(eval_grid), periods):
+        span = max(o1, d1) - min(o0, d0)
+        if span >= period:
+            raise ValueError(
+                "output window %s in [%.6g, %.6g] and data interval "
+                "[%.6g, %.6g] together span %.6g, at least the alias period "
+                "P = %.6g of the reconstruction on that axis; use a shorter "
+                "output window or a longer data grid"
+                % (axis, o0, o1, d0, d1, span, period))
+    return window
+
+
+def _next_history(histories, name: str, data_grid: GridSpec) -> RealField:
     history = next(histories, None)
     if history is None:
         raise ValueError("the histories end before %s" % name)
+    if history.grid != data_grid:  # f is on it, so g is off f's grid
+        raise ValueError("f and g grids differ" if name == "g" else
+                         "f is not on the data grid")
     return history
 
 
-def reconstruct_spectrum(histories, params: RegParams, out_grid: GridSpec):
-    """Transform the two histories onto the data's FFT lattice and continue
-    them to the surface; returns (v_hat_eps, window, data_grid).
-
-    histories is an iterable of two RealFields, f then g: a tuple, or a
-    generator such as harness.noisy_histories. f is transformed and its
-    reference dropped before g is asked for, so a generator that keeps
-    no reference to what it yields has one history alive at a time.
-
-    v_hat_eps lives on the window's lattice nodes; the physical
-    reconstruction and the Sinc expansion both invert all of it, on
-    out_grid or in its box. dft2_lattice refuses a window past the data
-    Nyquist limits, where the data spectrum aliases, and one narrower
-    than a lattice step. An out_grid that spans an alias period together
-    with the data on either axis would read periodic copies, and is
-    refused once f's lattice is known; a g on another grid than f's, and
-    histories that end before g, are refused too. Each refusal is a
-    ValueError.
-    """
-    window = region_for(params)
+def reconstruct_spectrum(histories, window: SpectralWindow,
+                         data_grid: GridSpec) -> ComplexField:
+    """The data stage: v_hat_eps on the nodes of plan's window on the FFT
+    lattice of data_grid, from the two histories, f then g, an iterable
+    such as harness.noisy_histories. f is transformed and dropped before g
+    is asked for, so a generator that keeps no reference to what it yields
+    has one history alive at a time. Histories that end early, or one off
+    data_grid, are a ValueError."""
     histories = iter(histories)
-    f = _next_history(histories, "f")
-    data_grid = f.grid
+    f = _next_history(histories, "f", data_grid)
     f_hat = dft2_lattice(f, window)
     del f
-    _refuse_aliased_window(data_grid, out_grid, f_hat.grid)
-    g = _next_history(histories, "g")
-    if g.grid != data_grid:
-        raise ValueError("f and g grids differ")
-    v_hat = continue_sideways(f_hat, dft2_lattice(g, window))
-    return v_hat, window, data_grid
+    g = _next_history(histories, "g", data_grid)
+    return continue_sideways(f_hat, dft2_lattice(g, window))
 
 
 @dataclass(frozen=True)
@@ -250,41 +266,16 @@ class Reconstruction:
     measured_error: Optional[float] = None
 
 
-def _extents(g: GridSpec):
-    return (("x", g.x0, g.x0 + (g.nx - 1) * g.dx),
-            ("t", g.t0, g.t0 + (g.nt - 1) * g.dt))
-
-
-def _refuse_aliased_window(data: GridSpec, out: GridSpec,
-                           lattice: GridSpec) -> None:
-    """v_eps is a trigonometric sum on the spectral lattice, so on each axis
-    it repeats with the alias period P = 2 pi/step = L*d (the padded FFT
-    length times the data step). Once the output window and the data
-    interval together span P or more, some output node reads a periodic
-    copy of another node's value instead of its own: a ValueError."""
-    periods = (TWO_PI / lattice.dx, TWO_PI / lattice.dt)
-    for (axis, d0, d1), (_, o0, o1), period in zip(_extents(data),
-                                                    _extents(out), periods):
-        span = max(o1, d1) - min(o0, d0)
-        if span >= period:
-            raise ValueError(
-                "output window %s in [%.6g, %.6g] and data interval "
-                "[%.6g, %.6g] together span %.6g, at least the alias period "
-                "P = %.6g of the reconstruction on that axis; use a shorter "
-                "output window or a longer data grid"
-                % (axis, o0, o1, d0, d1, span, period))
-
-
-def reconstruct(histories, params: RegParams, out_grid: GridSpec,
-                v_exact=None) -> Reconstruction:
-    """Full pipeline onto out_grid from the two histories, f then g, as
-    reconstruct_spectrum takes and refuses them; returns the run's record.
-    v_eps samples the windowed inverse of v_hat on out_grid, as the Sinc
-    series does on its lattice. An out_grid that leaves the data interval
-    on either axis by more than rounding is a ValueError naming the axis
-    and both intervals: the identity is causal in t and the kernels are
-    Gaussian in x, so there v_eps would invert the zero padding. It is
-    checked after the alias refusal, which names a window that does both.
+def reconstruct(histories, params: RegParams, data_grid: GridSpec,
+                out_grid: GridSpec, v_exact=None) -> Reconstruction:
+    """Full pipeline onto out_grid from the two histories, f then g, on
+    data_grid; returns the run's record. plan runs first, then the
+    containment refusal: an out_grid that leaves the data interval on
+    either axis by more than rounding is a ValueError naming the axis and
+    both intervals, since the identity is causal in t and the kernels are
+    Gaussian in x, so there v_eps would invert the zero padding. Only then
+    does reconstruct_spectrum read the histories. v_eps samples the
+    windowed inverse of v_hat on out_grid, as the Sinc series does.
 
     v_exact, when given, is an evaluator used for validation only, and
     this is the one place that samples it. On the data grid, once both
@@ -292,14 +283,14 @@ def reconstruct(histories, params: RegParams, out_grid: GridSpec,
     becomes the record's eta_hat; on out_grid it gives the record's
     measured_error, l2_distance(v_eps, sample(v_exact, out_grid)).
     """
-    v_hat, window, data_grid = reconstruct_spectrum(histories, params,
-                                                    out_grid)
+    window = plan(params, data_grid, out_grid)
     for (axis, d0, d1), (_, o0, o1) in zip(_extents(data_grid),
                                            _extents(out_grid)):
         if min(o0 - d0, d1 - o1) < -1e-9 * (d1 - d0):
             raise ValueError("output window %s in [%.6g, %.6g] leaves the "
                              "data interval [%.6g, %.6g]"
                              % (axis, o0, o1, d0, d1))
+    v_hat = reconstruct_spectrum(histories, window, data_grid)
     v_eps = sample(lambda x, t: idft2_windowed_at(v_hat, x, t), out_grid)
     eta = measured = None
     if v_exact is not None:

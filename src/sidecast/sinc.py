@@ -94,8 +94,8 @@ class SincExpansion:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise ValueError("mesh spacing d must be positive")
+        if not 0 < self.d < math.inf:
+            raise ValueError("mesh spacing d must be finite and positive")
         full = np.asarray(self.coeffs, dtype=float)
         side = full.shape[0] if full.ndim == 2 else 0
         if full.shape != (side, side) or side % 2 == 0:

@@ -74,6 +74,26 @@ def _lattice_axis(n: int, step: float, half: float):
     return length, dw, int(math.floor((half + _tol(half)) / dw))
 
 
+def _lattice(grid: GridSpec, window: SpectralWindow):
+    """_lattice_axis of data on grid for x, then for t. A window reaching
+    the data Nyquist limits (+-pi/step share a bin) or narrower than one
+    lattice step (it keeps only the zero frequency) is a ValueError."""
+    lz, dz, kz = _lattice_axis(grid.nx, grid.dx, window.zmax)
+    lr, dr, kr = _lattice_axis(grid.nt, grid.dt, window.rmax)
+    if 2 * kz + 1 > lz or 2 * kr + 1 > lr:
+        raise ValueError(
+            "cutoff window |z| <= %.6g, |r| <= %.6g reaches the data Nyquist "
+            "limits pi/dx = %.6g, pi/dt = %.6g; use a finer data grid or a "
+            "smaller window" % (window.zmax, window.rmax, math.pi / grid.dx,
+                                math.pi / grid.dt))
+    if kz == 0 or kr == 0:
+        raise ValueError(
+            "cutoff window |z| <= %.6g, |r| <= %.6g is narrower than one "
+            "lattice step dz = %.6g, dr = %.6g of the padded data FFT; use a "
+            "longer data grid" % (window.zmax, window.rmax, dz, dr))
+    return (lz, dz, kz), (lr, dr, kr)
+
+
 def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
     """The rectangle-rule transform of harness.dft2_forward on the lattice
     of the zero-padded FFT of the data, cropped to the window's nodes.
@@ -81,10 +101,7 @@ def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
     Each axis is padded to L >= 2n nodes, so the lattice step is
     2 pi/(L step) and the alias period L step is at least twice the data
     extent. The crop keeps exactly the nodes inside the window, |k| <= K,
-    so the spectrum is its own window. Those 2K + 1 nodes must be distinct
-    bins, so a window reaching the data Nyquist limits, where +-pi/step
-    share a bin, is a ValueError; so is a window narrower than one lattice
-    step on either axis, which keeps only the zero frequency there.
+    so the spectrum is its own window; _lattice refuses one it cannot be.
 
     The values are the padded FFT's bins, but only the kept ones are
     formed: the x-stage is one real matrix product with [cos; -sin] of
@@ -94,19 +111,7 @@ def dft2_lattice(field: RealField, window: SpectralWindow) -> ComplexField:
     symmetry of the real data.
     """
     g = field.grid
-    lz, dz, kz = _lattice_axis(g.nx, g.dx, window.zmax)
-    lr, dr, kr = _lattice_axis(g.nt, g.dt, window.rmax)
-    if 2 * kz + 1 > lz or 2 * kr + 1 > lr:
-        raise ValueError(
-            "cutoff window |z| <= %.6g, |r| <= %.6g reaches the data Nyquist "
-            "limits pi/dx = %.6g, pi/dt = %.6g; use a finer data grid or a "
-            "smaller window" % (window.zmax, window.rmax, math.pi / g.dx,
-                                math.pi / g.dt))
-    if kz == 0 or kr == 0:
-        raise ValueError(
-            "cutoff window |z| <= %.6g, |r| <= %.6g is narrower than one "
-            "lattice step dz = %.6g, dr = %.6g of the padded data FFT; use a "
-            "longer data grid" % (window.zmax, window.rmax, dz, dr))
+    (lz, dz, kz), (lr, dr, kr) = _lattice(g, window)
     # reducing k i mod L_x keeps every angle in [0, 2 pi)
     ang = np.outer(np.arange(kz + 1), np.arange(g.nx)) % lz * (TWO_PI / lz)
     rows = np.concatenate([np.cos(ang), -np.sin(ang)]) @ field.values

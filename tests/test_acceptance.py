@@ -25,7 +25,8 @@ from sidecast.harness import (SINC_PROBE_GRID, _G_SEED_OFFSET,
                               kernel_l1_norm, perturb, refined_window_grid,
                               run_experiment, sinc_deviation)
 from sidecast.kernels import KernelSpec, R_SPEC, S_SPEC, test_problem
-from sidecast.regularizer import RegParams, _c_constant, reconstruct_spectrum
+from sidecast.regularizer import (RegParams, _c_constant, plan,
+                                  reconstruct_spectrum)
 from sidecast.sinc import (IndexSetKind, band_halfwidth, build_expansion,
                            eval_expansion, sinc_lattice)
 from sidecast.transform import idft2_windowed_at
@@ -133,7 +134,7 @@ def test_criterion_7_sinc_expansion(verdict):
     prob = test_problem("P1")
     f = perturb(sample(prob.f0, dg), params.epsilon, 0)
     g = perturb(sample(prob.g0, dg), params.epsilon, _G_SEED_OFFSET)
-    v_hat, _, _ = reconstruct_spectrum((f, g), params, dg)
+    v_hat = reconstruct_spectrum((f, g), plan(params, dg, dg), dg)
     a_eps = band_halfwidth(params)
 
     def ev(x, t):

@@ -91,7 +91,7 @@ class TestDefaultGrids:
             self, give_data, give_out):
         data = GridSpec(x0=-4.0, dx=0.25, nx=33, t0=0.05, dt=0.1, nt=40)
         out = _coarse_out_grid_p2()
-        prob, og, histories = problem_inputs(
+        prob, dg, og, histories = problem_inputs(
             "p2", 0.02, data if give_data else None,
             out if give_out else None, noise_seed=5)
         assert prob is test_problem("P2")
@@ -99,6 +99,7 @@ class TestDefaultGrids:
         f, g = histories
         assert f.grid == g.grid == (data if give_data
                                     else default_data_grid())
+        assert dg == f.grid
         want = noisy_histories(prob, f.grid, 0.02, 5)
         for got, ref in zip((f, g), want):
             assert np.array_equal(got.values, ref.values)
@@ -619,8 +620,9 @@ class TestSymbolValidation:
 
 # the reconstruction's own stages; a check that reaches one can no longer
 # catch it
-_FAST_PATH = {"dft2_lattice", "continue_sideways", "reconstruct_spectrum",
-              "reconstruct", "idft2_windowed_at", "tail_energy"}
+_FAST_PATH = {"plan", "dft2_lattice", "continue_sideways",
+              "reconstruct_spectrum", "reconstruct", "idft2_windowed_at",
+              "tail_energy"}
 
 
 def _names_reached(tree, roots):
@@ -929,7 +931,8 @@ class TestRunExperiment:
         og = _coarse_out_grid_p1()
         f0 = sample(prob.f0, cfg.data_grid)
         g0 = sample(prob.g0, cfg.data_grid)
-        rec = reconstruct((f0, g0), cfg.params, og, v_exact=prob.v_exact)
+        rec = reconstruct((f0, g0), cfg.params, cfg.data_grid, og,
+                          v_exact=prob.v_exact)
         measured = l2_distance(rec.v_eps, sample(prob.v_exact, og))
         assert rec.eta_hat is not None
         assert measured < rec.bound_l2
@@ -939,7 +942,7 @@ class TestRunExperiment:
         prob = test_problem(cfg.problem)
         f, g = noisy_histories(prob, cfg.data_grid, cfg.params.epsilon,
                                cfg.noise_seed)
-        rec = reconstruct((f, g), cfg.params, cfg.out_grid,
+        rec = reconstruct((f, g), cfg.params, cfg.data_grid, cfg.out_grid,
                           v_exact=prob.v_exact)
         np.testing.assert_array_equal(rec.v_eps.values, res.v_eps.values)
         assert (rec.eta_hat, rec.bound_l2, rec.measured_error) == \
@@ -967,6 +970,45 @@ def test_p2_holds_globally_in_time_across_the_data():
         rec = run_experiment("P2", params, out_grid=og, noise_seed=3)
         assert rec.measured_error <= rec.bound_l2
         assert rec.measured_error <= 0.05 * l2_norm(sample(v_exact, og)), k
+
+
+
+def _forbid_noise(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused run drew noise")
+    monkeypatch.setattr(harness, "_noisy", refuse)
+
+
+@pytest.mark.parametrize("run,match", [
+    # at eps = 1e-10, gamma = 1.9 the window reaches r = 421.9 > pi/dt
+    (lambda: run_experiment("P1", RegParams(epsilon=1e-10, gamma=1.9)),
+     "Nyquist"),
+    # t in [0.5, 160.5] spans two alias periods of the default data grid
+    (lambda: run_experiment("P2", RegParams(epsilon=0.02, gamma=1.0),
+                            out_grid=GridSpec(0.0, 0.25, 5, 0.5, 2.5, 65)),
+     "alias period"),
+    # t in [45, 60] lies past the last data node
+    (lambda: run_experiment("P2", RegParams(epsilon=0.02, gamma=1.0),
+                            out_grid=GridSpec(0.0, 0.0078125, 129, 45.0,
+                                              0.1171875, 129)),
+     "leaves the data interval"),
+    # only the third level is refused, and no level runs before it is
+    (lambda: convergence_table("P1", 1.0, [0.04, 0.02, 1e-40]), "Nyquist"),
+], ids=["nyquist", "alias", "late-window", "convergence"])
+def test_a_refused_run_draws_no_noise(monkeypatch, run, match):
+    _forbid_noise(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        run()
+
+
+def test_a_refused_sinc_box_draws_no_noise(monkeypatch, tmp_path, capsys):
+    _forbid_noise(monkeypatch)
+    out = tmp_path / "sinc"
+    rc = main(["sinc", "--problem", "p2", "--epsilon", "0.02", "--N", "10",
+               "--grid", "5,65,0,0.25,0.5,2.5", "--out", str(out)])
+    assert rc == 2
+    assert "alias period" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConvergenceTable:

@@ -83,7 +83,8 @@ def _histories(grid, seed):
 
 
 def _v(histories, params, out_grid):
-    return reconstruct(histories, params, out_grid).v_eps.values
+    return reconstruct(histories, params, histories[0].grid,
+                       out_grid).v_eps.values
 
 
 def _moved(grid, x, t):
@@ -165,7 +166,7 @@ def test_the_spectrum_of_real_data_is_conjugate_symmetric(case):
     # v_hat(-z, -r) = conj v_hat(z, r); the z < 0 rows are built as
     # conjugates, but the z = 0 row comes from an FFT and cosh
     params, data, out, seed = case
-    v_hat = reconstruct(_histories(data, seed), params, out).v_hat
+    v_hat = reconstruct(_histories(data, seed), params, data, out).v_hat
     grid, vals = v_hat.grid, v_hat.values
     assert grid.x0 == -(grid.nx // 2) * grid.dx
     assert grid.t0 == -(grid.nt // 2) * grid.dt
@@ -199,8 +200,8 @@ def test_a_refused_case_stays_refused_after_translation(case, refusal,
         match = "Nyquist" if refusal == "nyquist" else "lattice step"
     f, g = _histories(data, seed)
     with pytest.raises(ValueError, match=match):
-        reconstruct((f, g), params, out)
+        reconstruct((f, g), params, data, out)
     moved = _moved(data, k * data.dx, j * data.dt)
     with pytest.raises(ValueError, match=match):
         reconstruct((RealField(moved, f.values), RealField(moved, g.values)),
-                    params, _moved(out, k * data.dx, j * data.dt))
+                    params, moved, _moved(out, k * data.dx, j * data.dt))

@@ -18,7 +18,7 @@ from sidecast.harness import (CONVOLUTION_FACTOR, convolve2_causal,
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
 from sidecast.regularizer import (RegMode, RegParams, _c_constant,
                                   continue_sideways, cutoff_hm, cutoff_l2,
-                                  error_bound_hm, error_bound_l2,
+                                  error_bound_hm, error_bound_l2, plan,
                                   reconstruct, reconstruct_spectrum,
                                   region_for, tail_energy)
 from sidecast.transform import SpectralWindow, dft2_lattice, idft2_windowed_at
@@ -166,20 +166,20 @@ def test_record_carries_params_tail_and_bound():
     og = GridSpec(0.0, 1.0 / 8, 9, 0.5, 0.3, 9)
     f, g = sample(prob.f0, dg), sample(prob.g0, dg)
     l2 = RegParams(epsilon=0.01, gamma=1.0)
-    rec = reconstruct((f, g), l2, og, v_exact=prob.v_exact)
+    rec = reconstruct((f, g), l2, dg, og, v_exact=prob.v_exact)
     assert rec.params is l2
     assert rec.eta_hat > 0.0
     assert rec.bound_l2 == pytest.approx(
         math.sqrt(_c_constant() * 0.01 + rec.eta_hat), rel=1e-14)
     # without the exact solution there is no tail, and the bound is its
     # tail-free part
-    bare = reconstruct((f, g), l2, og)
+    bare = reconstruct((f, g), l2, dg, og)
     assert bare.eta_hat is None and bare.measured_error is None
     assert bare.bound_l2 == pytest.approx(math.sqrt(_c_constant() * 0.01),
                                           rel=1e-14)
     # HM mode has no L2 bound
     hm = RegParams(epsilon=1e-4, m=0.5, mode=RegMode.HM)
-    rec_hm = reconstruct((f, g), hm, og, v_exact=prob.v_exact)
+    rec_hm = reconstruct((f, g), hm, dg, og, v_exact=prob.v_exact)
     assert rec_hm.params is hm
     assert rec_hm.eta_hat is not None and rec_hm.bound_l2 is None
 
@@ -271,7 +271,8 @@ def test_closed_form_agrees_with_the_convolution_route(pid, out_grid):
     params = RegParams(epsilon=0.02, gamma=1.0)
     f, g = noisy_histories(test_problem(pid), _COARSE_DATA, params.epsilon,
                            seed=11)
-    v_hat, _, _ = reconstruct_spectrum((f, g), params, out_grid)
+    v_hat = reconstruct_spectrum(
+        (f, g), plan(params, _COARSE_DATA, out_grid), _COARSE_DATA)
     rhs_hat = dft2_forward(identity_rhs(f, g), v_hat.grid)
     Z, R = np.meshgrid(v_hat.grid.x_nodes(), v_hat.grid.t_nodes(),
                        indexing="ij")
@@ -300,9 +301,9 @@ def test_window_past_the_data_nyquist_limit_is_rejected(axis, scale, past):
         limits = "Nyquist limits pi/dx = %.6g, pi/dt = %.6g" % (
             math.pi / dx, math.pi / dt)
         with pytest.raises(ValueError, match=re.escape(limits)):
-            reconstruct_spectrum((f, g), params, dg)
+            reconstruct_spectrum((f, g), plan(params, dg, dg), dg)
     else:
-        v_hat, _, _ = reconstruct_spectrum((f, g), params, dg)
+        v_hat = reconstruct_spectrum((f, g), plan(params, dg, dg), dg)
         assert np.all(np.isfinite(v_hat.values))
 
 
@@ -378,7 +379,8 @@ def test_reconstruct_reports_the_full_band_tail():
     dg = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 80)
     params = RegParams(epsilon=0.02, gamma=1.0)
     f, g = sample(prob.f0, dg), sample(prob.g0, dg)
-    rec = reconstruct((f, g), params, GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9),
+    rec = reconstruct((f, g), params, dg,
+                      GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9),
                       v_exact=prob.v_exact)
     v0 = sample(prob.v_exact, dg)
     lx, lt, lat = _lattice_bins(v0, rec.window)
@@ -397,7 +399,8 @@ def test_spectrum_lattice_is_set_by_the_data_grid():
     # nodes, so one more step on either side lies outside it
     params = RegParams(epsilon=0.01, gamma=1.0)
     f, g = noisy_histories(test_problem("P1"), _COARSE_DATA, 0.01, seed=0)
-    v_hat, w, _ = reconstruct_spectrum((f, g), params, _COARSE_DATA)
+    w = plan(params, _COARSE_DATA, _COARSE_DATA)
+    v_hat = reconstruct_spectrum((f, g), w, _COARSE_DATA)
     lat = v_hat.grid
     assert 2.0 * math.pi / lat.dx >= 2 * _COARSE_DATA.nx * _COARSE_DATA.dx
     assert 2.0 * math.pi / lat.dt >= 2 * _COARSE_DATA.nt * _COARSE_DATA.dt
@@ -414,7 +417,7 @@ def test_reconstruct_small_p2_end_to_end():
     params = RegParams(epsilon=0.02, gamma=1.0)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
-    rec = reconstruct((f, g), params, og, v_exact=prob.v_exact)
+    rec = reconstruct((f, g), params, dg, og, v_exact=prob.v_exact)
     v_eps = rec.v_eps
     exact = sample(prob.v_exact, og)
     rel = l2_norm(RealField(og, v_eps.values - exact.values)) / l2_norm(exact)
@@ -422,7 +425,7 @@ def test_reconstruct_small_p2_end_to_end():
     assert rec.eta_hat is not None and rec.eta_hat >= 0.0
     assert rec.bound_l2 >= math.sqrt(_c_constant() * 0.02)
     # without the exact solution no tail estimate is possible
-    rec2 = reconstruct((f, g), params, og)
+    rec2 = reconstruct((f, g), params, dg, og)
     assert rec2.eta_hat is None and rec2.bound_l2 is not None
 
 
@@ -432,8 +435,9 @@ def test_reconstruct_carries_the_divided_spectrum():
     og = GridSpec(0.0, 1.0 / 8, 9, 0.5, 0.3, 9)
     params = RegParams(epsilon=0.02, gamma=1.0)
     f, g = sample(prob.f0, dg), sample(prob.g0, dg)
-    rec = reconstruct((f, g), params, og)
-    v_hat, window, _ = reconstruct_spectrum((f, g), params, og)
+    rec = reconstruct((f, g), params, dg, og)
+    window = plan(params, dg, og)
+    v_hat = reconstruct_spectrum((f, g), window, dg)
     assert rec.window == window
     np.testing.assert_array_equal(rec.v_hat.values, v_hat.values)
 
@@ -443,9 +447,9 @@ def test_streamed_and_tuple_histories_agree_to_the_bit():
     og = GridSpec(0.25, 1.05 / 16, 17, 0.1, 3.9 / 16, 17)
     params = RegParams(epsilon=0.02, gamma=1.0)
     pair = tuple(noisy_histories(prob, _COARSE_DATA, 0.02, seed=4))
-    a = reconstruct(pair, params, og, v_exact=prob.v_exact)
+    a = reconstruct(pair, params, _COARSE_DATA, og, v_exact=prob.v_exact)
     b = reconstruct(noisy_histories(prob, _COARSE_DATA, 0.02, seed=4),
-                    params, og, v_exact=prob.v_exact)
+                    params, _COARSE_DATA, og, v_exact=prob.v_exact)
     assert a.v_eps.values.tobytes() == b.v_eps.values.tobytes()
     assert a.v_hat.values.tobytes() == b.v_hat.values.tobytes()
     assert (a.eta_hat, a.bound_l2, a.measured_error) == \
@@ -466,11 +470,12 @@ def test_the_record_carries_its_data_grid_and_measured_error(streamed):
         stream = noisy_histories(prob, _COARSE_DATA, 0.02, seed=4)
         return stream if streamed else tuple(stream)
 
-    rec = reconstruct(histories(), params, og, v_exact=prob.v_exact)
+    rec = reconstruct(histories(), params, _COARSE_DATA, og,
+                      v_exact=prob.v_exact)
     assert rec.data_grid == _COARSE_DATA
     assert rec.measured_error == l2_distance(rec.v_eps,
                                              sample(prob.v_exact, og))
-    bare = reconstruct(histories(), params, og)
+    bare = reconstruct(histories(), params, _COARSE_DATA, og)
     assert bare.data_grid == _COARSE_DATA and bare.measured_error is None
 
 
@@ -480,7 +485,7 @@ def test_histories_that_end_early_are_refused(n, missing):
     with pytest.raises(ValueError,
                        match="the histories end before %s" % missing):
         reconstruct((f,) * n, RegParams(epsilon=0.02, gamma=1.0),
-                    GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9))
+                    _COARSE_DATA, GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9))
 
 
 def test_a_streamed_g_on_another_grid_is_refused():
@@ -493,7 +498,18 @@ def test_a_streamed_g_on_another_grid_is_refused():
         yield sample(prob.g0, other)
 
     with pytest.raises(ValueError, match="f and g grids differ"):
-        reconstruct(histories(), RegParams(epsilon=0.02, gamma=1.0),
+        reconstruct(histories(), RegParams(epsilon=0.02, gamma=1.0), dg,
+                    GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9))
+
+
+def test_an_f_off_the_data_grid_is_refused():
+    # the data grid is the caller's, not read off f
+    prob = test_problem("P2")
+    dg = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 80)
+    other = GridSpec(-5.0, 10.0 / 64, 65, 0.302721828598366 * 0.1, 0.1, 81)
+    f, g = sample(prob.f0, other), sample(prob.g0, other)
+    with pytest.raises(ValueError, match="f is not on the data grid"):
+        reconstruct((f, g), RegParams(epsilon=0.02, gamma=1.0), dg,
                     GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9))
 
 
@@ -516,13 +532,14 @@ def test_output_window_an_alias_period_wide_is_refused(out_grid, axis, span):
     period = "42.1875" if axis == "x" else "80"
     with pytest.raises(ValueError, match=re.escape(
             "output window %s in" % axis)) as exc:
-        reconstruct((f, g), params, out_grid)
+        reconstruct((f, g), params, dg, out_grid)
     msg = str(exc.value)
     assert "together span %s" % span in msg
     assert "P = %s" % period in msg and "longer data grid" in msg
     # the same window shifted to the data is reconstructed
     near = GridSpec(0.0, 0.25, 5, 0.5, 1.0, 5)
-    assert np.all(np.isfinite(reconstruct((f, g), params, near).v_eps.values))
+    assert np.all(np.isfinite(
+        reconstruct((f, g), params, dg, near).v_eps.values))
 
 
 def _p2_default_histories():
@@ -542,10 +559,11 @@ def _p2_default_histories():
 ])
 def test_output_window_outside_the_data_is_refused(out_grid, axis,
                                                      interval):
-    _, histories = _p2_default_histories()
+    dg, histories = _p2_default_histories()
     with pytest.raises(ValueError, match=re.escape(
             "output window %s in" % axis)) as exc:
-        reconstruct(histories, RegParams(epsilon=0.02, gamma=1.0), out_grid)
+        reconstruct(histories, RegParams(epsilon=0.02, gamma=1.0), dg,
+                    out_grid)
     assert "leaves the data interval %s" % interval in str(exc.value)
 
 
@@ -558,5 +576,6 @@ def test_output_window_ending_on_the_data_edges_is_reconstructed():
     out = GridSpec(-10.0, 2.5, 9, t_last - 6 * 0.7, 0.7, 7)
     assert 0.0 < out.t0 + (out.nt - 1) * out.dt - t_last < 1e-12
     assert out.x0 + (out.nx - 1) * out.dx == 10.0
-    rec = reconstruct(histories, RegParams(epsilon=0.02, gamma=1.0), out)
+    rec = reconstruct(histories, RegParams(epsilon=0.02, gamma=1.0), dg,
+                      out)
     assert np.all(np.isfinite(rec.v_eps.values))

@@ -269,6 +269,12 @@ def test_read_expansion_error_paths(tmp_path):
     p.write_text("0.5 1 square\n0 zero 1.0\n")
     with pytest.raises(ValueError, match="bad row"):
         read_expansion(p)
+    # an infinite mesh would evaluate to c_00 at every point
+    p.write_text("inf 1 square\n"
+                 + _rows(*index_lattice(IndexSetKind.SQUARE, 1)))
+    with pytest.raises(ValueError, match="bad.txt: mesh spacing d must be "
+                       "finite and positive"):
+        read_expansion(p)
 
 
 def test_read_expansion_counts_rows_before_forming_the_lattice(tmp_path):
