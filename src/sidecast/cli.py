@@ -101,7 +101,6 @@ def _load_config(path: str) -> dict:
 # manifest.txt can reproduce its own run.
 _CONFIG_KEYS = {
     "problem": ("problem", str),
-    "mode": ("mode", str),
     "epsilon": ("epsilon", float),
     "gamma": ("gamma", float),
     "m": ("m", float),
@@ -132,30 +131,24 @@ def _merge_config(args) -> None:
         except ValueError as exc:
             raise UsageError("config %s: bad value for %s: %s"
                              % (args.config, key, exc)) from exc
+    # mode= records the mode that m selects (a manifest writes it); it
+    # sets nothing, and one that disagrees with the run is refused
+    derived = "l2" if args.m is None else "hm"
+    if opts.get("mode", derived).lower() != derived:
+        raise UsageError("config %s: mode=%s, but %s selects %s mode" % (
+            args.config, opts["mode"], "no m" if args.m is None
+            else "m=%g" % args.m, derived))
 
 
 def _params_from(args):
-    """RegParams from the mode flags. A flag that does not apply to the
-    mode, or a missing one, is a UsageError; values RegParams refuses
-    stay its ValueError, which main reports with the same exit code 2."""
-    from .regularizer import RegMode, RegParams
-    mode_str = (args.mode or "l2").lower()
-    try:
-        mode = RegMode(mode_str)
-    except ValueError:
-        raise UsageError("mode must be 'l2' or 'hm', got %r" % (args.mode,))
+    """RegParams from --epsilon, --gamma and --m: giving --m selects the HM
+    square cutoff, otherwise the L2 rectangle is used. Values RegParams
+    refuses, --gamma together with --m among them, stay its ValueError,
+    which main reports with exit code 2."""
+    from .regularizer import RegParams
     if args.epsilon is None:
         raise UsageError("--epsilon is required")
-    if mode is RegMode.L2:
-        if args.m is not None:
-            raise UsageError("--m applies to hm mode only")
-        gamma = 1.0 if args.gamma is None else args.gamma
-        return RegParams(epsilon=args.epsilon, gamma=gamma, mode=mode)
-    if args.gamma is not None:
-        raise UsageError("--gamma applies to l2 mode only")
-    if args.m is None:
-        raise UsageError("--m is required in hm mode")
-    return RegParams(epsilon=args.epsilon, m=args.m, mode=mode)
+    return RegParams(epsilon=args.epsilon, gamma=args.gamma, m=args.m)
 
 
 # ---------------------------------------------------------------- verify
@@ -318,9 +311,9 @@ def cmd_sinc(args) -> int:
 def cmd_convergence(args) -> int:
     from . import harness
 
-    if (args.mode or "l2").lower() != "l2" or args.m is not None:
+    if args.m is not None:
         raise UsageError("convergence reports the L2-mode bound only; "
-                         "--mode hm and --m do not apply")
+                         "--m does not apply")
     if args.eps_list is None:
         raise UsageError("--eps-list is required (comma-separated)")
     try:
@@ -330,10 +323,9 @@ def cmd_convergence(args) -> int:
     if not eps:
         raise UsageError("--eps-list is empty")
     problem = args.problem or "p1"
-    gamma = 1.0 if args.gamma is None else args.gamma
     data_grid = _parse_grid(args.data_grid) if args.data_grid else None
     out_grid = _parse_grid(args.grid) if args.grid else None
-    recs = harness.convergence_table(problem, gamma, eps,
+    recs = harness.convergence_table(problem, args.gamma, eps,
                                      seed=args.seed or 0,
                                      data_grid=data_grid,
                                      out_grid=out_grid)
@@ -357,9 +349,9 @@ def _add_common_model_flags(p, epsilon=True):
     if epsilon:  # convergence takes its noise levels from --eps-list
         p.add_argument("--epsilon", type=float, help="noise level")
     p.add_argument("--gamma", type=float,
-                   help="cutoff exponent in (0,2), l2 mode (default 1)")
-    p.add_argument("--m", type=float, help="Sobolev order, hm mode")
-    p.add_argument("--mode", choices=["l2", "hm"], help="cutoff mode")
+                   help="L2 rectangle cutoff exponent in (0,2), default 1")
+    p.add_argument("--m", type=float,
+                   help="Sobolev order; giving it selects the HM square")
     p.add_argument("--seed", type=int, help="noise seed (default 0)")
     p.add_argument("--data-grid", dest="data_grid",
                    help="measurement grid 'nx,nt,x0,dx,t0,dt'")

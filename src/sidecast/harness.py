@@ -737,7 +737,7 @@ def write_run(out_dir, rec: Reconstruction, source,
         fh.write("\n".join(lines) + "\n")
 
 
-def convergence_table(problem: str, gamma: float,
+def convergence_table(problem: str, gamma: Optional[float],
                       eps_list: Sequence[float], seed: int = 0,
                       data_grid: Optional[GridSpec] = None,
                       out_grid: Optional[GridSpec] = None):

@@ -81,25 +81,32 @@ def _check_hm(epsilon: float, m) -> None:
 
 @dataclass(frozen=True)
 class RegParams:
-    """Noise level and cutoff-mode selection.
+    """Noise level and the a priori assumption that picks the cutoff.
 
-    epsilon is the L2 size of the data noise. In L2 mode the cutoff grows
-    like ln(1/eps^gamma) with gamma in (0, 2); in HM mode the solution is
-    assumed to have m Sobolev derivatives and the cutoff is a square.
+    epsilon is the L2 size of the data noise. Giving m, the Sobolev order
+    the solution is assumed to have, selects HM mode's square cutoff.
+    Otherwise L2 mode's rectangle grows like ln(1/eps^gamma) with gamma in
+    (0, 2), default 1. Giving both is a ValueError.
     """
 
     epsilon: float
     gamma: Optional[float] = None
-    mode: RegMode = RegMode.L2
     m: Optional[float] = None
 
     def __post_init__(self):
-        if self.mode is RegMode.L2:
+        if self.m is None:
+            if self.gamma is None:
+                object.__setattr__(self, "gamma", 1.0)
             _check_l2(self.epsilon, self.gamma)
-        elif self.mode is RegMode.HM:
-            _check_hm(self.epsilon, self.m)
+        elif self.gamma is not None:
+            raise ValueError("give gamma (L2 rectangle) or m (HM square), "
+                             "not both: gamma=%r, m=%r" % (self.gamma, self.m))
         else:
-            raise ValueError("unknown mode %r" % (self.mode,))
+            _check_hm(self.epsilon, self.m)
+
+    @property
+    def mode(self) -> RegMode:
+        return RegMode.L2 if self.m is None else RegMode.HM
 
 
 def cutoff_l2(epsilon: float, gamma: float) -> float:

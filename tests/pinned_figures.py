@@ -88,8 +88,8 @@ COMMANDS = {
     "reconstruct-p2": lambda base: [
         "reconstruct", "--problem", "p2", "--epsilon", "0.02", "--seed", "3"],
     "reconstruct-p1-hm": lambda base: [
-        "reconstruct", "--problem", "p1", "--mode", "hm", "--m", "0.5",
-        "--epsilon", "1e-4", "--seed", "3"],
+        "reconstruct", "--problem", "p1", "--m", "0.5", "--epsilon", "1e-4",
+        "--seed", "3"],
     "reconstruct-files-p2": _file_mode,
     "reconstruct-files-p2-replay": lambda base: [
         "reconstruct", "--config",

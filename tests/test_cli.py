@@ -19,7 +19,7 @@ from sidecast.cli import (UsageError, _apply_thread_cap, _build_parser,
 from sidecast.fields import GridSpec, sample, write_field
 from sidecast.harness import _grid_str, default_data_grid, default_out_grid
 from sidecast.kernels import test_problem
-from sidecast.regularizer import RegMode, cutoff_hm
+from sidecast.regularizer import RegMode, RegParams, cutoff_hm
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -27,10 +27,12 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 # coarse synthetic geometry shared by the happy-path runs
 _DATA_GRID = "257,500,-10,0.078125,0.05,0.08"
 _OUT_GRID = "33,33,0,0.03125,0.1,0.121875"
+# CI's packaging-smoke data grid, 129 x 500
+_CI_DATA_GRID = "129,500,-10,0.15625,0.0060544365719673,0.02"
 
 
 def _namespace(**kw):
-    base = dict(config=None, problem=None, mode=None, epsilon=None,
+    base = dict(config=None, problem=None, epsilon=None,
                 gamma=None, m=None, seed=None, data_grid=None, grid=None)
     base.update(kw)
     return argparse.Namespace(**base)
@@ -139,24 +141,46 @@ class TestParamsFrom:
         with pytest.raises(UsageError, match="--epsilon is required"):
             _params_from(_namespace())
 
-    def test_hm_requires_m(self):
-        with pytest.raises(UsageError, match="--m is required"):
-            _params_from(_namespace(mode="hm", epsilon=1e-3))
+    def test_m_selects_hm_mode(self):
+        p = _params_from(_namespace(epsilon=1e-4, m=0.5))
+        assert p.mode is RegMode.HM
+        assert p.gamma is None and p.m == 0.5
 
-    @pytest.mark.parametrize("mode", [None, "l2"])
-    def test_m_is_refused_outside_hm_mode(self, mode):
-        with pytest.raises(UsageError, match="--m applies to hm mode only"):
-            _params_from(_namespace(mode=mode, epsilon=0.01, m=0.5))
+    def test_hm_requires_m(self, tmp_path):
+        # a config's mode= records the mode m selects: mode=hm without m
+        # disagrees with the L2 mode the run would take
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=hm\n")
+        with pytest.raises(UsageError, match="mode=hm, but no m selects "
+                                             "l2 mode"):
+            _merge_config(_namespace(config=str(cfg), epsilon=1e-3))
+
+    @pytest.mark.parametrize("mode", ["l2"])
+    def test_m_is_refused_outside_hm_mode(self, mode, tmp_path):
+        # m selects hm mode, so a config that records another mode beside
+        # m contradicts it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=%s\nm=0.5\n" % mode)
+        with pytest.raises(UsageError, match="mode=%s, but m=0.5 selects "
+                                             "hm mode" % mode):
+            _merge_config(_namespace(config=str(cfg), epsilon=0.01))
 
     def test_gamma_is_refused_in_hm_mode(self):
-        with pytest.raises(UsageError,
-                           match="--gamma applies to l2 mode only"):
-            _params_from(_namespace(mode="hm", epsilon=1e-4, m=0.5,
-                                    gamma=1.0))
+        with pytest.raises(ValueError, match=r"give gamma \(L2 rectangle\) "
+                                             r"or m \(HM square\), not both"):
+            _params_from(_namespace(epsilon=1e-4, m=0.5, gamma=1.0))
 
-    def test_unknown_mode(self):
-        with pytest.raises(UsageError, match="mode must be"):
-            _params_from(_namespace(mode="x3", epsilon=0.01))
+    def test_unknown_mode(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=x3\n")
+        with pytest.raises(UsageError, match="mode=x3, but no m selects"):
+            _merge_config(_namespace(config=str(cfg), epsilon=0.01))
+
+    def test_the_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["reconstruct", "--mode", "hm"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     def test_out_of_range_epsilon_exits_2_through_main(self, tmp_path,
                                                        capsys):
@@ -254,16 +278,17 @@ class TestUsageExits:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,config,flag", [
-        (["--m", "0.5"], None, "--m"),
-        (["--mode", "hm", "--m", "0.5", "--gamma", "1"], None, "--gamma"),
-        ([], "m=0.5\n", "--m"),
-        (["--gamma", "1"], "mode=hm\nm=0.5\n", "--gamma"),
+    @pytest.mark.parametrize("argv,config,words", [
+        (["--m", "0.5"], "mode=l2\n", ("mode=l2", "m=0.5")),
+        (["--m", "0.5", "--gamma", "1"], None, ("gamma=1.0", "m=0.5")),
+        ([], "mode=l2\nm=0.5\n", ("mode=l2", "m=0.5")),
+        (["--gamma", "1"], "mode=hm\nm=0.5\n", ("gamma=1.0", "m=0.5")),
     ], ids=["m-in-l2", "gamma-in-hm", "config-m-in-l2",
             "config-gamma-in-hm"])
-    def test_inapplicable_mode_flag(self, argv, config, flag, tmp_path,
+    def test_inapplicable_mode_flag(self, argv, config, words, tmp_path,
                                     capsys):
-        # a flag the mode does not read is refused, not silently dropped
+        # gamma beside m, or a recorded mode= that m contradicts, is
+        # refused, not silently dropped
         out = tmp_path / "out"
         if config is not None:
             cfg = tmp_path / "run.cfg"
@@ -271,7 +296,8 @@ class TestUsageExits:
             argv = argv + ["--config", str(cfg)]
         assert main(["reconstruct", "--problem", "p2", "--epsilon", "1e-4",
                      "--out", str(out)] + argv) == 2
-        assert ("%s applies to" % flag) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
         assert not out.exists()
 
     def test_out_of_memory(self, monkeypatch, tmp_path, capsys):
@@ -345,19 +371,22 @@ class TestUsageExits:
         assert args.eps_list == "0.04" and not hasattr(args, "epsilon")
 
     def test_convergence_refuses_hm_mode(self, tmp_path, capsys):
-        rc = main(["convergence", "--problem", "p1", "--mode", "hm",
-                   "--m", "1", "--eps-list", "0.0001",
-                   "--out", str(tmp_path / "flags")])
-        assert rc == 2
-        assert "L2-mode bound only" in capsys.readouterr().err
-        cfg = tmp_path / "hm.cfg"
-        cfg.write_text("mode=hm\nm=1\neps_list=0.0001\n")
-        rc = main(["convergence", "--problem", "p1", "--config", str(cfg),
-                   "--out", str(tmp_path / "config")])
-        assert rc == 2
-        assert "L2-mode bound only" in capsys.readouterr().err
-        assert not (tmp_path / "flags").exists()
-        assert not (tmp_path / "config").exists()
+        # --m or a config's m= would select HM; a recorded mode=hm without
+        # m disagrees with the L2 mode the run would take
+        for flags, config, message in [
+                (["--m", "1"], None, "L2-mode bound only"),
+                ([], "mode=hm\nm=1\n", "L2-mode bound only"),
+                ([], "mode=hm\n", "mode=hm, but no m selects l2 mode")]:
+            out = tmp_path / "run"
+            argv = ["convergence", "--problem", "p1", "--eps-list", "0.0001",
+                    "--out", str(out)] + flags
+            if config is not None:
+                cfg = tmp_path / "hm.cfg"
+                cfg.write_text(config)
+                argv += ["--config", str(cfg)]
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_window_past_the_data_nyquist_limit(self, tmp_path, capsys):
         # at eps=1e-10, gamma=1.9 the window reaches |r| <= 421.9, past
@@ -541,8 +570,8 @@ class TestFileModeManifest:
         write_field(sample(prob.g0, grid), gp)
         out = str(tmp_path / "hm")
         assert main(["reconstruct", "--f", fp, "--g", gp,
-                     "--grid", "9,9,0.2,0.1,0.5,0.3", "--mode", "hm",
-                     "--m", "0.5", "--epsilon", "1e-4", "--out", out]) == 0
+                     "--grid", "9,9,0.2,0.1,0.5,0.3", "--m", "0.5",
+                     "--epsilon", "1e-4", "--out", out]) == 0
         assert "no HM bound written" in capsys.readouterr().out
         with open(os.path.join(out, "manifest.txt")) as fh:
             lines = fh.read().splitlines()
@@ -683,8 +712,8 @@ class TestSyntheticReconstruct:
 
     def test_hm_run_says_why_it_writes_no_bound(self, tmp_path, capsys):
         out = tmp_path / "hm"
-        assert main(["reconstruct", "--problem", "p1", "--mode", "hm",
-                     "--m", "0.5", "--epsilon", "1e-4",
+        assert main(["reconstruct", "--problem", "p1", "--m", "0.5",
+                     "--epsilon", "1e-4",
                      "--data-grid", _DATA_GRID, "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "measured_error=" in text
@@ -713,6 +742,23 @@ class TestSyntheticReconstruct:
         for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
             assert (synthetic_run / name).read_bytes() == \
                 (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("params", [
+    RegParams(0.02), RegParams(0.02, gamma=1.5), RegParams(1e-4, m=0.5)],
+    ids=["l2-default", "l2-gamma", "hm"])
+def test_a_library_run_manifest_replays(params, tmp_path, capsys):
+    # the manifest write_run records for any RegParams is a config that
+    # reconstruct --config runs to the same bytes
+    rec = harness.run_experiment("P2", params, _parse_grid(_CI_DATA_GRID),
+                                 noise_seed=3)
+    first, again = tmp_path / "first", tmp_path / "again"
+    harness.write_run(str(first), rec, ["problem=P2"], 3)
+    assert main(["reconstruct", "--config", str(first / "manifest.txt"),
+                 "--out", str(again)]) == 0
+    capsys.readouterr()
+    for name in ("v_eps.grd", "v_eps.csv", "manifest.txt"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_fast_path_never_imports_scipy(small_grd, tmp_path):

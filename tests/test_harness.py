@@ -34,7 +34,7 @@ from sidecast.harness import (_G_SEED_OFFSET,
                               refined_window_grid, run_experiment,
                               write_convergence_csv, write_run)
 from sidecast.kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
-                              kernel_eval, s_hat, test_problem)
+                              kernel_eval, layer_trace, s_hat, test_problem)
 from sidecast.regularizer import RegParams, reconstruct, region_for
 
 from direct_reference import identity_rhs
@@ -970,6 +970,62 @@ def test_p2_holds_globally_in_time_across_the_data():
         rec = run_experiment("P2", params, out_grid=og, noise_seed=3)
         assert rec.measured_error <= rec.bound_l2
         assert rec.measured_error <= 0.05 * l2_norm(sample(v_exact, og)), k
+
+
+def test_p2_error_grows_toward_the_data_end():
+    # evidence, not a gate: bands that reach the last data node (t = 39.99)
+    # stay under the run's bound, but the relative error grows toward it,
+    # faster at small epsilon, since the data stop with a jump to the zero
+    # padding; the figures are the measured ones at seed 3, to the three
+    # digits quoted
+    v_exact = test_problem("P2").v_exact
+    for eps, measured in [(0.02, (0.0252, 0.0654, 0.153)),
+                          (1e-4, (0.00437, 0.0169, 0.0688))]:
+        params = RegParams(epsilon=eps)
+        rel = []
+        for t0, t1 in ((35.0, 39.0), (37.0, 39.9), (39.0, 39.98)):
+            og = GridSpec(0.0, 1.0 / 64, 65, t0, (t1 - t0) / 64, 65)
+            rec = run_experiment("P2", params, out_grid=og, noise_seed=3)
+            assert rec.measured_error <= rec.bound_l2
+            rel.append(rec.measured_error / l2_norm(sample(v_exact, og)))
+        assert rel == pytest.approx(measured, rel=5e-3), eps
+        assert rel[0] < rel[1] < rel[2]
+
+
+# Each convolution that the identity check forms has a closed form on the
+# layer traces: S*L_c' = 4 pi L_(1+sqrt c')^2 and R*L_c' = 2 pi
+# L_(2+sqrt c')^2. Each bound is twice the relative L2 deviation measured
+# on refined_window_grid of verify --quick's 33^2 P1 window, rounded up to
+# 1, 2 or 5 times a power of ten, and 1e-12 where the deviation is at
+# rounding level (R*L_4, 2.3e-14). A wrong S (KernelSpec(1.1)) deviates
+# by about 0.08.
+@pytest.mark.parametrize("c,s_bound,r_bound", [
+    (0.0, 5e-3, 2e-3),      # measured 1.09e-3 / 8.48e-4: P1's v0
+    (0.25, 1e-5, 1e-5),     # 4.56e-6 / 3.26e-6
+    (1.0, 2e-8, 1e-9),      # 8.62e-9 / 3.14e-10: P1's f0
+    (4.0, 2e-8, 1e-12),     # 7.82e-9 / 2.32e-14: P1's g0
+])
+def test_check_path_convolutions_match_their_closed_forms(c, s_bound,
+                                                         r_bound):
+    in_grid, out_grid = refined_window_grid(harness._window_grid("P1", 33))
+    w = sample(layer_trace(c), in_grid)
+    for spec, depth, scale, bound in ((S_SPEC, 1.0, 4.0, s_bound),
+                                      (R_SPEC, 2.0, 2.0, r_bound)):
+        closed = scale * math.pi * sample(
+            layer_trace((depth + math.sqrt(c)) ** 2), out_grid).values
+        conv = convolve2_causal(spec, w, out_grid).values
+        assert (np.linalg.norm(conv - closed) / np.linalg.norm(closed)
+                <= bound), spec
+
+
+def test_p2_s_convolution_matches_its_closed_form():
+    # P2's v is -L_4, so S*v = -4 pi L_9; measured 7.96e-9 on P2's quick
+    # window, bound set by the rule above
+    in_grid, out_grid = refined_window_grid(harness._window_grid("P2", 33))
+    conv = convolve2_causal(S_SPEC, sample(test_problem("P2").v_exact,
+                                           in_grid), out_grid).values
+    closed = -4.0 * math.pi * sample(layer_trace(9.0), out_grid).values
+    assert np.linalg.norm(conv - closed) / np.linalg.norm(closed) <= 2e-8
 
 
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidecast.fields import GridSpec, RealField
-from sidecast.regularizer import RegMode, RegParams, reconstruct, region_for
+from sidecast.regularizer import RegParams, reconstruct, region_for
 
 # every property holds to this fraction of the output's largest value
 TOL = 1e-12
@@ -37,7 +37,7 @@ def _params(draw):
     m = draw(st.floats(0.25, 1.0))
     log_eps = draw(st.floats(math.log(1e-12),
                              min(-4.0 * m * m, -math.exp(2.0)) - 0.05))
-    return RegParams(epsilon=math.exp(log_eps), m=m, mode=RegMode.HM)
+    return RegParams(epsilon=math.exp(log_eps), m=m)
 
 
 def _step(draw, n, half):

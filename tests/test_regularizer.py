@@ -108,12 +108,17 @@ def test_cutoff_hm_rejections():
 
 
 def test_reg_params_validation():
-    p = RegParams(epsilon=0.01, gamma=1.0)
-    assert p.mode is RegMode.L2
+    # m picks HM mode's square, its absence L2 mode's rectangle with
+    # gamma defaulting to 1; giving both is refused
+    p = RegParams(epsilon=0.01)
+    assert p.mode is RegMode.L2 and p.gamma == 1.0
+    assert p == RegParams(epsilon=0.01, gamma=1.0)
+    hm = RegParams(epsilon=1e-4, m=0.5)
+    assert hm.mode is RegMode.HM and hm.gamma is None
+    with pytest.raises(ValueError, match="not both: gamma=1.0, m=0.5"):
+        RegParams(epsilon=1e-4, gamma=1.0, m=0.5)
     with pytest.raises(ValueError):
-        RegParams(epsilon=0.01)             # L2 needs gamma
-    with pytest.raises(ValueError):
-        RegParams(epsilon=0.001, mode=RegMode.HM)  # HM needs m
+        RegParams(epsilon=0.001, m=0.0)
     with pytest.raises(ValueError):
         RegParams(epsilon=0.3, gamma=1.0)
 
@@ -124,7 +129,7 @@ def test_region_shapes():
     assert reg.zmax == cutoff_l2(0.01, 1.0)
     assert reg.rmax == pytest.approx(reg.zmax ** 2, rel=1e-15)
     with pytest.warns(UserWarning):
-        reg2 = region_for(RegParams(epsilon=0.001, m=1.0, mode=RegMode.HM))
+        reg2 = region_for(RegParams(epsilon=0.001, m=1.0))
     assert reg2.zmax == reg2.rmax == pytest.approx(A_0001_10, rel=1e-12)
 
 
@@ -178,7 +183,7 @@ def test_record_carries_params_tail_and_bound():
     assert bare.bound_l2 == pytest.approx(math.sqrt(_c_constant() * 0.01),
                                           rel=1e-14)
     # HM mode has no L2 bound
-    hm = RegParams(epsilon=1e-4, m=0.5, mode=RegMode.HM)
+    hm = RegParams(epsilon=1e-4, m=0.5)
     rec_hm = reconstruct((f, g), hm, dg, og, v_exact=prob.v_exact)
     assert rec_hm.params is hm
     assert rec_hm.eta_hat is not None and rec_hm.bound_l2 is None

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sidecast.fields import ComplexField, GridSpec, sample
 from sidecast.harness import dft2_forward
-from sidecast.regularizer import RegMode, RegParams, cutoff_hm, cutoff_l2
+from sidecast.regularizer import RegParams, cutoff_hm, cutoff_l2
 from sidecast.sinc import (IndexSetKind, SincExpansion, band_halfwidth,
                            build_expansion, eval_expansion, index_lattice,
                            read_expansion, sinc_lattice, write_expansion)
@@ -44,7 +44,7 @@ def test_band_halfwidth_l2_takes_the_larger_rectangle_side():
 
 def test_band_halfwidth_hm_is_the_square_cutoff():
     with pytest.warns(UserWarning):
-        params = RegParams(epsilon=0.001, m=1.0, mode=RegMode.HM)
+        params = RegParams(epsilon=0.001, m=1.0)
         assert band_halfwidth(params) == cutoff_hm(0.001, 1.0)
 
 
@@ -54,7 +54,7 @@ def test_sinc_mesh_anchors():
     assert d == pytest.approx(0.5403555496277543, rel=1e-12)
     with pytest.warns(UserWarning):
         dh = math.pi / band_halfwidth(
-            RegParams(epsilon=0.001, m=1.0, mode=RegMode.HM))
+            RegParams(epsilon=0.001, m=1.0))
     assert dh == pytest.approx(0.6937771348436335, rel=1e-12)
     # published rounding of the same number is 0.69385
     assert abs(dh - 0.69385) < 2e-4
