@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
 def cmd_reconstruct(args) -> int:
     from . import harness
     from .fields import _FMT, read_field
-    from .regularizer import RegMode, reconstruct
+    from .regularizer import reconstruct
 
     params = _params_from(args)
     file_mode = args.f is not None or args.g is not None
@@ -239,7 +239,7 @@ def cmd_reconstruct(args) -> int:
                "bound_l2 (tail-free part): %s") % (_FMT % rec.bound_l2))
     if rec.eta_hat is not None:
         print("eta_hat=%s" % (_FMT % rec.eta_hat))
-    if params.mode is RegMode.HM:
+    if params.m is not None:
         print("no HM bound written: it needs C1, the Sobolev seminorm of "
               "the exact solution, which is not supplied")
     print("wrote v_eps.grd, v_eps.csv, manifest.txt to %s" % args.out)

@@ -24,8 +24,8 @@ from .fields import (ComplexField, GridSpec, RealField, _FMT, _node_values,
                      _value_text, sample, write_csv, write_field)
 from .kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                       gaussian_factor, kernel_eval, s_hat, test_problem)
-from .regularizer import (Reconstruction, RegMode, RegParams, _c_constant,
-                          plan, reconstruct, region_for)
+from .regularizer import (Reconstruction, RegParams, _c_constant, plan,
+                          reconstruct)
 from .sinc import eval_expansion
 from .transform import TWO_PI, idft2_windowed_at
 
@@ -500,7 +500,7 @@ def _symbol_rows(points, *, x_half: float, dx: float, t_max: float,
 
 def kappa_calibration(data_grid: GridSpec):
     """Residuals of kappa * S_hat * v0_hat = F_hat over the L2 cutoff
-    region at epsilon = 0.01, gamma = 1, for kappa = 2*pi (the
+    window of RegParams(epsilon=0.01, gamma=1.0), for kappa = 2*pi (the
     symmetric-transform convolution factor) and kappa = 1 (the competing
     reading), with P1 sampled on data_grid, which verify_checks states.
     Returns (res_2pi, res_1); the first should sit at quadrature level,
@@ -518,7 +518,7 @@ def kappa_calibration(data_grid: GridSpec):
     these would take the full sum, nearly twice the time.
     """
     prob = test_problem("P1")
-    window = region_for(RegParams(epsilon=0.01, gamma=1.0))
+    window = RegParams(epsilon=0.01, gamma=1.0).window
     sg = GridSpec.centered(window.zmax, 205, window.rmax, 205)
     f_hat = (4.0 * math.pi) * dft2_forward(sample(prob.f0, data_grid),
                                            sg).values
@@ -716,13 +716,13 @@ def write_run(out_dir, rec: Reconstruction, source,
     into the files, so a rerun writes the same bytes.
     """
     params = rec.params
-    values = [("mode", params.mode.value), ("epsilon", params.epsilon),
+    values = [("mode", params.mode), ("epsilon", params.epsilon),
               ("gamma", params.gamma), ("m", params.m),
               ("noise_seed", noise_seed),
               ("data_grid", _grid_str(rec.data_grid)),
               ("out_grid", _grid_str(rec.v_eps.grid)),
-              ("b_eps" if params.mode is RegMode.L2 else "a_eps",
-               rec.window.zmax),
+              ("b_eps" if params.m is None else "a_eps",
+               params.window.zmax),
               ("C", _c_constant()), ("eta_hat", rec.eta_hat),
               ("bound_l2", rec.bound_l2),
               ("measured_error", rec.measured_error)]

@@ -14,10 +14,9 @@ checks that identity independently, by causal convolution.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,11 +27,9 @@ from .transform import (TWO_PI, SpectralWindow, _lattice, dft2_lattice,
                         idft2_windowed_at)
 
 __all__ = [
-    "RegMode",
     "RegParams",
     "cutoff_l2",
     "cutoff_hm",
-    "region_for",
     "continue_sideways",
     "tail_energy",
     "error_bound_l2",
@@ -46,11 +43,6 @@ __all__ = [
 # ln(4/eps^gamma) divided by this gives the cutoff half-width b_eps
 _B_DENOM = math.sqrt(2.0) * math.sqrt(math.sqrt(2.0) + 1.0)
 _A_FACTOR = math.sqrt(2.0) / math.sqrt(math.sqrt(2.0) + 1.0)
-
-
-class RegMode(enum.Enum):
-    L2 = "l2"    # rectangle cutoff, algebraic bound sqrt(C eps^(2-gamma) + eta)
-    HM = "hm"    # square cutoff, logarithmic bound D (ln 1/eps)^(-m)
 
 
 def _check_l2(epsilon: float, gamma) -> None:
@@ -79,36 +71,6 @@ def _check_hm(epsilon: float, m) -> None:
             "bound may be outside its stated regime" % epsilon)
 
 
-@dataclass(frozen=True)
-class RegParams:
-    """Noise level and the a priori assumption that picks the cutoff.
-
-    epsilon is the L2 size of the data noise. Giving m, the Sobolev order
-    the solution is assumed to have, selects HM mode's square cutoff.
-    Otherwise L2 mode's rectangle grows like ln(1/eps^gamma) with gamma in
-    (0, 2), default 1. Giving both is a ValueError.
-    """
-
-    epsilon: float
-    gamma: Optional[float] = None
-    m: Optional[float] = None
-
-    def __post_init__(self):
-        if self.m is None:
-            if self.gamma is None:
-                object.__setattr__(self, "gamma", 1.0)
-            _check_l2(self.epsilon, self.gamma)
-        elif self.gamma is not None:
-            raise ValueError("give gamma (L2 rectangle) or m (HM square), "
-                             "not both: gamma=%r, m=%r" % (self.gamma, self.m))
-        else:
-            _check_hm(self.epsilon, self.m)
-
-    @property
-    def mode(self) -> RegMode:
-        return RegMode.L2 if self.m is None else RegMode.HM
-
-
 def cutoff_l2(epsilon: float, gamma: float) -> float:
     """Half-width b of the rectangle cutoff |z| <= b, |r| <= b^2.
 
@@ -132,14 +94,42 @@ def cutoff_hm(epsilon: float, m: float) -> float:
     return a
 
 
-def region_for(params: RegParams) -> SpectralWindow:
-    """The cutoff window: the rectangle |z| <= b_eps, |r| <= b_eps^2 in L2
-    mode, the square |z|, |r| <= a_eps in HM mode; zmax is the half-width."""
-    if params.mode is RegMode.L2:
-        b = cutoff_l2(params.epsilon, params.gamma)
-        return SpectralWindow(b, b * b)
-    a = cutoff_hm(params.epsilon, params.m)
-    return SpectralWindow(a, a)
+@dataclass(frozen=True)
+class RegParams:
+    """Noise level and the a priori assumption that picks the cutoff.
+
+    epsilon is the L2 size of the data noise. Giving m, the Sobolev order
+    the solution is assumed to have, selects HM mode's square cutoff
+    |z|, |r| <= a_eps. Otherwise L2 mode's rectangle |z| <= b_eps,
+    |r| <= b_eps^2 grows like ln(1/eps^gamma) with gamma in (0, 2),
+    default 1. Giving both is a ValueError, and so is any value that
+    cutoff_l2 or cutoff_hm refuses, since construction computes the
+    cutoff window once: window, whose zmax is the half-width. mode is
+    "l2" or "hm", the name a run's manifest records.
+    """
+
+    epsilon: float
+    gamma: Optional[float] = None
+    m: Optional[float] = None
+    window: SpectralWindow = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.m is None:
+            if self.gamma is None:
+                object.__setattr__(self, "gamma", 1.0)
+            b = cutoff_l2(self.epsilon, self.gamma)
+            window = SpectralWindow(b, b * b)
+        elif self.gamma is not None:
+            raise ValueError("give gamma (L2 rectangle) or m (HM square), "
+                             "not both: gamma=%r, m=%r" % (self.gamma, self.m))
+        else:
+            a = cutoff_hm(self.epsilon, self.m)
+            window = SpectralWindow(a, a)
+        object.__setattr__(self, "window", window)
+
+    @property
+    def mode(self) -> str:
+        return "l2" if self.m is None else "hm"
 
 
 def continue_sideways(f_hat: ComplexField,
@@ -201,13 +191,14 @@ def _extents(g: GridSpec):
 
 def plan(params: RegParams, data_grid: GridSpec,
          eval_grid: GridSpec) -> SpectralWindow:
-    """The cutoff window of params, after every refusal that needs only the
-    params and the grids, in order: region_for's, the Nyquist and one-step
-    refusals of transform._lattice, then the alias refusal. v_eps is a
-    trigonometric sum on the lattice, so on each axis it repeats with the
-    alias period P = 2 pi/step = L*d; an eval_grid that spans P together
-    with the data interval would read periodic copies: a ValueError."""
-    window = region_for(params)
+    """params.window, after every refusal that needs only the window and
+    the grids, in order: the Nyquist and one-step refusals of
+    transform._lattice, then the alias refusal (RegParams refused its own
+    values at construction). v_eps is a trigonometric sum on the lattice,
+    so on each axis it repeats with the alias period P = 2 pi/step = L*d;
+    an eval_grid that spans P together with the data interval would read
+    periodic copies: a ValueError."""
+    window = params.window
     (_, dz, _), (_, dr, _) = _lattice(data_grid, window)
     periods = (TWO_PI / dz, TWO_PI / dr)
     for (axis, d0, d1), (_, o0, o1), period in zip(
@@ -251,10 +242,10 @@ def reconstruct_spectrum(histories, window: SpectralWindow,
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """The record of one run of the pipeline: the params it ran with,
-    v_eps on the output grid, the cutoff window, the spectrum v_hat on
-    the window's lattice nodes (the Sinc series samples the same
-    spectrum) and the grid the histories were sampled on.
+    """The record of one run of the pipeline: the params it ran with
+    (params.window is the cutoff window), v_eps on the output grid, the
+    spectrum v_hat on the window's lattice nodes (the Sinc series samples
+    the same spectrum) and the grid the histories were sampled on.
 
     eta_hat, the spectral tail of the exact solution outside the window,
     and measured_error, the L2 distance of v_eps from the exact solution
@@ -266,7 +257,6 @@ class Reconstruction:
     params: RegParams
     v_eps: RealField
     v_hat: ComplexField
-    window: SpectralWindow
     data_grid: GridSpec
     eta_hat: Optional[float] = None
     bound_l2: Optional[float] = None
@@ -304,8 +294,8 @@ def reconstruct(histories, params: RegParams, data_grid: GridSpec,
         eta = tail_energy(sample(v_exact, data_grid), window)
         measured = l2_distance(v_eps, sample(v_exact, out_grid))
     bound = None
-    if params.mode is RegMode.L2:
+    if params.m is None:
         bound = error_bound_l2(params.epsilon, params.gamma, eta or 0.0)
     return Reconstruction(params=params, v_eps=v_eps, v_hat=v_hat,
-                          window=window, data_grid=data_grid, eta_hat=eta,
-                          bound_l2=bound, measured_error=measured)
+                          data_grid=data_grid, eta_hat=eta, bound_l2=bound,
+                          measured_error=measured)

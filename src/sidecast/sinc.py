@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GridSpec, _open_grid, _value_text, sample
-from .regularizer import RegParams, region_for
+from .regularizer import RegParams
 
 __all__ = [
     "IndexSetKind",
@@ -38,13 +38,13 @@ class IndexSetKind(enum.Enum):
 
 
 def band_halfwidth(params: RegParams) -> float:
-    """Square band half-width a covering the cutoff region.
+    """Square band half-width a covering params.window, the cutoff region.
 
     HM mode's window is already a square; L2 mode must cover the
     rectangle (half-widths b and b^2), so the larger of the two sets the
     band.
     """
-    w = region_for(params)
+    w = params.window
     return max(w.zmax, w.rmax)
 
 

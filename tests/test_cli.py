@@ -6,8 +6,11 @@ runs live in the acceptance suite.
 
 import argparse
 import os
+import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from sidecast.cli import (UsageError, _apply_thread_cap, _build_parser,
 from sidecast.fields import GridSpec, sample, write_field
 from sidecast.harness import _grid_str, default_data_grid, default_out_grid
 from sidecast.kernels import test_problem
-from sidecast.regularizer import RegMode, RegParams, cutoff_hm
+from sidecast.regularizer import RegParams, cutoff_hm
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -134,7 +137,7 @@ class TestConfigFile:
 class TestParamsFrom:
     def test_l2_defaults_gamma_to_one(self):
         p = _params_from(_namespace(epsilon=0.01))
-        assert p.mode is RegMode.L2
+        assert p.mode == "l2"
         assert p.gamma == 1.0 and p.epsilon == 0.01
 
     def test_epsilon_required(self):
@@ -143,7 +146,7 @@ class TestParamsFrom:
 
     def test_m_selects_hm_mode(self):
         p = _params_from(_namespace(epsilon=1e-4, m=0.5))
-        assert p.mode is RegMode.HM
+        assert p.mode == "hm"
         assert p.gamma is None and p.m == 0.5
 
     def test_hm_requires_m(self, tmp_path):
@@ -581,6 +584,18 @@ class TestFileModeManifest:
 
 
 class TestSincCommand:
+    def test_an_hm_run_warns_of_its_regime_once(self, tmp_path, capsys):
+        # eps = 1e-3 lies above e^(-e^2); band_halfwidth and plan read the
+        # window RegParams computed, so neither repeats the warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sinc", "--problem", "p2", "--m", "0.5",
+                       "--epsilon", "1e-3", "--N", "3",
+                       "--data-grid", _CI_DATA_GRID,
+                       "--out", str(tmp_path / "sinc")])
+        assert rc == 0
+        assert sum("above e^(-e^2)" in str(w.message) for w in caught) == 1
+
     @pytest.mark.parametrize("grid,rc", [("5,65,0,0.25,0.5,2.5", 2),
                                          ("5,65,0,0.25,0.5,0.625", 0)])
     def test_evaluation_box_an_alias_period_wide(self, tmp_path, capsys,
@@ -842,3 +857,19 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert rc == 1
         assert "symbol closed form vs quadrature  FAIL" in text
+
+
+def test_readme_parameters_name_every_flag():
+    # README's "Parameters" section is the flag reference: every option
+    # of every subcommand appears there as the start of a code span
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Parameters\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    missing = sorted(
+        "%s %s" % (name, opt)
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+        and not re.search(r"`%s(?![\w-])" % re.escape(opt), section))
+    assert not missing, missing

@@ -18,7 +18,7 @@ from sidecast.fields import (_BLOCK_LINES, GridSpec, GrdParseError, RealField,
                              write_csv, write_field)
 from sidecast.harness import noisy_histories, write_run
 from sidecast.kernels import test_problem
-from sidecast.regularizer import Reconstruction, RegParams, region_for
+from sidecast.regularizer import Reconstruction, RegParams
 from sidecast.sinc import build_expansion
 
 
@@ -318,7 +318,7 @@ def _written(tmp_path, field, name):
     (write_field if name.endswith(".grd") else write_csv)(field, alone)
     params = RegParams(epsilon=0.02, gamma=1.0)
     rec = Reconstruction(params=params, v_eps=field, v_hat=None,
-                         window=region_for(params), data_grid=field.grid)
+                         data_grid=field.grid)
     write_run(tmp_path / "run", rec, ["k=v"])
     return alone, tmp_path / "run" / name
 

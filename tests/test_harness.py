@@ -11,6 +11,7 @@ import inspect
 import math
 import os
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -35,7 +36,7 @@ from sidecast.harness import (_G_SEED_OFFSET,
                               write_convergence_csv, write_run)
 from sidecast.kernels import (R_SPEC, S_SPEC, SINGULAR_OFFSET, KernelSpec,
                               kernel_eval, layer_trace, s_hat, test_problem)
-from sidecast.regularizer import RegParams, reconstruct, region_for
+from sidecast.regularizer import RegParams, reconstruct
 
 from direct_reference import identity_rhs
 
@@ -789,7 +790,7 @@ def test_kappa_calibration_takes_f_hat_in_closed_form(monkeypatch):
     dg = default_data_grid(nx=257, nt=800, dt=0.05)
     prob = test_problem("P1")
     f0 = sample(prob.f0, dg)
-    window = region_for(RegParams(epsilon=0.01, gamma=1.0))
+    window = RegParams(epsilon=0.01, gamma=1.0).window
     sg = GridSpec.centered(window.zmax, 205, window.rmax, 205)
     want = harness.dft2_forward(identity_rhs(f0, sample(prob.g0, dg)),
                                 sg).values
@@ -1055,6 +1056,34 @@ def test_a_refused_run_draws_no_noise(monkeypatch, run, match):
     _forbid_noise(monkeypatch)
     with pytest.raises(ValueError, match=match):
         run()
+
+
+def test_a_too_narrow_hm_square_is_refused_before_any_noise(
+        monkeypatch, tmp_path, capsys):
+    # at eps = 0.9, m = 0.1 the square's half-width is 0.3007; RegParams
+    # refuses it when built, so no history is drawn and nothing is written
+    _forbid_noise(monkeypatch)
+    out = tmp_path / "hm"
+    with pytest.warns(UserWarning, match="outside its stated regime"):
+        rc = main(["reconstruct", "--problem", "p2", "--m", "0.1",
+                   "--epsilon", "0.9", "--out", str(out)])
+    assert rc == 2
+    assert ("square cutoff came out at 0.3007 <= 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_an_hm_run_warns_of_its_regime_once():
+    # eps = 1e-3 lies above e^(-e^2); the cutoff is computed once, when
+    # RegParams is built, so the warning is not repeated by the run
+    dg = GridSpec(-10.0, 0.15625, 129, 0.0060544365719673, 0.02, 500)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment("p2", RegParams(1e-3, m=0.5), dg)
+    assert [str(w.message) for w in caught
+            if "above e^(-e^2)" in str(w.message)] == [
+        "epsilon 0.001 is above e^(-e^2) ~ 6.2e-4; the square-cutoff "
+        "bound may be outside its stated regime"]
 
 
 def test_a_refused_sinc_box_draws_no_noise(monkeypatch, tmp_path, capsys):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidecast.fields import GridSpec, RealField
-from sidecast.regularizer import RegParams, reconstruct, region_for
+from sidecast.regularizer import RegParams, reconstruct
 
 # every property holds to this fraction of the output's largest value
 TOL = 1e-12
@@ -62,7 +62,7 @@ def _inside(draw, start, extent):
 def _cases(draw, symmetric_x=False, positive_t=False):
     """(params, data grid, output grid inside it, data seed)."""
     params = draw(_params())
-    window = region_for(params)
+    window = params.window
     nx, nt = draw(st.integers(9, 64)), draw(st.integers(9, 64))
     dx, dt = _step(draw, nx, window.zmax), _step(draw, nt, window.rmax)
     ex, et = (nx - 1) * dx, (nt - 1) * dt
@@ -182,7 +182,7 @@ def test_a_refused_case_stays_refused_after_translation(case, refusal,
     # off 0, or an output grid moved 4n steps along, past the alias period
     params, data, out, seed = case
     k, j = _steps(data, a, b)
-    window = region_for(params)
+    window = params.window
     if refusal == "alias":
         # the alias period is L steps, and the padded length L is below 4n
         length = 4 * (data.nx if on_x else data.nt)

@@ -16,11 +16,10 @@ from sidecast.harness import (CONVOLUTION_FACTOR, convolve2_causal,
                               default_data_grid, dft2_forward,
                               identity_residual, noisy_histories)
 from sidecast.kernels import layer_trace_hat, s_hat, s_hat_abs, test_problem
-from sidecast.regularizer import (RegMode, RegParams, _c_constant,
-                                  continue_sideways, cutoff_hm, cutoff_l2,
-                                  error_bound_hm, error_bound_l2, plan,
-                                  reconstruct, reconstruct_spectrum,
-                                  region_for, tail_energy)
+from sidecast.regularizer import (RegParams, _c_constant, continue_sideways,
+                                  cutoff_hm, cutoff_l2, error_bound_hm,
+                                  error_bound_l2, plan, reconstruct,
+                                  reconstruct_spectrum, tail_energy)
 from sidecast.transform import SpectralWindow, dft2_lattice, idft2_windowed_at
 
 from direct_reference import identity_rhs, window_contains
@@ -111,25 +110,30 @@ def test_reg_params_validation():
     # m picks HM mode's square, its absence L2 mode's rectangle with
     # gamma defaulting to 1; giving both is refused
     p = RegParams(epsilon=0.01)
-    assert p.mode is RegMode.L2 and p.gamma == 1.0
+    assert p.mode == "l2" and p.gamma == 1.0
     assert p == RegParams(epsilon=0.01, gamma=1.0)
     hm = RegParams(epsilon=1e-4, m=0.5)
-    assert hm.mode is RegMode.HM and hm.gamma is None
+    assert hm.mode == "hm" and hm.gamma is None
     with pytest.raises(ValueError, match="not both: gamma=1.0, m=0.5"):
         RegParams(epsilon=1e-4, gamma=1.0, m=0.5)
     with pytest.raises(ValueError):
         RegParams(epsilon=0.001, m=0.0)
     with pytest.raises(ValueError):
         RegParams(epsilon=0.3, gamma=1.0)
+    # the cutoff is computed at construction, so a square no wider than 1
+    # is refused there
+    with pytest.raises(ValueError, match="square cutoff came out at 0.3007"):
+        with pytest.warns(UserWarning):
+            RegParams(epsilon=0.9, m=0.1)
 
 
 def test_region_shapes():
-    reg = region_for(RegParams(epsilon=0.01, gamma=1.0))
+    reg = RegParams(epsilon=0.01, gamma=1.0).window
     assert reg.zmax == pytest.approx(B_001_10, rel=1e-12)
     assert reg.zmax == cutoff_l2(0.01, 1.0)
     assert reg.rmax == pytest.approx(reg.zmax ** 2, rel=1e-15)
     with pytest.warns(UserWarning):
-        reg2 = region_for(RegParams(epsilon=0.001, m=1.0))
+        reg2 = RegParams(epsilon=0.001, m=1.0).window
     assert reg2.zmax == reg2.rmax == pytest.approx(A_0001_10, rel=1e-12)
 
 
@@ -226,7 +230,7 @@ def test_rhs_transform_matches_symbol_product_two_sided():
     assert res_one > 0.5
     # and against the fully analytic transform of the exact solution
     params = RegParams(epsilon=0.01, gamma=1.0)
-    w = region_for(params)
+    w = params.window
     sg = GridSpec.centered(1.25 * w.zmax, 65, 1.25 * w.rmax, 65)
     f = sample(prob.f0, dg)
     g = sample(prob.g0, dg)
@@ -296,7 +300,7 @@ def test_window_past_the_data_nyquist_limit_is_rejected(axis, scale, past):
     # pi/step sits a relative 1e-9 above (inside) or below (past) the
     # window's half-width on one axis; the other axis keeps a wide margin
     params = RegParams(epsilon=0.02, gamma=1.0)
-    window = region_for(params)
+    window = params.window
     dx = math.pi / window.zmax * scale if axis == "z" else 0.5
     dt = math.pi / window.rmax * scale if axis == "r" else 0.1
     dg = GridSpec(x0=-2.0, dx=dx, nx=9, t0=0.3 * dt, dt=dt, nt=8)
@@ -388,12 +392,12 @@ def test_reconstruct_reports_the_full_band_tail():
                       GridSpec(0.0, 0.125, 9, 0.5, 0.3, 9),
                       v_exact=prob.v_exact)
     v0 = sample(prob.v_exact, dg)
-    lx, lt, lat = _lattice_bins(v0, rec.window)
+    lx, lt, lat = _lattice_bins(v0, rec.params.window)
     band = GridSpec(-(lx // 2) * lat.dx, lat.dx, lx,
                     -(lt // 2) * lat.dt, lat.dt, lt)
     spec = dft2_forward(v0, band).values
     Z, R = np.meshgrid(band.x_nodes(), band.t_nodes(), indexing="ij")
-    outside = ~window_contains(rec.window, Z, R)
+    outside = ~window_contains(rec.params.window, Z, R)
     want = float(np.sum(np.abs(spec[outside]) ** 2)) * band.cell_area
     assert rec.eta_hat == pytest.approx(want, rel=1e-9)
 
@@ -443,7 +447,7 @@ def test_reconstruct_carries_the_divided_spectrum():
     rec = reconstruct((f, g), params, dg, og)
     window = plan(params, dg, og)
     v_hat = reconstruct_spectrum((f, g), window, dg)
-    assert rec.window == window
+    assert rec.params.window == window
     np.testing.assert_array_equal(rec.v_hat.values, v_hat.values)
 
 
@@ -459,7 +463,7 @@ def test_streamed_and_tuple_histories_agree_to_the_bit():
     assert a.v_hat.values.tobytes() == b.v_hat.values.tobytes()
     assert (a.eta_hat, a.bound_l2, a.measured_error) == \
         (b.eta_hat, b.bound_l2, b.measured_error)
-    assert a.params == b.params and a.window == b.window
+    assert a.params == b.params and a.params.window == b.params.window
 
 
 @pytest.mark.parametrize("streamed", [False, True])

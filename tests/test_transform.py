@@ -14,7 +14,7 @@ from sidecast.fields import GridSpec, ComplexField, RealField, sample
 from sidecast.harness import (_lattice_offsets, convolve2_causal,
                               default_data_grid, dft2_forward)
 from sidecast.kernels import R_SPEC, S_SPEC, KernelSpec
-from sidecast.regularizer import RegParams, region_for
+from sidecast.regularizer import RegParams
 from sidecast.transform import (SpectralWindow, _fast_len, _tol, dft2_lattice,
                                 idft2_windowed_at)
 
@@ -193,7 +193,7 @@ def test_lattice_forms_only_the_window_bins():
     g = default_data_grid()
     f = RealField(g, np.random.Generator(np.random.Philox(5))
                   .standard_normal(g.shape))
-    window = region_for(RegParams(epsilon=0.02, gamma=1.0))
+    window = RegParams(epsilon=0.02, gamma=1.0).window
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
