@@ -1,12 +1,16 @@
 """Driver tests: flag parsing, config-file merging, the thread cap, exit
-codes on bad usage, and in-process happy paths on coarse grids. The verify
-command's full-size panel and the subprocess-level byte-reproducibility
-runs live in the acceptance suite.
+codes on bad usage, in-process happy paths on coarse grids, the verify
+panel at both sizes, and every command README shows. Each runs through
+cli.main, so the suite checks an installed package as it checks the
+checkout. The subprocess-level byte-reproducibility runs live in the
+acceptance suite.
 """
 
 import argparse
+import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -15,14 +19,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sidecast
 from sidecast import harness
 from sidecast.cli import (UsageError, _apply_thread_cap, _build_parser,
                           _load_config, _merge_config, _params_from,
                           _parse_grid, _parse_points, main)
 from sidecast.fields import GridSpec, sample, write_field
-from sidecast.harness import _grid_str, default_data_grid, default_out_grid
+from sidecast.harness import (_grid_str, default_data_grid, default_out_grid,
+                              noisy_histories)
 from sidecast.kernels import test_problem
 from sidecast.regularizer import RegParams, cutoff_hm
+from sidecast.sinc import read_expansion
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -30,7 +37,7 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 # coarse synthetic geometry shared by the happy-path runs
 _DATA_GRID = "257,500,-10,0.078125,0.05,0.08"
 _OUT_GRID = "33,33,0,0.03125,0.1,0.121875"
-# CI's packaging-smoke data grid, 129 x 500
+# a 129 x 500 data grid on the default grid's t offset
 _CI_DATA_GRID = "129,500,-10,0.15625,0.0060544365719673,0.02"
 
 
@@ -654,9 +661,19 @@ class TestSincCommand:
         assert "deviation from the windowed inverse" in text
         for line in lines:
             assert line in text
+        # perfbench's sinc-n50 check reads the deviation with this regex:
+        # its group is the line's last field, a finite number
+        m = re.search(r"relative l2 deviation .*: (\S+)", text)
+        assert m and m.group(0).split()[-1] == m.group(1)
+        assert math.isfinite(float(m.group(1)))
         for name in ("sinc.txt", "sinc_eval.csv"):
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
+        # sinc.txt reads back with the coefficient count the run printed
+        exp = read_expansion(outs[0] / "sinc.txt")
+        count = re.search(r"(\d+) coefficients \((\w+),", text)
+        assert (exp.values.size, exp.kind.value) == \
+            (int(count.group(1)), count.group(2))
 
     def test_config_keys_run_as_the_flags_do(self, tmp_path, capsys):
         # sinc_n and sinc_kind stand for --N and --index-set
@@ -791,8 +808,8 @@ def test_fast_path_never_imports_scipy(small_grd, tmp_path):
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
         % (_DATA_GRID, _OUT_GRID, paths["f"], paths["g"]))
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
-                                       "src"))
+    # the child imports the package this suite imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sidecast.__file__)))
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + inherited if inherited else "")
@@ -832,6 +849,13 @@ class TestConvergenceCommand:
             (outs[1] / "convergence.csv").read_bytes()
 
 
+# verify --quick at seeded points, and the full default panel
+_VERIFY_RUNS = pytest.mark.parametrize("argv", [
+    ["verify", "--quick", "--points", "0,0;1.3,0;-0.6,0;0,1.1;0,-1.7"],
+    ["verify"],
+], ids=["quick-points", "full"])
+
+
 class TestVerifyCommand:
     def test_quick_panel_passes(self, capsys):
         rc = main(["verify", "--quick"])
@@ -841,13 +865,26 @@ class TestVerifyCommand:
         assert "identity residual P1" in text
         assert "identity residual P2" in text
 
-    def test_corrupted_symbol_goes_red(self, capsys):
-        rc = main(["verify", "--quick", "--break-shat", "--points", "0,0"])
+    @_VERIFY_RUNS
+    def test_reruns_print_the_same_bytes(self, argv, capsys):
+        texts = []
+        for _ in range(2):
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        # P2's identity defect (f = 0, v = -g) is answered as exactly 0
+        assert "identity residual P2: 0.000e+00" in texts[0].splitlines()
+
+    @_VERIFY_RUNS
+    def test_corrupted_symbol_goes_red(self, argv, capsys):
+        rc = main(argv + ["--break-shat"])
         text = capsys.readouterr().out
         assert rc == 1
         assert "overall: FAIL" in text
         # only the symbol check fails; the rest of the panel stays green
-        assert "symbol closed form vs quadrature  FAIL" in text
+        fails = [ln for ln in text.splitlines() if "  FAIL  " in ln]
+        assert len(fails) == 1, fails
+        assert fails[0].startswith("symbol closed form vs quadrature  FAIL  ")
 
     def test_corrupted_symbol_goes_red_on_the_box_quadrature(self, capsys):
         # off the origin the numeric side is the (x, t) box sum, not the
@@ -873,3 +910,36 @@ def test_readme_parameters_name_every_flag():
         if opt.startswith("--") and opt != "--help"
         and not re.search(r"`%s(?![\w-])" % re.escape(opt), section))
     assert not missing, missing
+
+
+def _readme_commands():
+    """Each `sidecast ...` line of README's indented code blocks, its `\\`
+    continuations joined, split as a shell would, without the program
+    name and without trailing comments."""
+    lines = iter((Path(__file__).resolve().parents[1] / "README.md")
+                 .read_text().splitlines())
+    commands = []
+    for line in lines:
+        if line.startswith("    sidecast "):
+            while line.endswith("\\"):
+                line = line[:-1] + next(lines)
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every example runs as written from tmp_path, so each --out, and each
+    # default one, lands there; the file-mode example's f.grd and g.grd
+    # are written first, on a 129 x 500 data grid that holds its window
+    monkeypatch.chdir(tmp_path)
+    f, g = noisy_histories(test_problem("P2"),
+                           default_data_grid(nx=129, nt=500), 0.01, 0)
+    write_field(f, "f.grd")
+    write_field(g, "g.grd")
+    commands = _readme_commands()
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subparsers.choices)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
