@@ -5,6 +5,12 @@ Subcommands: verify (numerical self-checks, PASS/FAIL table), reconstruct
 surrogate), convergence (error-vs-noise table). Exit codes: 0 success, 1 a
 numeric check failed, 2 bad usage or invalid parameter values.
 
+No command holds a default grid or a noise stream of its own: reconstruct
+--problem and convergence reach the built-in problems through
+harness.run_experiment, and sinc takes its histories and evaluation grid
+from harness.problem_inputs. File mode parses both GRD files before
+regularizer.plan runs, since a pipe (--f /dev/stdin) cannot be read twice.
+
 Numerical imports happen inside the commands so that the SIDECAST_THREADS
 cap is in place before any BLAS-backed library loads.
 """
@@ -91,7 +97,7 @@ def _load_config(path: str) -> dict:
                                      % (path, lineno, line))
                 key, _, val = line.partition("=")
                 opts[key.strip()] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read config %s: %s" % (path, exc)) from exc
     return opts
 

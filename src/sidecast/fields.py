@@ -232,12 +232,14 @@ def read_field(path) -> RealField:
     goes to that line pass at once, so a header that promises more than
     the file holds allocates nothing. A stream that cannot seek, such as
     a pipe, is read into memory first, so both passes and that guard see
-    its text as they see a regular file's."""
+    its text as they see a regular file's. A byte outside ASCII reads as
+    U+FFFD, which no value parses, so it is refused at its line like any
+    other bad token."""
 
     def err(lineno, msg):
         raise GrdParseError("%s:%d: %s" % (os.fspath(path), lineno, msg))
 
-    with open(path) as fh:
+    with open(path, encoding="ascii", errors="replace") as fh:
         if fh.seekable():
             st = os.fstat(fh.fileno())
             size = st.st_size if stat.S_ISREG(st.st_mode) else None

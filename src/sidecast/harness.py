@@ -7,7 +7,9 @@ matrix DFT and convolution they sum by, and verify_checks, which runs them
 at verify's geometry, holds them to its tolerances and returns the
 verdicts as records. The checks pin the analytic
 ingredients and share no code with the reconstruction, so that they can
-still catch it; a test in tests/test_harness.py states that rule.
+still catch it; a test in tests/test_harness.py states that rule. Only
+the checks' convolution imports scipy, when it runs, so reconstruct and
+sinc never load it.
 """
 
 from __future__ import annotations
@@ -426,7 +428,8 @@ def _symbol_rows(points, *, x_half: float, dx: float, t_max: float,
     One pass over the (x, t) box |x| <= x_half, 0 < t < t_max. The kernel
     is even in x and the box is symmetric, so the x sum folds onto the
     nodes x = k dx, 0 <= k <= x_half/dx:
-    sum_x e^{-izx} T(x) = T(0) + 2 sum_{x>0} cos(zx) T(x). That needs
+    sum_x e^{-izx} T(x) = T(0) + 2 sum_{x>0} cos(zx) T(x), so on the axis
+    r = 0 the quadrature is exactly real, as the symbol is. That needs
     x_half to be a whole number of steps dx, so that x = 0 is a node and
     every other node has its mirror; any other box is a ValueError.
 

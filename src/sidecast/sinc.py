@@ -182,7 +182,7 @@ def read_expansion(path) -> SincExpansion:
     formed, so a header N far beyond the file's rows is a ValueError, not a
     lattice of (2N+1)^2 indices."""
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.readlines()
     header = None
     ms, ns, vals = [], [], []

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import sidecast
 from sidecast.cli import main
 from sidecast.fields import GridSpec, l2_norm, sample
 from sidecast.harness import (SINC_PROBE_GRID, _G_SEED_OFFSET,
@@ -171,16 +172,21 @@ def test_criterion_7_sinc_expansion(verdict):
             % (dev_sq, nx * nt, node_gap, tri_vs_sq))
 
 
-_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
-                                    "src"))
+def _child_env():
+    # the child runs elsewhere, where a relative PYTHONPATH (such as "src")
+    # no longer resolves; put the directory of the package this suite
+    # imported first, installed or not, by absolute path
+    pkg_dir = os.path.dirname(os.path.dirname(os.path.abspath(
+        sidecast.__file__)))
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = pkg_dir + (os.pathsep + inherited if inherited
+                                   else "")
+    return env
 
 
 def _cli(args, cwd):
-    # the child runs in cwd, where a relative PYTHONPATH (such as "src")
-    # no longer resolves; put this checkout's src first, by absolute path
-    env = dict(os.environ)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = _SRC + (os.pathsep + inherited if inherited else "")
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-m", "sidecast.cli"] + args,
                           cwd=str(cwd), env=env, capture_output=True,
                           text=True)
@@ -190,6 +196,14 @@ def _cli(args, cwd):
 
 
 def test_criterion_8_bit_identical_reruns(verdict, tmp_path):
+    # the reruns below run the package under test, not some other copy
+    child = subprocess.run(
+        [sys.executable, "-c", "import sidecast; print(sidecast.__file__)"],
+        cwd=str(tmp_path), env=_child_env(), capture_output=True, text=True,
+        check=True)
+    assert (os.path.realpath(child.stdout.strip())
+            == os.path.realpath(sidecast.__file__))
+
     rec = ["reconstruct", "--problem", "p2", "--epsilon", "0.02",
            "--seed", "3", "--data-grid", _COARSE_DATA,
            "--grid", "33,33,0,0.03125,0.1,0.121875"]

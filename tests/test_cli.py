@@ -7,6 +7,7 @@ acceptance suite.
 """
 
 import argparse
+import importlib
 import math
 import os
 import re
@@ -128,6 +129,16 @@ class TestConfigFile:
         ns = _namespace(config=str(cfg))
         with pytest.raises(UsageError, match="bad value for epsilon"):
             _merge_config(ns)
+
+    def test_a_byte_that_is_not_text_is_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"problem=p2\nepsilon=0.02\xff\n")
+        rc = main(["reconstruct", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "sidecast: cannot read config %s: " % cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_keys_without_a_namespace_slot_are_skipped(self, tmp_path):
         # verify-style namespaces have no eps_list attribute; a config
@@ -529,6 +540,23 @@ class TestFileModeReconstruct:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_byte_that_is_not_text_is_refused_at_its_line(
+            self, small_grd, tmp_path, capsys):
+        # the first value of line 3 becomes byte 0xff
+        _, paths = small_grd
+        lines = Path(paths["f"]).read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2][lines[2].index(b" "):]
+        bad = tmp_path / "bad.grd"
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        rc = main(["reconstruct", "--epsilon", "0.01",
+                   "--f", str(bad), "--g", paths["g"],
+                   "--grid", "9,9,0.2,0.1,0.5,0.3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "sidecast: %s:3: unparseable value in row\n" % bad)
+        assert not out.exists()
+
     def test_happy_path_writes_artifacts(self, small_grd, tmp_path, capsys):
         _, paths = small_grd
         out = str(tmp_path / "filemode")
@@ -910,6 +938,39 @@ def test_readme_parameters_name_every_flag():
         if opt.startswith("--") and opt != "--help"
         and not re.search(r"`%s(?![\w-])" % re.escape(opt), section))
     assert not missing, missing
+
+
+# a module attribute in a code span, with or without the package prefix;
+# an output file name such as sinc.txt is no attribute
+_README_ATTR = re.compile(
+    r"(?<![\w.])(?:sidecast\.)?(fields|kernels|transform|regularizer|sinc|"
+    r"harness|cli)\.([A-Za-z_]\w*)")
+_FILE_SUFFIXES = {"txt", "csv", "grd"}
+
+
+def _readme_name_faults(text):
+    """The names text's code spans must not hold: a module attribute that
+    does not exist, and any name with a leading underscore."""
+    faults = []
+    for span in re.findall(r"`([^`]+)`", text):
+        faults += ["%s.%s" % (mod, name)
+                   for mod, name in _README_ATTR.findall(span)
+                   if name not in _FILE_SUFFIXES and not hasattr(
+                       importlib.import_module("sidecast." + mod), name)]
+        faults += re.findall(r"\b_+[A-Za-z]\w*", span)
+    return faults
+
+
+def test_readme_names_resolve():
+    # README names no symbol the code has lost, such as the deleted
+    # regularizer.region_for, and no private helper, such as
+    # harness._symbol_rows
+    assert _readme_name_faults(
+        "`regularizer.region_for`, `harness._symbol_rows`, `sinc.txt`, "
+        "`sidecast.sinc.read_expansion(path)`") == [
+            "regularizer.region_for", "_symbol_rows"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert _readme_name_faults(readme) == []
 
 
 def _readme_commands():

@@ -283,6 +283,10 @@ def test_a_bad_token_in_a_pipe_is_named_at_its_line():
     with pytest.raises(GrdParseError,
                        match=r"^/dev/fd/\d+:3: unparseable value in row$"):
         _read_pipe(b"2 2 0 1 0.1 1\n1 2\nx 4\n")
+    # a byte that is not ASCII is a bad token too
+    with pytest.raises(GrdParseError,
+                       match=r"^/dev/fd/\d+:3: unparseable value in row$"):
+        _read_pipe(b"2 2 0 1 0.1 1\n1 2\n\xff 4\n")
 
 
 @_NEEDS_DEV_FD

@@ -269,6 +269,9 @@ def test_read_expansion_error_paths(tmp_path):
     p.write_text("0.5 1 square\n0 zero 1.0\n")
     with pytest.raises(ValueError, match="bad row"):
         read_expansion(p)
+    p.write_bytes(b"0.5 1 square\n0 0 1\xff0\n")  # not ASCII
+    with pytest.raises(ValueError, match="bad.txt:2: bad row"):
+        read_expansion(p)
     # an infinite mesh would evaluate to c_00 at every point
     p.write_text("inf 1 square\n"
                  + _rows(*index_lattice(IndexSetKind.SQUARE, 1)))
